@@ -19,7 +19,6 @@ from .errors import (
     TooCoarse,
     UnknownIdentifier,
     UnsupportedDimension,
-    ValidationFailed,
 )
 from .symfun import (
     ConeReport,

@@ -1,10 +1,11 @@
 """Command line interface: config loading, solve/validate/selftest/export.
 
 Configs are INI-style sections of key = value lines (zero-dependency parsing,
-easy to diff).  Commands exit with 0 on success, 2 on config errors, 3 on
-failed assumption validation, 4 on cone violations, 5 when the continuation
-stalls or a bound monitor aborts, and 6 on I/O errors.  The output directory
-can be overridden with the HESSQUOT_OUTDIR environment variable.
+easy to diff).  Commands exit with 0 on success, 1 when a selftest check fails
+or on any other library error, 2 on config errors, 3 on failed assumption
+validation, 4 on cone violations, 5 when the continuation stalls or a bound
+monitor aborts, and 6 on I/O errors.  The output directory can be overridden
+with the HESSQUOT_OUTDIR environment variable.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ class SolverSection:
     dt_init: float = 0.1
     dt_min: float = 1e-4
     dt_max: float = 0.25
-    fd_step: float | None = None
     max_halvings: int = 20
     cone_margin: float = 1e-12
     allow_unvalidated: bool = False
@@ -110,7 +110,7 @@ _SCHEMA = {
     "problem": {"n", "k", "l", "f", "r1", "r2"},
     "grid": {"mode", "resolution"},
     "solver": {
-        "newton_tol", "max_newton", "dt_init", "dt_min", "dt_max", "fd_step",
+        "newton_tol", "max_newton", "dt_init", "dt_min", "dt_max",
         "max_halvings", "cone_margin", "allow_unvalidated", "validate_samples",
     },
     "output": {"directory", "formats"},
@@ -214,7 +214,6 @@ def parse_config_text(text: str) -> RunConfig:
         dt_init=get("solver", "dt_init", float, 0.1),
         dt_min=get("solver", "dt_min", float, 1e-4),
         dt_max=get("solver", "dt_max", float, 0.25),
-        fd_step=get("solver", "fd_step", float, None),
         max_halvings=get("solver", "max_halvings", int, 20),
         cone_margin=get("solver", "cone_margin", float, 1e-12),
         allow_unvalidated=get("solver", "allow_unvalidated", bool, False),
@@ -263,12 +262,6 @@ def dump_config(cfg: RunConfig) -> str:
             f"dt_init = {cfg.solver.dt_init!r}",
             f"dt_min = {cfg.solver.dt_min!r}",
             f"dt_max = {cfg.solver.dt_max!r}",
-        ]
-    )
-    if cfg.solver.fd_step is not None:
-        lines.append(f"fd_step = {cfg.solver.fd_step!r}")
-    lines.extend(
-        [
             f"max_halvings = {cfg.solver.max_halvings}",
             f"cone_margin = {cfg.solver.cone_margin!r}",
             f"allow_unvalidated = {str(cfg.solver.allow_unvalidated).lower()}",
@@ -313,7 +306,6 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
         dt_init=cfg.solver.dt_init,
         dt_min=cfg.solver.dt_min,
         dt_max=cfg.solver.dt_max,
-        fd_step=cfg.solver.fd_step,
         max_halvings=cfg.solver.max_halvings,
         cone_margin=cfg.solver.cone_margin,
     )
@@ -486,7 +478,7 @@ def export_mesh_obj(rho, grid, path, n: int = 2):
 
     if isinstance(grid, SphereGrid2D):
         nt, np_ = grid.n_theta, grid.n_phi
-        pos = grid.positions()
+        pos, _ = grid.node_frames(2)
         pts = rho[:, None] * pos
         vertices.extend(pts.tolist())
         north = rho[: np_].mean()       # ring average approximates the pole value
@@ -544,17 +536,12 @@ def export_mesh_obj(rho, grid, path, n: int = 2):
     return len(vertices), len(faces)
 
 
-def _selftest_checks():
-    """Quick end-to-end property checks; each yields (name, passed, detail)."""
+def run_selftest() -> int:
     from . import selftest
 
-    return selftest.run_all()
-
-
-def run_selftest(cfg: RunConfig = None) -> int:
     started = time.perf_counter()
     failures = 0
-    for name, passed, detail in _selftest_checks():
+    for name, passed, detail in selftest.run_all():
         tag = "ok" if passed else "FAIL"
         print(f"[{tag:4s}] {name}: {detail}")
         failures += 0 if passed else 1
@@ -592,8 +579,7 @@ def main(argv=None) -> int:
     p_solve.add_argument("config")
     p_val = sub.add_parser("validate", help="check the structural assumptions on f")
     p_val.add_argument("config")
-    p_self = sub.add_parser("selftest", help="run the built-in property checks")
-    p_self.add_argument("config", nargs="?", default=None)
+    sub.add_parser("selftest", help="run the built-in property checks")
     p_exp = sub.add_parser("export", help="export a solved field as an OBJ mesh")
     p_exp.add_argument("config")
     p_exp.add_argument("rho_csv")
@@ -601,8 +587,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "selftest":
-            cfg = load_config(args.config) if args.config else None
-            return run_selftest(cfg)
+            return run_selftest()
         if args.command == "export":
             return _cmd_export(args)
         cfg = load_config(args.config)

@@ -7,11 +7,12 @@ residual is the log form of the curvature equation,
 
 which is zero exactly when the quotient matches the prescription and makes the
 Newton iteration scale-invariant; both sides are positive on admissible states
-so the logs are total.  The Jacobian is assembled by central finite differences
-with column coloring so a full matrix costs a stencil-bounded number of
-residual evaluations, and the Newton systems are solved by sparse direct
-factorization in a lightly damped least-squares form that tolerates
-(near-)singular linearizations.
+so the logs are total.  The residual depends on rho only through the nodal
+jets, which are the grid's sparse stencil operators applied to rho, so the
+Jacobian is the pointwise jet partials times those operators; the partials
+come from one forward difference per jet component over all nodes at once.
+The Newton systems are solved by sparse direct factorization in a lightly
+damped least-squares form that tolerates (near-)singular linearizations.
 
 The path starts from the exactly-known state rho = 1 at t = 0 and follows an
 adaptive step in t to the target problem at t = 1.  Every trial iterate is
@@ -40,7 +41,7 @@ from .errors import (
 from .estimates_monitor import BoundsSnapshot, check_c0, check_positivity, snapshot_bounds
 from .fspec import HomotopyTarget, eval_homotopy
 from .radial_geometry import geometry_batch
-from .sphere_grid import AxisymGrid, SphereGrid2D, jet_arrays, node_frames
+from .sphere_grid import jet_arrays
 from .symfun import QuotientParams, sigma_batch
 
 __all__ = [
@@ -54,6 +55,9 @@ __all__ = [
     "continuation_solve",
 ]
 
+# relative forward-difference step for the pointwise jet partials
+_JET_STEP = math.sqrt(np.finfo(float).eps)
+
 
 @dataclass
 class SolverConfig:
@@ -62,14 +66,12 @@ class SolverConfig:
     dt_init: float = 0.1
     dt_min: float = 1e-4
     dt_max: float = 0.25
-    fd_step: float | None = None          # default scales with grid stiffness
     damping_factor: float = 0.5
     max_halvings: int = 20
     sufficient_decrease: float = 1e-4
     grow_after: int = 4
     grow_factor: float = 1.5
     cone_margin: float = 1e-12
-    ls_damping: float | None = None       # default derives from the FD noise floor
 
     def __post_init__(self):
         if self.newton_tol <= 0 or self.dt_init <= 0 or self.dt_min <= 0:
@@ -106,10 +108,10 @@ class SolutionField:
     trace: SolveTrace
 
 
-def _residual_and_margin(rho, grid, target: HomotopyTarget, t: float, p: QuotientParams):
-    """Residual vector plus the worst cone margin over the nodes."""
-    rho_arr, grad, hess = jet_arrays(rho, grid, p.n)
-    geo = geometry_batch(rho_arr, grad, hess)
+def _pointwise_residual(rho, grad, hess, grid, target: HomotopyTarget, t: float,
+                        p: QuotientParams):
+    """Residual vector of nodal jets, plus the worst cone margin over the nodes."""
+    geo = geometry_batch(rho, grad, hess)
     sig = sigma_batch(geo.eta, p.k)
     margins = sig[:, 1:].min(axis=1)
     worst = int(np.argmin(margins))
@@ -120,8 +122,8 @@ def _residual_and_margin(rho, grid, target: HomotopyTarget, t: float, p: Quotien
             node=worst,
             margin=float(margins[worst]),
         )
-    positions, frames = node_frames(grid, p.n)
-    X = rho_arr[:, None] * positions
+    positions, frames = grid.node_frames(p.n)
+    X = rho[:, None] * positions
     nu = geo.nu_radial[:, None] * positions + np.einsum(
         "nj,njd->nd", geo.nu_tangent, frames
     )
@@ -134,6 +136,11 @@ def _residual_and_margin(rho, grid, target: HomotopyTarget, t: float, p: Quotien
     return res, float(margins[worst])
 
 
+def _residual_and_margin(rho, grid, target: HomotopyTarget, t: float, p: QuotientParams):
+    """Residual vector plus the worst cone margin over the nodes."""
+    return _pointwise_residual(*jet_arrays(rho, grid, p.n), grid, target, t, p)
+
+
 def residual_vector(rho, grid, target: HomotopyTarget, t: float, p: QuotientParams = None):
     """Per-node log residual of the discrete equation at homotopy time t."""
     p = p if p is not None else target.p
@@ -141,132 +148,27 @@ def residual_vector(rho, grid, target: HomotopyTarget, t: float, p: QuotientPara
     return res
 
 
-def _axisym_dependencies(grid: AxisymGrid):
-    N = grid.node_count
-    deps = []
-    for r in range(N):
-        cols = set()
-        for d in (-1, 0, 1):
-            j = r + d
-            if j < 0:
-                j = 1            # even-reflection ghost
-            elif j >= N:
-                j = N - 2
-            cols.add(j)
-        deps.append(sorted(cols))
-    return deps
+def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float, p: QuotientParams = None):
+    """Sparse d(residual)/d(rho) = sum_a diag(dR/dj_a) D_a over the raw jets j_a.
 
-
-def _s2_dependencies(grid: SphereGrid2D):
-    nt, np_ = grid.n_theta, grid.n_phi
-    shift = np_ // 2
-
-    def node(i, j):
-        j %= np_
-        if i < 0:
-            return 0, (j + shift) % np_    # antipodal ghost
-        if i >= nt:
-            return nt - 1, (j + shift) % np_
-        return i, j
-
-    deps = []
-    for i in range(nt):
-        for j in range(np_):
-            cols = set()
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    ii, jj = node(i + di, j + dj)
-                    cols.add(ii * np_ + jj)
-            deps.append(sorted(cols))
-    return deps
-
-
-def _stencil_pattern(grid):
-    """(affects, colors): rows touched by each column, and a conflict-free
-    grouping so same-color columns never share a residual row."""
-    cached = getattr(grid, "_jacobian_pattern", None)
-    if cached is not None:
-        return cached
-    if isinstance(grid, AxisymGrid):
-        deps = _axisym_dependencies(grid)
-    elif isinstance(grid, SphereGrid2D):
-        deps = _s2_dependencies(grid)
-    else:
-        raise TypeError(f"unsupported grid type {type(grid).__name__}")
-
-    ncols = len(deps)
-    affects = [[] for _ in range(ncols)]
-    for r, cols in enumerate(deps):
-        for c in cols:
-            affects[c].append(r)
-
-    colors = np.full(ncols, -1, dtype=int)
-    for c in range(ncols):
-        used = set()
-        for r in affects[c]:
-            for other in deps[r]:
-                if colors[other] >= 0:
-                    used.add(colors[other])
-        color = 0
-        while color in used:
-            color += 1
-        colors[c] = color
-    pattern = (affects, colors)
-    grid._jacobian_pattern = pattern
-    return pattern
-
-
-def _stiffness(grid) -> float:
-    """Dominant stencil weight: 1/spacing^2, plus the near-pole azimuthal
-    factor on the 2-sphere grid."""
-    if isinstance(grid, AxisymGrid):
-        return 1.0 / grid.spacing**2
-    s0 = math.sin(grid.theta[0])
-    return 1.0 / (s0 * grid.dphi) ** 2 + 1.0 / grid.dtheta**2
-
-
-def _default_fd_step(grid, rho) -> float:
-    """Perturbation size balancing truncation against roundoff.
-
-    Jacobian entries carry the stencil weights, so the optimal step shrinks
-    with the same factor; a resolution-independent step loses most of Newton's
-    quadratic tail and floods weak modes of the linearization with noise.
+    The residual at a node depends on rho only through its raw jets j_0 = rho
+    and j_a = D_a rho, a = 1..A (the grid's stencil operators), so each
+    pointwise partial dR/dj_a comes from one forward difference applied to all
+    nodes at once, with step sqrt(eps) max(1, |j_a|).
     """
-    scale = max(1.0, float(np.abs(rho).max()))
-    return 4e-5 * scale / _stiffness(grid)
-
-
-def assemble_jacobian(
-    rho,
-    grid,
-    target: HomotopyTarget,
-    t: float,
-    p: QuotientParams = None,
-    cfg: SolverConfig = None,
-):
-    """Sparse d(residual)/d(rho) by central differences over colored columns."""
     p = p if p is not None else target.p
-    cfg = cfg if cfg is not None else SolverConfig()
-    rho = np.asarray(rho, dtype=float)
-    affects, colors = _stencil_pattern(grid)
-    h = cfg.fd_step if cfg.fd_step is not None else _default_fd_step(grid, rho)
+    jets = grid.raw_jets(rho)
 
-    rows, cols, vals = [], [], []
-    for color in range(int(colors.max()) + 1):
-        members = np.nonzero(colors == color)[0]
-        up = rho.copy()
-        up[members] += h
-        down = rho.copy()
-        down[members] -= h
-        res_up = residual_vector(up, grid, target, t, p)
-        res_down = residual_vector(down, grid, target, t, p)
-        for c in members:
-            for r in affects[c]:
-                rows.append(r)
-                cols.append(c)
-                vals.append((res_up[r] - res_down[r]) / (2.0 * h))
-    n = rho.size
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    def residual(j):
+        return _pointwise_residual(*grid.frame_jets(j, p.n), grid, target, t, p)[0]
+
+    base = residual(jets)
+    partials = np.empty_like(jets)
+    for a in range(jets.shape[0]):
+        bumped = jets.copy()
+        bumped[a] += _JET_STEP * np.maximum(1.0, np.abs(jets[a]))
+        partials[a] = (residual(bumped) - base) / (bumped[a] - jets[a])
+    return grid.linearize(partials)
 
 
 def _damped_ls_direction(J, res, mu):
@@ -325,17 +227,16 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, p: QuotientParams
             step *= cfg.damping_factor
         return None
 
-    # ten-ish times the absolute finite-difference noise in the J entries
-    mu = cfg.ls_damping if cfg.ls_damping is not None else 3e-8 * _stiffness(grid) * max(
-        1.0, float(np.abs(rho).max())
-    )
+    # Tikhonov weight scaled with the stencil weights in J; it damps the
+    # (near-)null directions described in _damped_ls_direction
+    mu = 3e-8 * grid.stiffness * max(1.0, float(np.abs(rho).max()))
     while res_sup > cfg.newton_tol:
         if iters >= cfg.max_newton:
             raise NoConvergence(
                 f"no convergence in {cfg.max_newton} Newton steps at t={t} "
                 f"(residual {res_sup:.3e})"
             )
-        J = assemble_jacobian(rho, grid, target, t, p, cfg)
+        J = assemble_jacobian(rho, grid, target, t, p)
         delta = _damped_ls_direction(J, res, mu)
         if delta is None:
             delta = scipy.sparse.linalg.splu(J.tocsc()).solve(-res)
@@ -362,7 +263,9 @@ def continuation_solve(
     `validated` asserts that the assumption checks passed, which turns the
     radial-containment and positivity monitors into hard invariants: a
     violation aborts with MonitorViolation instead of continuing.  Step control
-    halves dt on corrector failure and grows it after fast correctors.
+    halves dt on corrector failure, which includes a trial t where f_t, the
+    prescription expression or the jets cannot be evaluated, and grows it after
+    fast correctors.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     p = target.p
@@ -394,7 +297,7 @@ def continuation_solve(
         t_try = min(t + dt, 1.0)
         try:
             rho_new, iters = newton_solve(rho, t_try, target, grid, p, cfg)
-        except (NoConvergence, ConeViolation):
+        except (NoConvergence, ConeViolation, NonpositiveF, EvalError, DegenerateJet):
             dt *= 0.5
             if dt < cfg.dt_min:
                 raise ContinuationStalled(

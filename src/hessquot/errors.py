@@ -85,12 +85,6 @@ class MonitorViolation(HessquotError):
         self.trace = trace
 
 
-class ValidationFailed(HessquotError):
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
-
-
 class ConfigError(HessquotError):
     def __init__(self, message, key=None, line=None):
         loc = []

@@ -3,8 +3,8 @@
 A star-shaped hypersurface is X(x) = rho(x) x for x on the unit sphere.  Given
 the jet (rho, D rho, D^2 rho) at a point, expressed in an orthonormal frame of
 the round metric, this module produces the derived state: normal, induced
-metric data, shape operator, principal curvatures kappa, and the spectrum of
-the curvature-difference tensor eta = H g - h whose eigenvalues are
+metric data, principal curvatures kappa, and the spectrum of the
+curvature-difference tensor eta = H g - h whose eigenvalues are
 lam_i = H - kappa_i.
 
 The normal is reported in the local basis (radial, e_1, ..., e_n); grids know
@@ -60,7 +60,6 @@ class PointGeometry:
     v: float
     u: float
     nu: np.ndarray
-    shape: np.ndarray
     H: float
     kappa: np.ndarray
     eta_spectrum: np.ndarray
@@ -75,7 +74,6 @@ class GeometryBatch:
     u: np.ndarray            # (N,)
     nu_radial: np.ndarray    # (N,)
     nu_tangent: np.ndarray   # (N, n)
-    shape: np.ndarray        # (N, n, n) mixed shape operator
     H: np.ndarray            # (N,)
     kappa: np.ndarray        # (N, n) ascending
     eta: np.ndarray          # (N, n) ascending
@@ -106,8 +104,7 @@ def geometry_batch(rho: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> Geome
     h = (-hess + rho[:, None, None] * eye + (2.0 / rho)[:, None, None] * outer) / v[:, None, None]
 
     # g = rho^2 (I + w w^T) with w = grad/rho, so
-    # g^{-1/2} = (1/rho) (I + (1/v - 1) what what^T) and
-    # g^{-1}   = (1/rho^2) (I - grad grad^T / (rho^2 v^2))   (rank-one inverse)
+    # g^{-1/2} = (1/rho) (I + (1/v - 1) what what^T)   (rank-one update)
     gnorm = np.sqrt(grad_norm2)
     safe = np.where(gnorm > 0.0, gnorm, 1.0)
     what = grad / safe[:, None]
@@ -119,9 +116,6 @@ def geometry_batch(rho: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> Geome
     H = kappa.sum(axis=1)
     eta = (H[:, None] - kappa)[:, ::-1]
 
-    g_inv = (eye[None, :, :] - outer / (rho**2 * v**2)[:, None, None]) / (rho**2)[:, None, None]
-    shape = g_inv @ h
-
     nu_radial = 1.0 / v
     nu_tangent = -grad / (v * rho)[:, None]
     return GeometryBatch(
@@ -130,7 +124,6 @@ def geometry_batch(rho: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> Geome
         u=u,
         nu_radial=nu_radial,
         nu_tangent=nu_tangent,
-        shape=shape,
         H=H,
         kappa=kappa,
         eta=eta,
@@ -155,7 +148,6 @@ def assemble_point_geometry(jet: PointJet, n: int) -> PointGeometry:
         v=float(batch.v[0]),
         u=float(batch.u[0]),
         nu=nu,
-        shape=batch.shape[0],
         H=float(batch.H[0]),
         kappa=batch.kappa[0],
         eta_spectrum=batch.eta[0],
@@ -173,7 +165,6 @@ def sphere_closed_form(r: float, n: int) -> PointGeometry:
         v=1.0,
         u=r,
         nu=nu,
-        shape=np.eye(n) / r,
         H=n / r,
         kappa=kappa,
         eta_spectrum=np.full(n, (n - 1) / r),

@@ -2,10 +2,14 @@
 
 Two grids are provided: a 1-D colatitude grid on [0, pi] for axisymmetric
 fields in any dimension, and a full latitude-longitude grid on the 2-sphere.
-Both use 2nd-order central differences.  The axisymmetric grid includes the
-poles and closes stencils by even reflection (rho(-theta) = rho(theta)); the
-2-D grid offsets nodes half a spacing off the poles and closes stencils with
-the antipodal rule (crossing a pole lands at phi + pi).
+Each grid builds its 2nd-order central-difference stencils once, as sparse
+matrices stacked into one jet operator, so the raw partials of a field are a
+single product `jet_operator @ rho`; the grid's frame then combines them into
+the covariant gradient and Hessian.  Jets are linear in rho, so the same
+operator also serves the solver's Jacobian.  The axisymmetric grid includes
+the poles and closes stencils by even reflection (rho(-theta) = rho(theta));
+the 2-D grid offsets nodes half a spacing off the poles and closes stencils
+with the antipodal rule (crossing a pole lands at phi + pi).
 
 The polar axis is the first ambient coordinate, so x1 = rho cos(theta).
 Node ordering on the 2-D grid is theta-major: index = i * n_phi + j.
@@ -15,8 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .errors import SizeMismatch, TooCoarse
 from .radial_geometry import PointJet
@@ -38,8 +44,66 @@ MIN_S2_THETA = 16
 MIN_S2_PHI = 32
 
 
+def _check_field(field_values, count: int) -> np.ndarray:
+    f = np.asarray(field_values, dtype=float).reshape(-1)
+    if f.size != count:
+        raise SizeMismatch(f"field has {f.size} values, grid has {count} nodes")
+    return f
+
+
+def _stencil(columns, weights: dict, count: int):
+    """Sparse (count, count) matrix with, for each offset, its weight at
+    column columns(offset)[row] of every row; coinciding columns add up."""
+    rows = np.tile(np.arange(count), len(weights))
+    cols = np.concatenate([columns(offset) for offset in weights])
+    vals = np.repeat(np.fromiter(weights.values(), dtype=float), count)
+    op = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(count, count))
+    op.eliminate_zeros()
+    return op
+
+
+class _StencilGrid:
+    """Jets and their linearization from a grid's stacked jet operator.
+
+    A grid provides `node_count`, `jet_operator` (the raw partials D_1..D_A
+    stacked into an (A N, N) sparse matrix) and `frame_jets`.  Row 0 of a
+    raw-jet array is rho itself, rows 1..A are D_a @ rho.
+    """
+
+    def raw_jets(self, field_values) -> np.ndarray:
+        """(A + 1, N) array: the field, then each stencil partial of it."""
+        f = _check_field(field_values, self.node_count)
+        return np.vstack([f, (self.jet_operator @ f).reshape(-1, f.size)])
+
+    def linearize(self, partials: np.ndarray):
+        """CSR matrix sum_a diag(partials[a]) D_a, where D_0 is the identity.
+
+        The values fill a pattern built once per grid, so no per-call sparse
+        products or sums are formed.
+        """
+        op = self.jet_operator
+        pos, indices, indptr = self._linear_layout
+        rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+        vals = np.concatenate([partials[0], partials[1:].ravel()[rows] * op.data])
+        data = np.bincount(pos, weights=vals, minlength=indices.size)
+        n = self.node_count
+        return scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+
+    @cached_property
+    def _linear_layout(self):
+        """(pos, indices, indptr): the CSR pattern of the identity plus every
+        D_a, and the position in it of each identity and jet-operator entry."""
+        n = self.node_count
+        op = self.jet_operator.tocoo()
+        node = np.concatenate([np.arange(n), op.row % n])
+        col = np.concatenate([np.arange(n), op.col])
+        keys, pos = np.unique(node * n + col, return_inverse=True)
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        return pos.astype(np.int32), (keys % n).astype(np.int32), indptr.astype(np.int32)
+
+
 @dataclass
-class AxisymGrid:
+class AxisymGrid(_StencilGrid):
     """Uniform colatitude nodes theta_m = m pi/(N-1), m = 0..N-1, poles included."""
 
     node_count: int
@@ -47,15 +111,14 @@ class AxisymGrid:
     spacing: float
     _frame_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def positions(self, n: int) -> np.ndarray:
-        """Representative meridian points of S^n in R^{n+1}: (cos t, sin t, 0, ...)."""
-        return self._frames(n)[0]
+    @property
+    def stiffness(self) -> float:
+        """Dominant stencil weight, 1/spacing^2."""
+        return 1.0 / self.spacing**2
 
-    def frames(self, n: int) -> np.ndarray:
-        """Orthonormal tangent frames, shape (N, n, n+1); row 0 is d/dtheta."""
-        return self._frames(n)[1]
-
-    def _frames(self, n: int):
+    def node_frames(self, n: int):
+        """Meridian points (cos t, sin t, 0, ...) of S^n in R^{n+1}, shape (N, n+1),
+        and orthonormal tangent frames, shape (N, n, n+1); row 0 is d/dtheta."""
         if n not in self._frame_cache:
             N = self.node_count
             pos = np.zeros((N, n + 1))
@@ -69,9 +132,54 @@ class AxisymGrid:
             self._frame_cache[n] = (pos, frm)
         return self._frame_cache[n]
 
+    def quadrature_weights(self, n: int) -> np.ndarray:
+        # area of S^{n-1} times the colatitude measure; trapezoidal ends
+        area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+        w = np.sin(self.theta) ** (n - 1) * self.spacing * area
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return w
+
+    @cached_property
+    def jet_operator(self):
+        """d/dtheta, d^2/dtheta^2 and the orbit term cot(theta) d/dtheta, whose
+        pole rows take its limit d^2/dtheta^2, under even reflection."""
+        N, dt = self.node_count, self.spacing
+
+        def columns(offset):
+            m = np.arange(N) + offset
+            return np.where(m < 0, -m, np.where(m >= N, 2 * (N - 1) - m, m))
+
+        d1 = _stencil(columns, {-1: -0.5 / dt, 1: 0.5 / dt}, N)
+        d2 = _stencil(columns, {-1: dt**-2, 0: -2.0 * dt**-2, 1: dt**-2}, N)
+        cot = np.zeros(N)
+        cot[1:-1] = 1.0 / np.tan(self.theta[1:-1])
+        poles = np.zeros(N)
+        poles[[0, -1]] = 1.0
+        orbit = scipy.sparse.diags(cot) @ d1 + scipy.sparse.diags(poles) @ d2
+        orbit.eliminate_zeros()
+        return scipy.sparse.vstack([d1, d2, orbit], format="csr")
+
+    def frame_jets(self, jets: np.ndarray, n: int):
+        """(rho, grad, hess) for a zonal field from its raw jets (rho, d1, d2, orbit).
+
+        Frame: row 0 is the meridian direction, rows 1..n-1 span the orbit
+        directions where the covariant Hessian of a zonal field is the orbit term.
+        """
+        if n < 2:
+            raise ValueError(f"dimension n must be >= 2, got {n}")
+        rho, d1, d2, orbit = jets
+        grad = np.zeros((rho.size, n))
+        grad[:, 0] = d1
+        hess = np.zeros((rho.size, n, n))
+        hess[:, 0, 0] = d2
+        for j in range(1, n):
+            hess[:, j, j] = orbit
+        return rho, grad, hess
+
 
 @dataclass
-class SphereGrid2D:
+class SphereGrid2D(_StencilGrid):
     """Pole-offset latitude-longitude grid: theta_i = (i + 1/2) pi / n_theta."""
 
     n_theta: int
@@ -80,30 +188,81 @@ class SphereGrid2D:
     phi: np.ndarray
     dtheta: float
     dphi: float
-    _frame_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
         return self.n_theta * self.n_phi
 
-    def positions(self) -> np.ndarray:
-        return self._frames()[0]
+    @property
+    def stiffness(self) -> float:
+        """Dominant stencil weight: 1/dtheta^2 plus the near-pole azimuthal factor."""
+        return 1.0 / (math.sin(self.theta[0]) * self.dphi) ** 2 + 1.0 / self.dtheta**2
 
-    def frames(self) -> np.ndarray:
-        """Orthonormal frames (N, 2, 3): rows are d/dtheta and (1/sin t) d/dphi."""
-        return self._frames()[1]
+    def node_frames(self, n: int):
+        """Node positions (N, 3) and orthonormal frames (N, 2, 3) whose rows are
+        d/dtheta and (1/sin t) d/dphi."""
+        if n != 2:
+            raise ValueError(f"the 2-sphere grid requires n = 2, got n = {n}")
+        return self._node_frames
 
-    def _frames(self):
-        if "xf" not in self._frame_cache:
-            tt, pp = np.meshgrid(self.theta, self.phi, indexing="ij")
-            st, ct = np.sin(tt), np.cos(tt)
-            sp, cp = np.sin(pp), np.cos(pp)
-            pos = np.stack([ct, st * cp, st * sp], axis=-1).reshape(-1, 3)
-            e_t = np.stack([-st, ct * cp, ct * sp], axis=-1)
-            e_p = np.stack([np.zeros_like(sp), -sp, cp], axis=-1)
-            frm = np.stack([e_t, e_p], axis=-2).reshape(-1, 2, 3)
-            self._frame_cache["xf"] = (pos, frm)
-        return self._frame_cache["xf"]
+    @cached_property
+    def _node_frames(self):
+        tt, pp = np.meshgrid(self.theta, self.phi, indexing="ij")
+        st, ct = np.sin(tt), np.cos(tt)
+        sp, cp = np.sin(pp), np.cos(pp)
+        pos = np.stack([ct, st * cp, st * sp], axis=-1).reshape(-1, 3)
+        e_t = np.stack([-st, ct * cp, ct * sp], axis=-1)
+        e_p = np.stack([np.zeros_like(sp), -sp, cp], axis=-1)
+        frm = np.stack([e_t, e_p], axis=-2).reshape(-1, 2, 3)
+        return pos, frm
+
+    def quadrature_weights(self, n: int) -> np.ndarray:
+        return np.repeat(np.sin(self.theta) * self.dtheta * self.dphi, self.n_phi)
+
+    @cached_property
+    def jet_operator(self):
+        """Partials r_t, r_p, r_tt, r_tp, r_pp: periodic in phi, crossing the
+        poles by the antipodal rule."""
+        nt, nphi, dt, dp = self.n_theta, self.n_phi, self.dtheta, self.dphi
+        i = np.repeat(np.arange(nt), nphi)
+        j = np.tile(np.arange(nphi), nt)
+
+        def columns(offset):
+            ii, jj = i + offset[0], j + offset[1]
+            crossed = (ii < 0) | (ii >= nt)
+            jj = np.where(crossed, jj + nphi // 2, jj) % nphi
+            return np.clip(ii, 0, nt - 1) * nphi + jj
+
+        c = 0.25 / (dt * dp)
+        stencils = (
+            {(-1, 0): -0.5 / dt, (1, 0): 0.5 / dt},
+            {(0, -1): -0.5 / dp, (0, 1): 0.5 / dp},
+            {(-1, 0): dt**-2, (0, 0): -2.0 * dt**-2, (1, 0): dt**-2},
+            {(-1, -1): c, (-1, 1): -c, (1, -1): -c, (1, 1): c},
+            {(0, -1): dp**-2, (0, 0): -2.0 * dp**-2, (0, 1): dp**-2},
+        )
+        ops = [_stencil(columns, weights, self.node_count) for weights in stencils]
+        return scipy.sparse.vstack(ops, format="csr")
+
+    def frame_jets(self, jets: np.ndarray, n: int):
+        """(rho, grad, hess) from the raw jets (rho, r_t, r_p, r_tt, r_tp, r_pp).
+
+        In the frame e_1 = d/dtheta, e_2 = (1/sin t) d/dphi the covariant
+        Hessian of a scalar is
+            hess_11 = r_tt
+            hess_12 = (r_tp - cot t r_p) / sin t
+            hess_22 = r_pp / sin^2 t + cot t r_t
+        """
+        if n != 2:
+            raise ValueError(f"the 2-sphere grid requires n = 2, got n = {n}")
+        rho, r_t, r_p, r_tt, r_tp, r_pp = jets
+        st = np.repeat(np.sin(self.theta), self.n_phi)
+        cot = np.repeat(np.cos(self.theta), self.n_phi) / st
+        grad = np.stack([r_t, r_p / st], axis=-1)
+        h12 = (r_tp - cot * r_p) / st
+        h22 = r_pp / st**2 + cot * r_t
+        hess = np.stack([np.stack([r_tt, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2)
+        return rho, grad, hess
 
 
 def build_axisym_grid(N: int) -> AxisymGrid:
@@ -130,139 +289,34 @@ def build_s2_grid(n_theta: int, n_phi: int) -> SphereGrid2D:
     )
 
 
-def _check_field(field_values, count: int) -> np.ndarray:
-    f = np.asarray(field_values, dtype=float).reshape(-1)
-    if f.size != count:
-        raise SizeMismatch(f"field has {f.size} values, grid has {count} nodes")
-    return f
+def jet_arrays(field_values, grid, n: int):
+    """(rho, grad, hess) arrays of a nodal field in the grid's orthonormal frame."""
+    return grid.frame_jets(grid.raw_jets(field_values), n)
 
 
 def axisym_jet_arrays(field_values, grid: AxisymGrid, n: int):
-    """Jet arrays (rho, grad, hess) for a field depending on theta only.
-
-    Frame: row 0 is the meridian direction, rows 1..n-1 span the orbit
-    directions where the covariant Hessian of a zonal field is cot(theta) rho'
-    (replaced by its pole limit rho'').
-    """
-    f = _check_field(field_values, grid.node_count)
-    if n < 2:
-        raise ValueError(f"dimension n must be >= 2, got {n}")
-    dt = grid.spacing
-    ext = np.empty(f.size + 2)
-    ext[1:-1] = f
-    ext[0] = f[1]       # even reflection across theta = 0
-    ext[-1] = f[-2]     # even reflection across theta = pi
-    d1 = (ext[2:] - ext[:-2]) / (2.0 * dt)
-    d2 = (ext[2:] - 2.0 * f + ext[:-2]) / dt**2
-
-    tang = np.empty_like(f)
-    interior = slice(1, -1)
-    tang[interior] = d1[interior] / np.tan(grid.theta[interior])
-    tang[0] = d2[0]
-    tang[-1] = d2[-1]
-
-    grad = np.zeros((f.size, n))
-    grad[:, 0] = d1
-    hess = np.zeros((f.size, n, n))
-    hess[:, 0, 0] = d2
-    for j in range(1, n):
-        hess[:, j, j] = tang
-    return f, grad, hess
-
-
-def axisym_jets(field_values, grid: AxisymGrid, n: int) -> list:
-    rho, grad, hess = axisym_jet_arrays(field_values, grid, n)
-    return [PointJet(rho=rho[m], grad=grad[m], hess=hess[m]) for m in range(rho.size)]
-
-
-def _s2_extend(f2d: np.ndarray, n_phi: int) -> np.ndarray:
-    """Add antipodal ghost rows above theta=0 and below theta=pi."""
-    shift = n_phi // 2
-    ext = np.empty((f2d.shape[0] + 2, n_phi))
-    ext[1:-1] = f2d
-    ext[0] = np.roll(f2d[0], -shift)
-    ext[-1] = np.roll(f2d[-1], -shift)
-    return ext
+    return jet_arrays(field_values, grid, n)
 
 
 def s2_jet_arrays(field_values, grid: SphereGrid2D):
-    """Jet arrays on the 2-sphere grid.
-
-    In the frame e_1 = d/dtheta, e_2 = (1/sin t) d/dphi the covariant Hessian
-    of a scalar is
-        hess_11 = r_tt
-        hess_12 = (r_tp - cot t r_p) / sin t
-        hess_22 = r_pp / sin^2 t + cot t r_t
-    with partials from centered differences, periodic in phi and crossing the
-    poles by the antipodal rule.
-    """
-    f = _check_field(field_values, grid.node_count)
-    nt, np_ = grid.n_theta, grid.n_phi
-    f2 = f.reshape(nt, np_)
-    dt, dp = grid.dtheta, grid.dphi
-    ext = _s2_extend(f2, np_)
-
-    r_t = (ext[2:] - ext[:-2]) / (2.0 * dt)
-    r_tt = (ext[2:] - 2.0 * f2 + ext[:-2]) / dt**2
-    r_p = (np.roll(f2, -1, axis=1) - np.roll(f2, 1, axis=1)) / (2.0 * dp)
-    r_pp = (np.roll(f2, -1, axis=1) - 2.0 * f2 + np.roll(f2, 1, axis=1)) / dp**2
-    p_ext = (np.roll(ext, -1, axis=1) - np.roll(ext, 1, axis=1)) / (2.0 * dp)
-    r_tp = (p_ext[2:] - p_ext[:-2]) / (2.0 * dt)
-
-    st = np.sin(grid.theta)[:, None]
-    ct = np.cos(grid.theta)[:, None]
-    cot = ct / st
-
-    grad = np.stack([r_t, r_p / st], axis=-1).reshape(-1, 2)
-    h11 = r_tt
-    h12 = (r_tp - cot * r_p) / st
-    h22 = r_pp / st**2 + cot * r_t
-    hess = np.stack(
-        [np.stack([h11, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2
-    ).reshape(-1, 2, 2)
-    return f, grad, hess
+    return jet_arrays(field_values, grid, 2)
 
 
-def s2_jets(field_values, grid: SphereGrid2D) -> list:
-    rho, grad, hess = s2_jet_arrays(field_values, grid)
+def _point_jets(rho, grad, hess) -> list:
     return [PointJet(rho=rho[m], grad=grad[m], hess=hess[m]) for m in range(rho.size)]
 
 
-def jet_arrays(field_values, grid, n: int):
-    """Dispatch to the grid's jet computation; returns (rho, grad, hess) arrays."""
-    if isinstance(grid, AxisymGrid):
-        return axisym_jet_arrays(field_values, grid, n)
-    if isinstance(grid, SphereGrid2D):
-        if n != 2:
-            raise ValueError(f"the 2-sphere grid requires n = 2, got n = {n}")
-        return s2_jet_arrays(field_values, grid)
-    raise TypeError(f"unsupported grid type {type(grid).__name__}")
+def axisym_jets(field_values, grid: AxisymGrid, n: int) -> list:
+    return _point_jets(*jet_arrays(field_values, grid, n))
 
 
-def node_frames(grid, n: int):
-    """(positions, frames) arrays for mapping local normals to ambient vectors."""
-    if isinstance(grid, AxisymGrid):
-        return grid.positions(n), grid.frames(n)
-    if isinstance(grid, SphereGrid2D):
-        if n != 2:
-            raise ValueError(f"the 2-sphere grid requires n = 2, got n = {n}")
-        return grid.positions(), grid.frames()
-    raise TypeError(f"unsupported grid type {type(grid).__name__}")
+def s2_jets(field_values, grid: SphereGrid2D) -> list:
+    return _point_jets(*jet_arrays(field_values, grid, 2))
 
 
 def quadrature_weights(grid, n: int = 2) -> np.ndarray:
     """Surface-measure weights per node (sin^{n-1} theta times spacings)."""
-    if isinstance(grid, AxisymGrid):
-        # area of S^{n-1} times the colatitude measure; trapezoidal ends
-        area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-        w = np.sin(grid.theta) ** (n - 1) * grid.spacing * area
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
-    if isinstance(grid, SphereGrid2D):
-        w = np.repeat(np.sin(grid.theta) * grid.dtheta * grid.dphi, grid.n_phi)
-        return w
-    raise TypeError(f"unsupported grid type {type(grid).__name__}")
+    return grid.quadrature_weights(n)
 
 
 def field_norms(field_values, grid, n: int = 2):

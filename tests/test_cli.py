@@ -141,6 +141,21 @@ class TestSolveCommand:
         assert len(trace) >= 2  # header plus the recorded t = 0 step
         assert "status = stalled" in (outdir / "summary.txt").read_text()
 
+    def test_midpath_nonpositive_f_stalls_with_artifacts(self, tmp_path):
+        # f_t turns negative at trial t past about 0.56; those correctors fail
+        # and halve dt until it underflows, and the last accepted state is kept
+        config = tmp_path / "ft.ini"
+        outdir = tmp_path / "out"
+        text = RADIAL_SOLVE.format(outdir=outdir).replace(
+            "f = 12 * rho^(-3)", "f = 12 * rho^(-3) * (1 + 1.5 * x1 / rho)"
+        ).replace("resolution = 65", "resolution = 129")
+        text += "\n[solver]\nallow_unvalidated = true\n"
+        config.write_text(text)
+        assert main(["solve", str(config)]) == EXIT_STALLED
+        assert np.loadtxt(outdir / "rho.csv", delimiter=",", skiprows=1).shape == (129, 2)
+        assert len((outdir / "trace.csv").read_text().splitlines()) >= 2
+        assert "status = stalled" in (outdir / "summary.txt").read_text()
+
     def test_outdir_env_override(self, tmp_path, monkeypatch):
         config = tmp_path / "run.ini"
         outdir = tmp_path / "ignored"

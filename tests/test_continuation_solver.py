@@ -68,8 +68,7 @@ class TestJacobian:
         p = QuotientParams(3, 2, 0)
         target = radial_target(p)
         grid = build_axisym_grid(65)
-        cfg = SolverConfig()
-        J = assemble_jacobian(np.ones(65), grid, target, 0.0, p, cfg)
+        J = assemble_jacobian(np.ones(65), grid, target, 0.0, p)
         radial = J @ np.ones(65)
         h = 1e-6
         up = residual_vector(np.full(65, 1.0 + h), grid, target, 0.0, p)
@@ -86,10 +85,9 @@ class TestJacobian:
         p = QuotientParams(4, 3, 1)
         target = radial_target(p)
         grid = build_axisym_grid(65)
-        cfg = SolverConfig()
         rng = np.random.default_rng(7)
         rho = 1.0 + 0.02 * np.cos(2.0 * grid.theta)
-        J = assemble_jacobian(rho, grid, target, 0.4, p, cfg)
+        J = assemble_jacobian(rho, grid, target, 0.4, p)
         base = residual_vector(rho, grid, target, 0.4, p)
         for _ in range(3):
             w = rng.normal(size=65)
@@ -104,20 +102,42 @@ class TestJacobian:
     def test_s2_radial_response_matches_axisym(self):
         p2 = QuotientParams(2, 2, 0)
         target = radial_target(p2)
-        cfg = SolverConfig()
         grid_a = build_axisym_grid(33)
         grid_s = build_s2_grid(16, 32)
-        Ja = assemble_jacobian(np.ones(33), grid_a, target, 0.0, p2, cfg)
-        Js = assemble_jacobian(np.ones(grid_s.node_count), grid_s, target, 0.0, p2, cfg)
+        Ja = assemble_jacobian(np.ones(33), grid_a, target, 0.0, p2)
+        Js = assemble_jacobian(np.ones(grid_s.node_count), grid_s, target, 0.0, p2)
         ra = Ja @ np.ones(33)
         rs = Js @ np.ones(grid_s.node_count)
         assert ra.mean() == pytest.approx(rs.mean(), rel=1e-4)
+
+    def test_s2_directional_fd_oracle(self):
+        p = QuotientParams(2, 2, 0)
+        target = make_homotopy(parse_f("rho^(-3) * (1 + 0.15 * x1 / rho)"), p, 0.5, 2.0)
+        grid = build_s2_grid(16, 32)
+        tt = np.repeat(grid.theta, grid.n_phi)
+        pp = np.tile(grid.phi, grid.n_theta)
+        rho = 1.0 + 0.02 * np.sin(tt) * np.cos(pp) + 0.01 * np.cos(2.0 * tt)
+        J = assemble_jacobian(rho, grid, target, 0.5, p)
+        # the 3x3 stencil, closed across the poles, touches at most 9 nodes
+        assert np.diff(J.indptr).max() <= 9
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            w = rng.normal(size=grid.node_count)
+            w /= np.abs(w).max()
+            # central differences; the step stays small against the squared
+            # near-pole azimuthal stencil weights
+            h = 1e-7
+            fd = (
+                residual_vector(rho + h * w, grid, target, 0.5, p)
+                - residual_vector(rho - h * w, grid, target, 0.5, p)
+            ) / (2.0 * h)
+            assert np.abs(J @ w - fd).max() <= 1e-5 * np.abs(fd).max()
 
     def test_sparsity_is_stencil_local(self):
         p = QuotientParams(3, 2, 0)
         target = radial_target(p)
         grid = build_axisym_grid(33)
-        J = assemble_jacobian(np.ones(33), grid, target, 0.0, p, SolverConfig()).toarray()
+        J = assemble_jacobian(np.ones(33), grid, target, 0.0, p).toarray()
         for i in range(33):
             for j in range(33):
                 if abs(i - j) > 1:
@@ -257,7 +277,7 @@ class TestScaleDegenerateTarget:
         r1 = residual_vector(rho, grid, target, 1.0, p)
         r2 = residual_vector(1.3 * rho, grid, target, 1.0, p)
         assert np.abs(r1 - r2).max() < 1e-12
-        J = assemble_jacobian(rho, grid, target, 1.0, p, SolverConfig())
+        J = assemble_jacobian(rho, grid, target, 1.0, p)
         kernel_response = np.abs(J @ rho).max()
         typical = np.abs(J @ np.cos(2 * grid.theta)).max()
         assert kernel_response < 1e-3 * typical
