@@ -11,8 +11,7 @@ so the logs are total.  The residual depends on rho only through the nodal
 jets, which are the grid's sparse stencil operators applied to rho, so the
 Jacobian is the pointwise jet partials times those operators; the partials
 come from one forward difference per jet component over all nodes at once.
-The Newton systems are solved by sparse direct factorization in a lightly
-damped least-squares form that tolerates (near-)singular linearizations.
+Each Newton step solves J d = -R with one sparse LU factorization of J.
 
 The path starts from the exactly-known state rho = 1 at t = 0 and follows an
 adaptive step in t to the target problem at t = 1.  Every trial iterate is
@@ -26,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import (
@@ -57,6 +55,12 @@ __all__ = [
 
 # relative forward-difference step for the pointwise jet partials
 _JET_STEP = math.sqrt(np.finfo(float).eps)
+# line search: step shrink per halving and the Armijo slope of the decrease test
+_STEP_SHRINK = 0.5
+_ARMIJO_SLOPE = 1e-4
+# continuation: dt grows by _DT_GROWTH after a corrector of <= _FAST_NEWTON_ITERS steps
+_FAST_NEWTON_ITERS = 4
+_DT_GROWTH = 1.5
 
 
 @dataclass
@@ -66,11 +70,7 @@ class SolverConfig:
     dt_init: float = 0.1
     dt_min: float = 1e-4
     dt_max: float = 0.25
-    damping_factor: float = 0.5
     max_halvings: int = 20
-    sufficient_decrease: float = 1e-4
-    grow_after: int = 4
-    grow_factor: float = 1.5
     cone_margin: float = 1e-12
 
     def __post_init__(self):
@@ -78,8 +78,6 @@ class SolverConfig:
             raise ValueError("tolerances and step sizes must be positive")
         if not self.dt_min <= self.dt_init <= 1.0:
             raise ValueError("need dt_min <= dt_init <= 1")
-        if not 0.0 < self.damping_factor < 1.0:
-            raise ValueError("damping factor must lie in (0, 1)")
         if self.max_newton < 1 or self.max_halvings < 1:
             raise ValueError("iteration budgets must be >= 1")
 
@@ -171,26 +169,6 @@ def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float, p: QuotientPa
     return grid.linearize(partials)
 
 
-def _damped_ls_direction(J, res, mu):
-    """Minimize |J d + res|^2 + mu^2 |d|^2 through the sparse augmented system.
-
-    With mu a little above the finite-difference noise floor of J this matches
-    the plain Newton step to O((mu/sigma)^2) on well-conditioned problems and
-    suppresses motion along (near-)null directions, which appear when the
-    prescription is radially scale-invariant and t -> 1.
-    """
-    n = res.size
-    eye = scipy.sparse.identity(n, format="csr")
-    top = scipy.sparse.hstack([mu * eye, J], format="csr")
-    bottom = scipy.sparse.hstack([J.T, -mu * eye], format="csr")
-    aug = scipy.sparse.vstack([top, bottom], format="csc")
-    rhs = np.concatenate([-res, np.zeros(n)])
-    delta = scipy.sparse.linalg.splu(aug).solve(rhs)[n:]
-    if np.all(np.isfinite(delta)):
-        return delta
-    return None
-
-
 def newton_solve(rho0, t: float, target: HomotopyTarget, grid, p: QuotientParams = None,
                  cfg: SolverConfig = None):
     """Damped Newton on the sup-norm of the log residual.
@@ -222,14 +200,11 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, p: QuotientParams
                     trial_res, trial_margin = None, -np.inf
                 if trial_res is not None and trial_margin >= cfg.cone_margin:
                     trial_sup = float(np.abs(trial_res).max())
-                    if trial_sup <= (1.0 - cfg.sufficient_decrease * step) * res_sup:
+                    if trial_sup <= (1.0 - _ARMIJO_SLOPE * step) * res_sup:
                         return trial, trial_res, trial_sup
-            step *= cfg.damping_factor
+            step *= _STEP_SHRINK
         return None
 
-    # Tikhonov weight scaled with the stencil weights in J; it damps the
-    # (near-)null directions described in _damped_ls_direction
-    mu = 3e-8 * grid.stiffness * max(1.0, float(np.abs(rho).max()))
     while res_sup > cfg.newton_tol:
         if iters >= cfg.max_newton:
             raise NoConvergence(
@@ -237,9 +212,12 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, p: QuotientParams
                 f"(residual {res_sup:.3e})"
             )
         J = assemble_jacobian(rho, grid, target, t, p)
-        delta = _damped_ls_direction(J, res, mu)
-        if delta is None:
+        try:
             delta = scipy.sparse.linalg.splu(J.tocsc()).solve(-res)
+            if not np.all(np.isfinite(delta)):
+                raise RuntimeError("non-finite Newton step")
+        except RuntimeError as exc:
+            raise NoConvergence(f"singular Newton system at t={t}: {exc}") from exc
         outcome = line_search(delta)
         if outcome is None:
             raise NoConvergence(
@@ -308,7 +286,7 @@ def continuation_solve(
         rho = rho_new
         t = t_try
         accept(t, iters, rho)
-        if iters <= cfg.grow_after:
-            dt = min(dt * cfg.grow_factor, cfg.dt_max)
+        if iters <= _FAST_NEWTON_ITERS:
+            dt = min(dt * _DT_GROWTH, cfg.dt_max)
 
     return SolutionField(rho=rho, grid=grid, bounds=trace.steps[-1].bounds, trace=trace)

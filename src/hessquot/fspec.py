@@ -465,22 +465,14 @@ def validate_assumptions(
     h = 1e-5 * (r2 - r1)
     rhos = np.linspace(r1 + 2 * h, r2 - 2 * h, n_rho)
 
-    margins = []
-    points = []
-    for d in xdirs:
-        for nu in nus:
-            nu_rep = np.broadcast_to(nu, (n_rho, dim))
-            up = (rhos + h) ** m * np.asarray(
-                _base_values(base, (rhos + h)[:, None] * d[None, :], nu_rep), dtype=float
-            )
-            dn = (rhos - h) ** m * np.asarray(
-                _base_values(base, (rhos - h)[:, None] * d[None, :], nu_rep), dtype=float
-            )
-            deriv = (up - dn) / (2.0 * h)
-            margins.append(-deriv)
-            points.append(rhos[:, None] * d[None, :])
-    margins = np.concatenate(margins)
-    points = np.concatenate(points, axis=0)
+    # (direction, normal, radius) triples, direction-major
+    d = np.repeat(xdirs, n_nu * n_rho, axis=0)
+    nu = np.tile(np.repeat(nus, n_rho, axis=0), (n_dir, 1))
+    r = np.tile(rhos, n_dir * n_nu)
+    up = (r + h) ** m * np.asarray(_base_values(base, (r + h)[:, None] * d, nu), dtype=float)
+    dn = (r - h) ** m * np.asarray(_base_values(base, (r - h)[:, None] * d, nu), dtype=float)
+    margins = -(up - dn) / (2.0 * h)
+    points = r[:, None] * d
     scale = max(1.0, float(np.abs(margins).max()))
     monotone = _worst(margins, points, tol=1e-8 * scale)
     return AssumptionReport(outer_bound=outer, inner_bound=inner, radial_monotone=monotone)

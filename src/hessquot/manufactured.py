@@ -73,10 +73,10 @@ def manufactured_forcing(p: QuotientParams, profile: ZonalProfile = None, extra_
 
     extra_decay = 0 makes rho^(k-l) f constant along rays.  That turns the
     target problem radially scale-invariant: solutions come in a one-parameter
-    dilation family, the linearization is singular along it, and the
-    discretized equation is solvable only in the least-squares sense.  The
-    default extra_decay = 1 keeps the radial monotonicity strict and the
-    problem uniquely solvable, which is what a convergence study needs.
+    dilation family, the linearization is singular along it, and the Newton
+    corrector stalls as t -> 1.  The default extra_decay = 1 keeps the radial
+    monotonicity strict and the problem uniquely solvable, which is what a
+    convergence study needs.
     """
     profile = profile if profile is not None else cosine_profile()
     exponent = -float(p.gap + extra_decay)

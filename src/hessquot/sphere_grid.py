@@ -111,11 +111,6 @@ class AxisymGrid(_StencilGrid):
     spacing: float
     _frame_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def stiffness(self) -> float:
-        """Dominant stencil weight, 1/spacing^2."""
-        return 1.0 / self.spacing**2
-
     def node_frames(self, n: int):
         """Meridian points (cos t, sin t, 0, ...) of S^n in R^{n+1}, shape (N, n+1),
         and orthonormal tangent frames, shape (N, n, n+1); row 0 is d/dtheta."""
@@ -192,11 +187,6 @@ class SphereGrid2D(_StencilGrid):
     @property
     def node_count(self) -> int:
         return self.n_theta * self.n_phi
-
-    @property
-    def stiffness(self) -> float:
-        """Dominant stencil weight: 1/dtheta^2 plus the near-pole azimuthal factor."""
-        return 1.0 / (math.sin(self.theta[0]) * self.dphi) ** 2 + 1.0 / self.dtheta**2
 
     def node_frames(self, n: int):
         """Node positions (N, 3) and orthonormal frames (N, 2, 3) whose rows are

@@ -261,3 +261,23 @@ def test_criterion_9_determinism(tmp_path):
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
     report("9 determinism", "rho.csv and trace.csv byte-identical across runs")
+
+
+def test_criterion_10_s2_solver_order():
+    started = time.perf_counter()
+    profile = cosine_profile(0.05, 2)
+    p = QuotientParams(2, 2, 0)
+    target = make_homotopy(manufactured_forcing(p, profile), p, 0.5, 2.0)
+    errors = []
+    for nt, nphi in ((16, 32), (32, 64), (64, 128)):
+        grid = build_s2_grid(nt, nphi)
+        sol = continuation_solve(target, grid, SolverConfig(newton_tol=1e-8), validated=False)
+        exact = profile.value(np.repeat(grid.theta, grid.n_phi))
+        errors.append(float(np.abs(sol.rho - exact).max()))
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert all(r >= 3.5 for r in ratios), f"errors {errors}"
+    elapsed = time.perf_counter() - started
+    report(
+        "10 s2 solver order",
+        f"sup ratios {ratios[0]:.2f}, {ratios[1]:.2f}, errors {errors[2]:.2e}; {elapsed:.1f} s",
+    )

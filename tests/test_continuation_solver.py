@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
-from hessquot.errors import ConeViolation, ContinuationStalled, MonitorViolation
+from hessquot import continuation_solver
+from hessquot.errors import ConeViolation, ContinuationStalled, MonitorViolation, NoConvergence
 from hessquot.continuation_solver import (
     SolverConfig,
     assemble_jacobian,
@@ -176,6 +178,17 @@ class TestNewton:
         wild = 1.0 + 0.9 * np.cos(12.0 * grid.theta)
         with pytest.raises(ConeViolation):
             newton_solve(wild, 0.0, target, grid, p, SolverConfig())
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
+    def test_singular_jacobian_raises_no_convergence(self, monkeypatch, fill):
+        p = QuotientParams(3, 2, 0)
+        target = radial_target(p)
+        grid = build_axisym_grid(65)
+        singular = scipy.sparse.csr_matrix(np.full((65, 65), fill))
+        monkeypatch.setattr(continuation_solver, "assemble_jacobian",
+                            lambda *args, **kwargs: singular)
+        with pytest.raises(NoConvergence, match="singular Newton system"):
+            newton_solve(np.full(65, 1.01), 0.0, target, grid, p, SolverConfig())
 
 
 class TestContinuation:

@@ -241,6 +241,18 @@ class TestValidateAssumptions:
         with pytest.raises(ValueError):
             validate_assumptions(parse_f("1"), QuotientParams(3, 2, 0), 0.5, 2.0, samples=10)
 
+    def test_callable_base_is_evaluated_in_four_batches(self):
+        # outer bound, inner bound, and the radial probe at r + h and r - h
+        calls = []
+
+        def base(X, nu):
+            calls.append(len(X))
+            return 12.0 * np.linalg.norm(X, axis=-1) ** -3
+
+        report = validate_assumptions(base, QuotientParams(3, 2, 0), 0.5, 2.0, samples=200)
+        assert report.all_passed
+        assert len(calls) == 4
+
 
 class TestDirections:
     def test_unit_and_deterministic(self):
