@@ -37,7 +37,7 @@ def main():
         f"{sol.trace.steps[-1].residual_sup:.2e}, "
         f"rho in [{sol.rho.min():.4f}, {sol.rho.max():.4f}]"
     )
-    nverts, nfaces = export_mesh_obj(sol.rho, grid, args.out, n=2)
+    nverts, nfaces = export_mesh_obj(sol.rho, grid, args.out)
     print(f"wrote {args.out} ({nverts} vertices, {nfaces} faces)")
 
 

@@ -18,7 +18,6 @@ from .errors import (
     SizeMismatch,
     TooCoarse,
     UnknownIdentifier,
-    UnsupportedDimension,
 )
 from .symfun import (
     ConeReport,
@@ -44,11 +43,10 @@ from .radial_geometry import (
 from .sphere_grid import (
     AxisymGrid,
     SphereGrid2D,
-    axisym_jets,
     build_axisym_grid,
     build_s2_grid,
     field_norms,
-    s2_jets,
+    jet_arrays,
 )
 from .fspec import (
     AssumptionReport,

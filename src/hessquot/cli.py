@@ -11,11 +11,11 @@ with the HESSQUOT_OUTDIR environment variable.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -28,12 +28,11 @@ from .errors import (
     MonitorViolation,
     NoConvergence,
     TooCoarse,
-    UnsupportedDimension,
 )
 from .continuation_solver import SolverConfig, SolveTrace, continuation_solve
 from .estimates_monitor import check_c0, check_positivity
-from .fspec import make_homotopy, parse_f, validate_assumptions
-from .sphere_grid import AxisymGrid, SphereGrid2D, build_axisym_grid, build_s2_grid
+from .fspec import MIN_VALIDATE_SAMPLES, make_homotopy, parse_f, validate_assumptions
+from .sphere_grid import build_axisym_grid, build_s2_grid
 from .symfun import QuotientParams
 
 __all__ = [
@@ -60,7 +59,6 @@ DEFAULT_AXISYM_N = 129
 DEFAULT_S2_RESOLUTION = (32, 64)
 AXISYM_TOL = 1e-10
 S2_TOL = 1e-8
-REVOLVE_SAMPLES = 128
 
 
 @dataclass
@@ -106,15 +104,15 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_SCHEMA = {
-    "problem": {"n", "k", "l", "f", "r1", "r2"},
-    "grid": {"mode", "resolution"},
-    "solver": {
-        "newton_tol", "max_newton", "dt_init", "dt_min", "dt_max",
-        "max_halvings", "cone_margin", "allow_unvalidated", "validate_samples",
-    },
-    "output": {"directory", "formats"},
-}
+def _key_types(section) -> dict:
+    """Each key of a config section and the type its value parses as; an
+    optional `float | None` key parses as float."""
+    hints = typing.get_type_hints(section)
+    return {key: (typing.get_args(kind) or (kind,))[0] for key, kind in hints.items()}
+
+
+# section -> key -> type, read from the fields of RunConfig's section dataclasses
+_KEYS = {name: _key_types(section) for name, section in typing.get_type_hints(RunConfig).items()}
 
 
 def _parse_sections(text: str):
@@ -126,7 +124,7 @@ def _parse_sections(text: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current not in _SCHEMA:
+            if current not in _KEYS:
                 raise ConfigError(f"unknown section [{current}]", key=current, line=lineno)
             sections.setdefault(current, {})
             continue
@@ -137,15 +135,16 @@ def _parse_sections(text: str):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _SCHEMA[current]:
+        kinds = _KEYS[current]
+        if key not in kinds:
             raise ConfigError("unknown key", key=f"{current}.{key}", line=lineno)
         if key in sections[current]:
             raise ConfigError("duplicate key", key=f"{current}.{key}", line=lineno)
-        sections[current][key] = (value, lineno)
+        sections[current][key] = _convert(f"{current}.{key}", value, lineno, kinds[key])
     return sections
 
 
-def _convert(section, key, raw, lineno, kind):
+def _convert(key, raw, lineno, kind):
     try:
         if kind is bool:
             lowered = raw.lower()
@@ -154,10 +153,12 @@ def _convert(section, key, raw, lineno, kind):
             if lowered in {"false", "no", "off", "0"}:
                 return False
             raise ValueError(raw)
+        if kind is tuple:
+            return tuple(part.strip() for part in raw.split(",") if part.strip())
         return kind(raw)
     except ValueError:
         raise ConfigError(
-            f"cannot parse {raw!r} as {kind.__name__}", key=f"{section}.{key}", line=lineno
+            f"cannot parse {raw!r} as {kind.__name__}", key=key, line=lineno
         ) from None
 
 
@@ -165,26 +166,11 @@ def parse_config_text(text: str) -> RunConfig:
     sections = _parse_sections(text)
     if "problem" not in sections:
         raise ConfigError("missing [problem] section")
-    prob = sections["problem"]
-    for required in ("n", "k", "l", "f", "r1", "r2"):
-        if required not in prob:
-            raise ConfigError("missing required key", key=f"problem.{required}")
+    for key in fields(ProblemConfig):
+        if key.default is MISSING and key.name not in sections["problem"]:
+            raise ConfigError("missing required key", key=f"problem.{key.name}")
 
-    def get(section, key, kind, default=None):
-        data = sections.get(section, {})
-        if key not in data:
-            return default
-        raw, lineno = data[key]
-        return _convert(section, key, raw, lineno, kind)
-
-    problem = ProblemConfig(
-        n=get("problem", "n", int),
-        k=get("problem", "k", int),
-        l=get("problem", "l", int),
-        f=prob["f"][0],
-        r1=get("problem", "r1", float),
-        r2=get("problem", "r2", float),
-    )
+    problem = ProblemConfig(**sections["problem"])
     try:
         QuotientParams(problem.n, problem.k, problem.l)
     except ValueError as exc:
@@ -199,33 +185,36 @@ def parse_config_text(text: str) -> RunConfig:
     except ExpressionError as exc:
         raise ConfigError(f"bad expression: {exc}", key="problem.f") from None
 
-    mode = get("grid", "mode", str, "axisym")
-    if mode not in {"axisym", "s2"}:
-        raise ConfigError(f"grid mode must be 'axisym' or 's2', got {mode!r}", key="grid.mode")
-    if mode == "s2" and problem.n != 2:
+    grid = GridConfig(**sections.get("grid", {}))
+    if grid.mode not in {"axisym", "s2"}:
+        raise ConfigError(
+            f"grid mode must be 'axisym' or 's2', got {grid.mode!r}", key="grid.mode"
+        )
+    if grid.mode == "s2" and problem.n != 2:
         raise ConfigError("grid mode s2 requires n = 2", key="grid.mode")
-    default_res = str(DEFAULT_AXISYM_N) if mode == "axisym" else "%dx%d" % DEFAULT_S2_RESOLUTION
-    grid = GridConfig(mode=mode, resolution=get("grid", "resolution", str, default_res))
+    if "resolution" not in sections.get("grid", {}):
+        grid.resolution = (
+            str(DEFAULT_AXISYM_N) if grid.mode == "axisym" else "%dx%d" % DEFAULT_S2_RESOLUTION
+        )
     _parse_resolution(grid)  # fail early on malformed values
 
-    solver = SolverSection(
-        newton_tol=get("solver", "newton_tol", float, None),
-        max_newton=get("solver", "max_newton", int, 30),
-        dt_init=get("solver", "dt_init", float, 0.1),
-        dt_min=get("solver", "dt_min", float, 1e-4),
-        dt_max=get("solver", "dt_max", float, 0.25),
-        max_halvings=get("solver", "max_halvings", int, 20),
-        cone_margin=get("solver", "cone_margin", float, 1e-12),
-        allow_unvalidated=get("solver", "allow_unvalidated", bool, False),
-        validate_samples=get("solver", "validate_samples", int, 400),
-    )
-    formats_raw = get("output", "formats", str, "csv")
-    formats = tuple(part.strip() for part in formats_raw.split(",") if part.strip())
-    for fmt in formats:
+    output = OutputConfig(**sections.get("output", {}))
+    for fmt in output.formats:
         if fmt not in {"csv", "obj"}:
             raise ConfigError(f"unknown output format {fmt!r}", key="output.formats")
-    output = OutputConfig(directory=get("output", "directory", str, "out"), formats=formats)
-    return RunConfig(problem=problem, grid=grid, solver=solver, output=output)
+    solver = SolverSection(**sections.get("solver", {}))
+    cfg = RunConfig(problem=problem, grid=grid, solver=solver, output=output)
+    try:
+        _solver_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="solver") from None
+    if cfg.solver.validate_samples < MIN_VALIDATE_SAMPLES:
+        raise ConfigError(
+            f"validate_samples must be >= {MIN_VALIDATE_SAMPLES}, "
+            f"got {cfg.solver.validate_samples}",
+            key="solver.validate_samples",
+        )
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -239,40 +228,19 @@ def load_config(path: str) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> str:
     """Serialize a config; parsing the result reproduces the config exactly."""
-    lines = [
-        "[problem]",
-        f"n = {cfg.problem.n}",
-        f"k = {cfg.problem.k}",
-        f"l = {cfg.problem.l}",
-        f"f = {cfg.problem.f}",
-        f"r1 = {cfg.problem.r1!r}",
-        f"r2 = {cfg.problem.r2!r}",
-        "",
-        "[grid]",
-        f"mode = {cfg.grid.mode}",
-        f"resolution = {cfg.grid.resolution}",
-        "",
-        "[solver]",
-    ]
-    if cfg.solver.newton_tol is not None:
-        lines.append(f"newton_tol = {cfg.solver.newton_tol!r}")
-    lines.extend(
-        [
-            f"max_newton = {cfg.solver.max_newton}",
-            f"dt_init = {cfg.solver.dt_init!r}",
-            f"dt_min = {cfg.solver.dt_min!r}",
-            f"dt_max = {cfg.solver.dt_max!r}",
-            f"max_halvings = {cfg.solver.max_halvings}",
-            f"cone_margin = {cfg.solver.cone_margin!r}",
-            f"allow_unvalidated = {str(cfg.solver.allow_unvalidated).lower()}",
-            f"validate_samples = {cfg.solver.validate_samples}",
-            "",
-            "[output]",
-            f"directory = {cfg.output.directory}",
-            f"formats = {','.join(cfg.output.formats)}",
-        ]
-    )
-    return "\n".join(lines) + "\n"
+    lines = []
+    for name, kinds in _KEYS.items():
+        lines += ["", f"[{name}]"]
+        for key, kind in kinds.items():
+            value = getattr(getattr(cfg, name), key)
+            if value is None:
+                continue
+            if kind is bool:
+                value = str(value).lower()
+            elif kind is tuple:
+                value = ",".join(value)
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines[1:]) + "\n"
 
 
 def _parse_resolution(grid: GridConfig):
@@ -297,18 +265,10 @@ def _build_grid(cfg: RunConfig):
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
-    tol = cfg.solver.newton_tol
-    if tol is None:
-        tol = AXISYM_TOL if cfg.grid.mode == "axisym" else S2_TOL
-    return SolverConfig(
-        newton_tol=tol,
-        max_newton=cfg.solver.max_newton,
-        dt_init=cfg.solver.dt_init,
-        dt_min=cfg.solver.dt_min,
-        dt_max=cfg.solver.dt_max,
-        max_halvings=cfg.solver.max_halvings,
-        cone_margin=cfg.solver.cone_margin,
-    )
+    values = {key.name: getattr(cfg.solver, key.name) for key in fields(SolverConfig)}
+    if values["newton_tol"] is None:
+        values["newton_tol"] = AXISYM_TOL if cfg.grid.mode == "axisym" else S2_TOL
+    return SolverConfig(**values)
 
 
 def _out_dir(cfg: RunConfig) -> str:
@@ -320,18 +280,9 @@ def _fmt(x: float) -> str:
 
 
 def _write_rho_csv(path, rho, grid):
-    lines = []
-    if isinstance(grid, AxisymGrid):
-        lines.append("theta,rho")
-        for theta, value in zip(grid.theta, rho):
-            lines.append(f"{_fmt(theta)},{_fmt(value)}")
-    else:
-        lines.append("theta,phi,rho")
-        idx = 0
-        for theta in grid.theta:
-            for phi in grid.phi:
-                lines.append(f"{_fmt(theta)},{_fmt(phi)},{_fmt(rho[idx])}")
-                idx += 1
+    lines = [",".join(grid.columns + ("rho",))]
+    for row in np.column_stack([grid.angles(), rho]).tolist():
+        lines.append(",".join(map(_fmt, row)))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
@@ -456,77 +407,31 @@ def run_solve(cfg: RunConfig) -> int:
     lines = _summary_lines(status, trace, target, cfg.problem.r1, cfg.problem.r2, validation_note)
     _write_summary(summary_path, lines)
     if "obj" in cfg.output.formats:
-        export_mesh_obj(rho, grid, os.path.join(out_dir, "mesh.obj"), n=cfg.problem.n)
+        export_mesh_obj(rho, grid, os.path.join(out_dir, "mesh.obj"))
     for line in lines:
         print(line)
     print(f"artifacts written to {out_dir}")
     return exit_code
 
 
-def export_mesh_obj(rho, grid, path, n: int = 2):
+def export_mesh_obj(rho, grid, path):
     """Write a watertight OBJ mesh of the surface X = rho x.
 
-    Axisymmetric fields are revolved with a fixed azimuthal sample count; for
-    n > 2 this shows the 3-D section of revolution of the meridian profile.
+    The vertices are the grid's surface rings, then the north and south pole
+    points; quads join neighbouring rings and a triangle fan closes each pole.
     """
-    rho = np.asarray(rho, dtype=float)
-    vertices = []
+    rings, poles = grid.surface_rings(rho)
+    R, M, _ = rings.shape
+    vertices = np.concatenate([rings.reshape(-1, 3), poles]).tolist()
+    vn, vs, last = R * M, R * M + 1, (R - 1) * M
     faces = []
-
-    def ring_index(base, i, j, width):
-        return base + i * width + j
-
-    if isinstance(grid, SphereGrid2D):
-        nt, np_ = grid.n_theta, grid.n_phi
-        pos, _ = grid.node_frames(2)
-        pts = rho[:, None] * pos
-        vertices.extend(pts.tolist())
-        north = rho[: np_].mean()       # ring average approximates the pole value
-        south = rho[-np_:].mean()
-        vertices.append([north, 0.0, 0.0])
-        vertices.append([-south, 0.0, 0.0])
-        vn = nt * np_
-        vs = nt * np_ + 1
-        for i in range(nt - 1):
-            for j in range(np_):
-                a = ring_index(0, i, j, np_)
-                b = ring_index(0, i + 1, j, np_)
-                c = ring_index(0, i + 1, (j + 1) % np_, np_)
-                d = ring_index(0, i, (j + 1) % np_, np_)
-                faces.append((a, b, c, d))
-        for j in range(np_):
-            faces.append((vn, ring_index(0, 0, (j + 1) % np_, np_), ring_index(0, 0, j, np_)))
-            faces.append(
-                (vs, ring_index(0, nt - 1, j, np_), ring_index(0, nt - 1, (j + 1) % np_, np_))
-            )
-    elif isinstance(grid, AxisymGrid):
-        N = grid.node_count
-        M = REVOLVE_SAMPLES
-        phis = 2.0 * math.pi * np.arange(M) / M
-        for m in range(1, N - 1):
-            st, ct = math.sin(grid.theta[m]), math.cos(grid.theta[m])
-            r = rho[m]
-            for phi in phis:
-                vertices.append([r * ct, r * st * math.cos(phi), r * st * math.sin(phi)])
-        vn = len(vertices)
-        vertices.append([rho[0], 0.0, 0.0])
-        vs = len(vertices)
-        vertices.append([-rho[-1], 0.0, 0.0])
-        rings = N - 2
-        for i in range(rings - 1):
-            for j in range(M):
-                a = ring_index(0, i, j, M)
-                b = ring_index(0, i + 1, j, M)
-                c = ring_index(0, i + 1, (j + 1) % M, M)
-                d = ring_index(0, i, (j + 1) % M, M)
-                faces.append((a, b, c, d))
+    for i in range(R - 1):
         for j in range(M):
-            faces.append((vn, ring_index(0, 0, (j + 1) % M, M), ring_index(0, 0, j, M)))
-            faces.append(
-                (vs, ring_index(0, rings - 1, j, M), ring_index(0, rings - 1, (j + 1) % M, M))
-            )
-    else:
-        raise UnsupportedDimension(f"cannot export meshes for grid {type(grid).__name__}")
+            a, d = i * M + j, i * M + (j + 1) % M
+            faces.append((a, a + M, d + M, d))
+    for j in range(M):
+        faces.append((vn, (j + 1) % M, j))
+        faces.append((vs, last + j, last + (j + 1) % M))
 
     with open(path, "w", encoding="utf-8") as handle:
         for v in vertices:
@@ -553,10 +458,13 @@ def _cmd_export(args) -> int:
     cfg = load_config(args.config)
     grid = _build_grid(cfg)
     try:
-        data = np.loadtxt(args.rho_csv, delimiter=",", skiprows=1)
-    except OSError as exc:
+        data = np.loadtxt(args.rho_csv, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
         print(f"cannot read {args.rho_csv}: {exc}")
         return EXIT_IO
+    if data.shape[1] != len(grid.columns) + 1:
+        print(f"field has {data.shape[1]} columns, grid expects {len(grid.columns) + 1}")
+        return EXIT_CONFIG
     rho = data[:, -1]
     if rho.size != grid.node_count:
         print(f"field has {rho.size} rows, grid expects {grid.node_count}")
@@ -564,7 +472,7 @@ def _cmd_export(args) -> int:
     out_dir = _out_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "mesh.obj")
-    nverts, nfaces = export_mesh_obj(rho, grid, path, n=cfg.problem.n)
+    nverts, nfaces = export_mesh_obj(rho, grid, path)
     print(f"wrote {path} ({nverts} vertices, {nfaces} faces)")
     return EXIT_OK
 

@@ -75,11 +75,19 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.newton_tol <= 0 or self.dt_init <= 0 or self.dt_min <= 0:
-            raise ValueError("tolerances and step sizes must be positive")
+            raise ValueError(
+                "newton_tol, dt_init and dt_min must be positive, got "
+                f"{self.newton_tol}, {self.dt_init} and {self.dt_min}"
+            )
         if not self.dt_min <= self.dt_init <= 1.0:
-            raise ValueError("need dt_min <= dt_init <= 1")
+            raise ValueError(f"need dt_min <= dt_init <= 1, got {self.dt_min}, {self.dt_init}")
+        if not self.dt_min <= self.dt_max:
+            raise ValueError(f"need dt_min <= dt_max, got {self.dt_min}, {self.dt_max}")
         if self.max_newton < 1 or self.max_halvings < 1:
-            raise ValueError("iteration budgets must be >= 1")
+            raise ValueError(
+                "max_newton and max_halvings must be >= 1, got "
+                f"{self.max_newton} and {self.max_halvings}"
+            )
 
 
 @dataclass

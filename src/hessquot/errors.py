@@ -96,7 +96,3 @@ class ConfigError(HessquotError):
         super().__init__(message + suffix)
         self.key = key
         self.line = line
-
-
-class UnsupportedDimension(HessquotError):
-    """Requested export/operation not available for this dimension."""

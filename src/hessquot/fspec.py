@@ -47,6 +47,7 @@ __all__ = [
 
 EPSILON_CAP = 0.1
 ANNULUS_SAMPLES = 1024
+MIN_VALIDATE_SAMPLES = 100
 _FUNCTIONS = {
     "exp": np.exp,
     "log": np.log,
@@ -441,8 +442,8 @@ def validate_assumptions(
     base, p: QuotientParams, r1: float, r2: float, samples: int = 400
 ) -> AssumptionReport:
     """Numerically check the three structural conditions on f over the annulus."""
-    if samples < 100:
-        raise ValueError(f"samples must be >= 100, got {samples}")
+    if samples < MIN_VALIDATE_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_VALIDATE_SAMPLES}, got {samples}")
     if not (0.0 < r1 < 1.0 < r2):
         raise BadAnnulus(f"annulus must satisfy 0 < r1 < 1 < r2, got ({r1}, {r2})")
     dim = p.n + 1

@@ -25,23 +25,21 @@ import numpy as np
 import scipy.sparse
 
 from .errors import SizeMismatch, TooCoarse
-from .radial_geometry import PointJet
 
 __all__ = [
     "AxisymGrid",
     "SphereGrid2D",
     "build_axisym_grid",
     "build_s2_grid",
-    "axisym_jets",
-    "axisym_jet_arrays",
-    "s2_jets",
-    "s2_jet_arrays",
+    "jet_arrays",
     "field_norms",
 ]
 
 MIN_AXISYM_NODES = 16
 MIN_S2_THETA = 16
 MIN_S2_PHI = 32
+# azimuthal samples when an axisymmetric profile is revolved into a surface
+REVOLVE_SAMPLES = 128
 
 
 def _check_field(field_values, count: int) -> np.ndarray:
@@ -67,7 +65,11 @@ class _StencilGrid:
 
     A grid provides `node_count`, `jet_operator` (the raw partials D_1..D_A
     stacked into an (A N, N) sparse matrix) and `frame_jets`.  Row 0 of a
-    raw-jet array is rho itself, rows 1..A are D_a @ rho.
+    raw-jet array is rho itself, rows 1..A are D_a @ rho.  For output it
+    provides `columns` and `angles()`, the CSV coordinate names and the
+    (N, len(columns)) node coordinates, and `surface_rings(rho)`, the surface
+    points X = rho x as (R, M, 3) rings from north to south plus the
+    (2, 3) north and south pole points.
     """
 
     def raw_jets(self, field_values) -> np.ndarray:
@@ -110,6 +112,21 @@ class AxisymGrid(_StencilGrid):
     theta: np.ndarray
     spacing: float
     _frame_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    columns = ("theta",)
+
+    def angles(self) -> np.ndarray:
+        return self.theta[:, None]
+
+    def surface_rings(self, rho):
+        """Interior nodes revolved with REVOLVE_SAMPLES azimuths; for n > 2 this
+        is the 3-D section of revolution of the meridian profile."""
+        rho = _check_field(rho, self.node_count)
+        phi = 2.0 * math.pi * np.arange(REVOLVE_SAMPLES) / REVOLVE_SAMPLES
+        r, theta = rho[1:-1, None], self.theta[1:-1, None]
+        axial = np.broadcast_to(r * np.cos(theta), (r.size, phi.size))
+        radial = r * np.sin(theta)
+        rings = np.stack([axial, radial * np.cos(phi), radial * np.sin(phi)], axis=-1)
+        return rings, np.array([[rho[0], 0.0, 0.0], [-rho[-1], 0.0, 0.0]])
 
     def node_frames(self, n: int):
         """Meridian points (cos t, sin t, 0, ...) of S^n in R^{n+1}, shape (N, n+1),
@@ -183,10 +200,24 @@ class SphereGrid2D(_StencilGrid):
     phi: np.ndarray
     dtheta: float
     dphi: float
+    columns = ("theta", "phi")
 
     @property
     def node_count(self) -> int:
         return self.n_theta * self.n_phi
+
+    def angles(self) -> np.ndarray:
+        return np.stack(
+            [np.repeat(self.theta, self.n_phi), np.tile(self.phi, self.n_theta)], axis=1
+        )
+
+    def surface_rings(self, rho):
+        """One ring per theta row; each pole sits at the mean radius of its
+        nearest ring."""
+        rho = _check_field(rho, self.node_count)
+        rings = (rho[:, None] * self._node_frames[0]).reshape(self.n_theta, self.n_phi, 3)
+        north, south = rho[: self.n_phi].mean(), rho[-self.n_phi:].mean()
+        return rings, np.array([[north, 0.0, 0.0], [-south, 0.0, 0.0]])
 
     def node_frames(self, n: int):
         """Node positions (N, 3) and orthonormal frames (N, 2, 3) whose rows are
@@ -284,34 +315,9 @@ def jet_arrays(field_values, grid, n: int):
     return grid.frame_jets(grid.raw_jets(field_values), n)
 
 
-def axisym_jet_arrays(field_values, grid: AxisymGrid, n: int):
-    return jet_arrays(field_values, grid, n)
-
-
-def s2_jet_arrays(field_values, grid: SphereGrid2D):
-    return jet_arrays(field_values, grid, 2)
-
-
-def _point_jets(rho, grad, hess) -> list:
-    return [PointJet(rho=rho[m], grad=grad[m], hess=hess[m]) for m in range(rho.size)]
-
-
-def axisym_jets(field_values, grid: AxisymGrid, n: int) -> list:
-    return _point_jets(*jet_arrays(field_values, grid, n))
-
-
-def s2_jets(field_values, grid: SphereGrid2D) -> list:
-    return _point_jets(*jet_arrays(field_values, grid, 2))
-
-
-def quadrature_weights(grid, n: int = 2) -> np.ndarray:
-    """Surface-measure weights per node (sin^{n-1} theta times spacings)."""
-    return grid.quadrature_weights(n)
-
-
 def field_norms(field_values, grid, n: int = 2):
     """(sup, quadrature-weighted L2) norms of a nodal field."""
-    w = quadrature_weights(grid, n)
+    w = grid.quadrature_weights(n)
     f = _check_field(field_values, w.size)
     sup = float(np.abs(f).max())
     l2 = float(math.sqrt(float(np.sum(w * f**2))))

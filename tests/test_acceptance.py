@@ -18,8 +18,7 @@ from hessquot.radial_geometry import PointJet, assemble_point_geometry
 from hessquot.sphere_grid import (
     build_axisym_grid,
     build_s2_grid,
-    quadrature_weights,
-    s2_jet_arrays,
+    jet_arrays,
 )
 from hessquot.symfun import (
     QuotientParams,
@@ -234,14 +233,14 @@ def test_criterion_8_discretization_order():
         tt = np.repeat(grid.theta, grid.n_phi)
         pp = np.tile(grid.phi, grid.n_theta)
         field = 1.0 + delta * np.sin(tt) * np.cos(pp)
-        _, grad, hess = s2_jet_arrays(field, grid)
+        _, grad, hess = jet_arrays(field, grid, 2)
         gref = np.stack([delta * np.cos(tt) * np.cos(pp), -delta * np.sin(pp)], axis=-1)
         href = -delta * np.sin(tt) * np.cos(pp)
         hij = np.zeros_like(hess)
         hij[:, 0, 0] = href
         hij[:, 1, 1] = href
         err = np.abs(grad - gref).max(axis=1) + np.abs(hess - hij).max(axis=(1, 2))
-        w = quadrature_weights(grid)
+        w = grid.quadrature_weights(2)
         errors.append(math.sqrt(float(np.sum(w * err**2))))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     assert all(r >= 3.5 for r in ratios), f"ratios {ratios}"

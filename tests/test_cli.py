@@ -1,13 +1,20 @@
 """Config parsing, command dispatch, artifact formats, and exit codes."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
+from hessquot.continuation_solver import SolverConfig
 from hessquot.errors import ConfigError
 from hessquot.cli import (
+    EXIT_CONFIG,
+    EXIT_IO,
     EXIT_OK,
     EXIT_STALLED,
     EXIT_VALIDATION,
+    _write_rho_csv,
     dump_config,
     export_mesh_obj,
     main,
@@ -87,6 +94,34 @@ class TestConfigParsing:
         bad = MINIMAL + "\n[grid]\nmode = s2\n"
         with pytest.raises(ConfigError):
             parse_config_text(bad)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("validate_samples", "50"),
+            ("dt_init", "0"),
+            ("max_newton", "0"),
+            ("max_halvings", "0"),
+            ("dt_min", "0.5"),
+            ("dt_max", "-1"),
+            ("dt_max", "0"),
+        ],
+    )
+    def test_out_of_range_solver_value(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + f"\n[solver]\n{key} = {value}\n")
+        assert key in str(err.value)
+
+    def test_solver_config_rejects_zero_dt_max(self):
+        with pytest.raises(ValueError):
+            SolverConfig(dt_max=0.0)
+
+    def test_readme_example_parses(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        cfg = parse_config_text(block)
+        assert (cfg.problem.n, cfg.grid.resolution) == (3, "129")
+        assert cfg.output.formats == ("csv", "obj")
 
     def test_round_trip(self):
         cfg = parse_config_text(MINIMAL)
@@ -182,6 +217,11 @@ class TestValidateCommand:
         bad.write_text(MINIMAL.replace("12 * rho^(-3)", "3"))
         assert main(["validate", str(bad)]) == EXIT_VALIDATION
 
+    def test_too_few_samples_is_config_error(self, tmp_path):
+        config = tmp_path / "few.ini"
+        config.write_text(MINIMAL + "\n[solver]\nvalidate_samples = 50\n")
+        assert main(["validate", str(config)]) == EXIT_CONFIG
+
 
 def edge_use_counts(faces):
     counts = {}
@@ -210,7 +250,7 @@ class TestExport:
     def test_s2_unit_sphere_mesh(self, tmp_path):
         grid = build_s2_grid(16, 32)
         path = tmp_path / "mesh.obj"
-        nverts, nfaces = export_mesh_obj(np.ones(grid.node_count), grid, path, n=2)
+        nverts, nfaces = export_mesh_obj(np.ones(grid.node_count), grid, path)
         assert nverts == 16 * 32 + 2
         verts, faces = read_obj(path)
         assert np.linalg.norm(verts, axis=1) == pytest.approx(
@@ -223,7 +263,7 @@ class TestExport:
         grid = build_axisym_grid(17)
         field = 1.0 + 0.1 * np.cos(grid.theta)
         path = tmp_path / "mesh.obj"
-        export_mesh_obj(field, grid, path, n=3)
+        export_mesh_obj(field, grid, path)
         verts, faces = read_obj(path)
         rings = verts[:-2].reshape(15, 128, 3)
         radii = np.linalg.norm(rings, axis=2)
@@ -249,6 +289,44 @@ class TestExport:
         short = tmp_path / "short.csv"
         short.write_text("theta,rho\n0.0,1.0\n0.1,1.0\n")
         assert main(["export", str(config), str(short)]) == 2
+
+    def test_export_single_row_is_config_error(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(RADIAL_SOLVE.format(outdir=tmp_path / "out"))
+        single = tmp_path / "single.csv"
+        single.write_text("theta,rho\n0.0,1.0\n")
+        assert main(["export", str(config), str(single)]) == EXIT_CONFIG
+
+    def test_export_non_numeric_cell_is_io_error(self, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(RADIAL_SOLVE.format(outdir=tmp_path / "out"))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("theta,rho\n0.0,1.0\n0.1,abc\n")
+        assert main(["export", str(config), str(bad)]) == EXIT_IO
+
+    def test_export_axisym_field_on_s2_grid_is_config_error(self, tmp_path):
+        config = tmp_path / "s2.ini"
+        text = MINIMAL.replace("n = 3", "n = 2") + "\n[grid]\nmode = s2\nresolution = 16x32\n"
+        config.write_text(text + f"\n[output]\ndirectory = {tmp_path / 'out'}\n")
+        flat = tmp_path / "flat.csv"
+        theta = np.linspace(0.0, np.pi, 512)
+        flat.write_text("theta,rho\n" + "".join(f"{t:.17g},1.0\n" for t in theta))
+        assert main(["export", str(config), str(flat)]) == EXIT_CONFIG
+        assert not (tmp_path / "out" / "mesh.obj").exists()
+
+    def test_s2_rho_csv_layout(self, tmp_path):
+        grid = build_s2_grid(16, 32)
+        rng = np.random.default_rng(0)
+        field = 1.0 + 0.1 * rng.standard_normal(grid.node_count)
+        path = tmp_path / "rho.csv"
+        _write_rho_csv(path, field, grid)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "theta,phi,rho"
+        assert len(lines) - 1 == grid.node_count
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 0], np.repeat(grid.theta, grid.n_phi))
+        assert np.array_equal(data[:, 1], np.tile(grid.phi, grid.n_theta))
+        assert np.array_equal(data[:, 2], field)
 
 
 class TestSelftestCommand:

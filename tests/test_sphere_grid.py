@@ -6,16 +6,7 @@ import numpy as np
 import pytest
 
 from hessquot.errors import SizeMismatch, TooCoarse
-from hessquot.sphere_grid import (
-    axisym_jet_arrays,
-    axisym_jets,
-    build_axisym_grid,
-    build_s2_grid,
-    field_norms,
-    quadrature_weights,
-    s2_jet_arrays,
-    s2_jets,
-)
+from hessquot.sphere_grid import build_axisym_grid, build_s2_grid, field_norms, jet_arrays
 
 
 def s2_angles(grid):
@@ -25,7 +16,7 @@ def s2_angles(grid):
 
 
 def weighted_l2(err, grid, n=2):
-    w = quadrature_weights(grid, n)
+    w = grid.quadrature_weights(n)
     return math.sqrt(float(np.sum(w * err**2)))
 
 
@@ -61,18 +52,17 @@ class TestBuildGrids:
 class TestAxisymJets:
     def test_constant_field(self):
         grid = build_axisym_grid(33)
-        jets = axisym_jets(np.full(33, 1.7), grid, 3)
-        for jet in jets:
-            assert jet.rho == pytest.approx(1.7)
-            assert np.abs(jet.grad).max() == 0.0
-            assert np.abs(jet.hess).max() == 0.0
+        rho, grad, hess = jet_arrays(np.full(33, 1.7), grid, 3)
+        assert rho == pytest.approx(np.full(33, 1.7))
+        assert np.abs(grad).max() == 0.0
+        assert np.abs(hess).max() == 0.0
 
     def test_zonal_cosine_at_equator(self):
         delta = 0.05
         N = 17  # odd so theta = pi/2 is a node
         grid = build_axisym_grid(N)
         field = 1.0 + delta * np.cos(grid.theta)
-        rho, grad, hess = axisym_jet_arrays(field, grid, 3)
+        rho, grad, hess = jet_arrays(field, grid, 3)
         m = N // 2
         h2 = grid.spacing**2
         assert grad[m, 0] == pytest.approx(-delta, abs=delta * h2)
@@ -83,7 +73,7 @@ class TestAxisymJets:
         delta = 0.05
         grid = build_axisym_grid(65)
         field = 1.0 + delta * np.cos(grid.theta)
-        _, grad, hess = axisym_jet_arrays(field, grid, 4)
+        _, grad, hess = jet_arrays(field, grid, 4)
         # at theta = 0 the orbit entries take the limit rho''(0) = -delta
         assert grad[0, 0] == 0.0
         for j in range(4):
@@ -98,7 +88,7 @@ class TestAxisymJets:
         for N in (33, 65):
             grid = build_axisym_grid(N)
             field = 1.0 + delta * np.cos(2.0 * grid.theta)
-            _, grad, hess = axisym_jet_arrays(field, grid, 3)
+            _, grad, hess = jet_arrays(field, grid, 3)
             d1 = -2.0 * delta * np.sin(2.0 * grid.theta)
             d2 = -4.0 * delta * np.cos(2.0 * grid.theta)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -118,30 +108,29 @@ class TestAxisymJets:
     def test_reflection_symmetry(self):
         grid = build_axisym_grid(33)
         field = 1.0 + 0.1 * np.cos(2.0 * grid.theta)  # symmetric about pi/2
-        _, grad, hess = axisym_jet_arrays(field, grid, 2)
+        _, grad, hess = jet_arrays(field, grid, 2)
         assert grad[:, 0] == pytest.approx(-grad[::-1, 0], abs=1e-12)
         assert hess[:, 0, 0] == pytest.approx(hess[::-1, 0, 0], abs=1e-12)
 
     def test_size_mismatch(self):
         grid = build_axisym_grid(17)
         with pytest.raises(SizeMismatch):
-            axisym_jet_arrays(np.ones(16), grid, 3)
+            jet_arrays(np.ones(16), grid, 3)
 
 
 class TestS2Jets:
     def test_constant_field(self):
         grid = build_s2_grid(16, 32)
-        jets = s2_jets(np.full(grid.node_count, 2.0), grid)
-        for jet in jets[:: 37]:
-            assert np.abs(jet.grad).max() == 0.0
-            assert np.abs(jet.hess).max() == 0.0
+        _, grad, hess = jet_arrays(np.full(grid.node_count, 2.0), grid, 2)
+        assert np.abs(grad[::37]).max() == 0.0
+        assert np.abs(hess[::37]).max() == 0.0
 
     def test_zonal_matches_analytic(self):
         delta = 0.05
         grid = build_s2_grid(32, 64)
         tt, _ = s2_angles(grid)
         field = 1.0 + delta * np.cos(tt)
-        _, grad, hess = s2_jet_arrays(field, grid)
+        _, grad, hess = jet_arrays(field, grid, 2)
         d1 = -delta * np.sin(tt)
         d2 = -delta * np.cos(tt)
         tang = np.cos(tt) * d1 / np.sin(tt)
@@ -158,7 +147,7 @@ class TestS2Jets:
         grid = build_s2_grid(32, 64)
         tt, pp = s2_angles(grid)
         field = 1.0 + delta * np.sin(tt) * np.cos(pp)
-        _, grad, hess = s2_jet_arrays(field, grid)
+        _, grad, hess = jet_arrays(field, grid, 2)
         gref = np.stack([delta * np.cos(tt) * np.cos(pp), -delta * np.sin(pp)], axis=-1)
         href = -delta * np.sin(tt) * np.cos(pp)
         interior = (tt > 0.4) & (tt < math.pi - 0.4)
@@ -177,7 +166,7 @@ class TestS2Jets:
             grid = build_s2_grid(nt, nphi)
             tt, pp = s2_angles(grid)
             field = 1.0 + delta * np.sin(tt) * np.cos(pp)
-            _, grad, hess = s2_jet_arrays(field, grid)
+            _, grad, hess = jet_arrays(field, grid, 2)
             gref = np.stack(
                 [delta * np.cos(tt) * np.cos(pp), -delta * np.sin(pp)], axis=-1
             )
@@ -193,7 +182,7 @@ class TestS2Jets:
     def test_size_mismatch(self):
         grid = build_s2_grid(16, 32)
         with pytest.raises(SizeMismatch):
-            s2_jet_arrays(np.ones(100), grid)
+            jet_arrays(np.ones(100), grid, 2)
 
 
 class TestFieldNorms:
