@@ -35,7 +35,7 @@ def run(n, k, l, amplitude, mode, resolutions):
         elapsed = time.perf_counter() - started
         err = float(np.abs(sol.rho - profile.value(grid.theta)).max())
         ratio = f"{prev / err:8.2f}" if prev else "       -"
-        print(f"{N:6d} {err:12.3e} {ratio} {len(sol.trace.steps):6d} {elapsed:8.2f}")
+        print(f"{N:6d} {err:12.3e} {ratio} {len(sol.trace):6d} {elapsed:8.2f}")
         prev = err
 
 

@@ -33,8 +33,8 @@ def main():
     )
     print(
         f"solved in {time.perf_counter() - started:.1f} s: "
-        f"{len(sol.trace.steps)} steps, final residual "
-        f"{sol.trace.steps[-1].residual_sup:.2e}, "
+        f"{len(sol.trace)} steps, final residual "
+        f"{sol.trace[-1].residual_sup:.2e}, "
         f"rho in [{sol.rho.min():.4f}, {sol.rho.max():.4f}]"
     )
     nverts, nfaces = export_mesh_obj(sol.rho, grid, args.out)

@@ -61,7 +61,6 @@ from .fspec import (
 from .continuation_solver import (
     SolutionField,
     SolverConfig,
-    SolveTrace,
     assemble_jacobian,
     continuation_solve,
     newton_solve,

@@ -15,6 +15,7 @@ import os
 import sys
 import time
 import typing
+import warnings
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     NoConvergence,
     TooCoarse,
 )
-from .continuation_solver import SolverConfig, SolveTrace, continuation_solve
+from .continuation_solver import SolverConfig, SolveStep, continuation_solve
 from .estimates_monitor import check_c0, check_positivity
 from .fspec import MIN_VALIDATE_SAMPLES, make_homotopy, parse_f, validate_assumptions
 from .sphere_grid import build_axisym_grid, build_s2_grid
@@ -55,10 +56,11 @@ EXIT_STALLED = 5
 EXIT_IO = 6
 
 OUTDIR_ENV = "HESSQUOT_OUTDIR"
-DEFAULT_AXISYM_N = 129
-DEFAULT_S2_RESOLUTION = (32, 64)
-AXISYM_TOL = 1e-10
-S2_TOL = 1e-8
+# grid mode -> (grid builder, default resolution, default newton_tol)
+GRID_MODES = {
+    "axisym": (build_axisym_grid, "129", 1e-10),
+    "s2": (build_s2_grid, "32x64", 1e-8),
+}
 
 
 @dataclass
@@ -78,14 +80,7 @@ class GridConfig:
 
 
 @dataclass
-class SolverSection:
-    newton_tol: float | None = None
-    max_newton: int = 30
-    dt_init: float = 0.1
-    dt_min: float = 1e-4
-    dt_max: float = 0.25
-    max_halvings: int = 20
-    cone_margin: float = 1e-12
+class SolverSection(SolverConfig):
     allow_unvalidated: bool = False
     validate_samples: int = 400
 
@@ -104,15 +99,11 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-def _key_types(section) -> dict:
-    """Each key of a config section and the type its value parses as; an
-    optional `float | None` key parses as float."""
-    hints = typing.get_type_hints(section)
-    return {key: (typing.get_args(kind) or (kind,))[0] for key, kind in hints.items()}
-
-
 # section -> key -> type, read from the fields of RunConfig's section dataclasses
-_KEYS = {name: _key_types(section) for name, section in typing.get_type_hints(RunConfig).items()}
+_KEYS = {
+    name: typing.get_type_hints(section)
+    for name, section in typing.get_type_hints(RunConfig).items()
+}
 
 
 def _parse_sections(text: str):
@@ -185,36 +176,34 @@ def parse_config_text(text: str) -> RunConfig:
     except ExpressionError as exc:
         raise ConfigError(f"bad expression: {exc}", key="problem.f") from None
 
-    grid = GridConfig(**sections.get("grid", {}))
-    if grid.mode not in {"axisym", "s2"}:
+    grid_keys = sections.get("grid", {})
+    grid = GridConfig(**grid_keys)
+    if grid.mode not in GRID_MODES:
         raise ConfigError(
-            f"grid mode must be 'axisym' or 's2', got {grid.mode!r}", key="grid.mode"
+            f"grid mode must be {' or '.join(map(repr, GRID_MODES))}, got {grid.mode!r}",
+            key="grid.mode",
         )
     if grid.mode == "s2" and problem.n != 2:
         raise ConfigError("grid mode s2 requires n = 2", key="grid.mode")
-    if "resolution" not in sections.get("grid", {}):
-        grid.resolution = (
-            str(DEFAULT_AXISYM_N) if grid.mode == "axisym" else "%dx%d" % DEFAULT_S2_RESOLUTION
-        )
+    _, default_resolution, default_tol = GRID_MODES[grid.mode]
+    grid.resolution = grid_keys.get("resolution", default_resolution)
     _parse_resolution(grid)  # fail early on malformed values
 
     output = OutputConfig(**sections.get("output", {}))
     for fmt in output.formats:
         if fmt not in {"csv", "obj"}:
             raise ConfigError(f"unknown output format {fmt!r}", key="output.formats")
-    solver = SolverSection(**sections.get("solver", {}))
-    cfg = RunConfig(problem=problem, grid=grid, solver=solver, output=output)
     try:
-        _solver_config(cfg)
+        solver = SolverSection(**{"newton_tol": default_tol, **sections.get("solver", {})})
     except ValueError as exc:
         raise ConfigError(str(exc), key="solver") from None
-    if cfg.solver.validate_samples < MIN_VALIDATE_SAMPLES:
+    if solver.validate_samples < MIN_VALIDATE_SAMPLES:
         raise ConfigError(
             f"validate_samples must be >= {MIN_VALIDATE_SAMPLES}, "
-            f"got {cfg.solver.validate_samples}",
+            f"got {solver.validate_samples}",
             key="solver.validate_samples",
         )
-    return cfg
+    return RunConfig(problem=problem, grid=grid, solver=solver, output=output)
 
 
 def load_config(path: str) -> RunConfig:
@@ -233,8 +222,6 @@ def dump_config(cfg: RunConfig) -> str:
         lines += ["", f"[{name}]"]
         for key, kind in kinds.items():
             value = getattr(getattr(cfg, name), key)
-            if value is None:
-                continue
             if kind is bool:
                 value = str(value).lower()
             elif kind is tuple:
@@ -244,12 +231,12 @@ def dump_config(cfg: RunConfig) -> str:
 
 
 def _parse_resolution(grid: GridConfig):
-    raw = grid.resolution.lower().replace(" ", "")
+    """Grid sizes in the shape of the mode's default resolution (`N` or `NxM`)."""
+    parts = grid.resolution.lower().replace(" ", "").split("x")
     try:
-        if grid.mode == "axisym":
-            return (int(raw),)
-        nt, _, nphi = raw.partition("x")
-        return int(nt), int(nphi)
+        if len(parts) != len(GRID_MODES[grid.mode][1].split("x")):
+            raise ValueError(grid.resolution)
+        return tuple(int(part) for part in parts)
     except ValueError:
         raise ConfigError(
             f"cannot parse resolution {grid.resolution!r} for mode {grid.mode}",
@@ -257,18 +244,8 @@ def _parse_resolution(grid: GridConfig):
         ) from None
 
 
-def _build_grid(cfg: RunConfig):
-    res = _parse_resolution(cfg.grid)
-    if cfg.grid.mode == "axisym":
-        return build_axisym_grid(res[0])
-    return build_s2_grid(res[0], res[1])
-
-
-def _solver_config(cfg: RunConfig) -> SolverConfig:
-    values = {key.name: getattr(cfg.solver, key.name) for key in fields(SolverConfig)}
-    if values["newton_tol"] is None:
-        values["newton_tol"] = AXISYM_TOL if cfg.grid.mode == "axisym" else S2_TOL
-    return SolverConfig(**values)
+def _build_grid(grid: GridConfig):
+    return GRID_MODES[grid.mode][0](*_parse_resolution(grid))
 
 
 def _out_dir(cfg: RunConfig) -> str:
@@ -287,39 +264,31 @@ def _write_rho_csv(path, rho, grid):
         handle.write("\n".join(lines) + "\n")
 
 
-TRACE_HEADER = "t,newton_iters,residual_sup,rho_min,rho_max,u_min,grad_sup,kappa_sup,cone_margin_min"
+# trace.csv columns: fields of each SolveStep, then fields of its bounds snapshot
+TRACE_STEP_COLUMNS = ("t", "newton_iters", "residual_sup")
+TRACE_BOUND_COLUMNS = ("rho_min", "rho_max", "u_min", "grad_sup", "kappa_sup", "cone_margin_min")
 
 
-def _write_trace_csv(path, trace: SolveTrace):
-    lines = [TRACE_HEADER]
-    for step in trace.steps:
-        b = step.bounds
-        cells = [
-            _fmt(step.t),
-            str(step.newton_iters),
-            _fmt(step.residual_sup),
-            _fmt(b.rho_min),
-            _fmt(b.rho_max),
-            _fmt(b.u_min),
-            _fmt(b.grad_sup),
-            _fmt(b.kappa_sup),
-            _fmt(b.cone_margin_min),
-        ]
-        lines.append(",".join(cells))
+def _write_trace_csv(path, trace: list[SolveStep]):
+    lines = [",".join(TRACE_STEP_COLUMNS + TRACE_BOUND_COLUMNS)]
+    for step in trace:
+        cells = [getattr(step, name) for name in TRACE_STEP_COLUMNS]
+        cells += [getattr(step.bounds, name) for name in TRACE_BOUND_COLUMNS]
+        lines.append(",".join(map(_fmt, cells)))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def _summary_lines(status, trace, target, r1, r2, validation_note):
     lines = [f"status = {status}"]
-    if trace.steps:
-        last = trace.steps[-1]
+    if trace:
+        last = trace[-1]
         b = last.bounds
         radial = check_c0(b, r1, r2)
         positive = check_positivity(b)
         lines.extend(
             [
-                f"steps_accepted = {len(trace.steps)}",
+                f"steps_accepted = {len(trace)}",
                 f"final_t = {_fmt(last.t)}",
                 f"final_residual_sup = {_fmt(last.residual_sup)}",
                 f"epsilon = {_fmt(target.epsilon)}",
@@ -343,40 +312,31 @@ def _write_summary(path, lines):
         handle.write("\n".join(lines) + "\n")
 
 
-def _report_text(report):
-    rows = []
-    for name in ("outer_bound", "inner_bound", "radial_monotone"):
-        chk = getattr(report, name)
-        rows.append(
-            "%s: %s (worst margin %.6e)"
-            % (name, "PASS" if chk.passed else "FAIL", chk.worst_margin)
-        )
-    return rows
-
-
-def run_validate(cfg: RunConfig) -> int:
+def _validate(cfg: RunConfig):
+    """Check the structural assumptions on f and print the report; returns (base, p, report)."""
     base = parse_f(cfg.problem.f)
     p = QuotientParams(cfg.problem.n, cfg.problem.k, cfg.problem.l)
     report = validate_assumptions(
         base, p, cfg.problem.r1, cfg.problem.r2, samples=cfg.solver.validate_samples
     )
-    for row in _report_text(report):
-        print(row)
+    for name in ("outer_bound", "inner_bound", "radial_monotone"):
+        chk = getattr(report, name)
+        print(
+            "%s: %s (worst margin %.6e)"
+            % (name, "PASS" if chk.passed else "FAIL", chk.worst_margin)
+        )
+    return base, p, report
+
+
+def run_validate(cfg: RunConfig) -> int:
+    _, _, report = _validate(cfg)
     return EXIT_OK if report.all_passed else EXIT_VALIDATION
 
 
 def run_solve(cfg: RunConfig) -> int:
-    base = parse_f(cfg.problem.f)
-    p = QuotientParams(cfg.problem.n, cfg.problem.k, cfg.problem.l)
-    grid = _build_grid(cfg)
-    solver_cfg = _solver_config(cfg)
+    grid = _build_grid(cfg.grid)
+    base, p, report = _validate(cfg)
     target = make_homotopy(base, p, cfg.problem.r1, cfg.problem.r2)
-
-    report = validate_assumptions(
-        base, p, cfg.problem.r1, cfg.problem.r2, samples=cfg.solver.validate_samples
-    )
-    for row in _report_text(report):
-        print(row)
     if not report.all_passed and not cfg.solver.allow_unvalidated:
         print("assumption validation failed; rerun with allow_unvalidated = true to override")
         return EXIT_VALIDATION
@@ -391,7 +351,7 @@ def run_solve(cfg: RunConfig) -> int:
     status = "ok"
     exit_code = EXIT_OK
     try:
-        solution = continuation_solve(target, grid, solver_cfg, validated=report.all_passed)
+        solution = continuation_solve(target, grid, cfg.solver, validated=report.all_passed)
         rho, trace = solution.rho, solution.trace
     except ContinuationStalled as exc:
         print(f"continuation stalled: {exc}")
@@ -456,19 +416,22 @@ def run_selftest() -> int:
 
 def _cmd_export(args) -> int:
     cfg = load_config(args.config)
-    grid = _build_grid(cfg)
+    grid = _build_grid(cfg.grid)
     try:
-        data = np.loadtxt(args.rho_csv, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a file without data rows is reported below as a row-count mismatch
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(args.rho_csv, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         print(f"cannot read {args.rho_csv}: {exc}")
         return EXIT_IO
-    if data.shape[1] != len(grid.columns) + 1:
+    if len(data) and data.shape[1] != len(grid.columns) + 1:
         print(f"field has {data.shape[1]} columns, grid expects {len(grid.columns) + 1}")
         return EXIT_CONFIG
-    rho = data[:, -1]
-    if rho.size != grid.node_count:
-        print(f"field has {rho.size} rows, grid expects {grid.node_count}")
+    if len(data) != grid.node_count:
+        print(f"field has {len(data)} rows, grid expects {grid.node_count}")
         return EXIT_CONFIG
+    rho = data[:, -1]
     out_dir = _out_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "mesh.obj")

@@ -22,7 +22,7 @@ configurable margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
@@ -40,12 +40,11 @@ from .estimates_monitor import BoundsSnapshot, check_c0, check_positivity, snaps
 from .fspec import HomotopyTarget, eval_homotopy
 from .radial_geometry import geometry_batch
 from .sphere_grid import jet_arrays
-from .symfun import QuotientParams, sigma_batch
+from .symfun import sigma_batch
 
 __all__ = [
     "SolverConfig",
     "SolveStep",
-    "SolveTrace",
     "SolutionField",
     "residual_vector",
     "assemble_jacobian",
@@ -99,24 +98,16 @@ class SolveStep:
 
 
 @dataclass
-class SolveTrace:
-    steps: list = field(default_factory=list)
-
-    def record(self, step: SolveStep):
-        self.steps.append(step)
-
-
-@dataclass
 class SolutionField:
     rho: np.ndarray
     grid: object
     bounds: BoundsSnapshot
-    trace: SolveTrace
+    trace: list[SolveStep]
 
 
-def _pointwise_residual(rho, grad, hess, grid, target: HomotopyTarget, t: float,
-                        p: QuotientParams):
+def _pointwise_residual(rho, grad, hess, grid, target: HomotopyTarget, t: float):
     """Residual vector of nodal jets, plus the worst cone margin over the nodes."""
+    p = target.p
     geo = geometry_batch(rho, grad, hess)
     sig = sigma_batch(geo.eta, p.k)
     margins = sig[:, 1:].min(axis=1)
@@ -142,19 +133,18 @@ def _pointwise_residual(rho, grad, hess, grid, target: HomotopyTarget, t: float,
     return res, float(margins[worst])
 
 
-def _residual_and_margin(rho, grid, target: HomotopyTarget, t: float, p: QuotientParams):
+def _residual_and_margin(rho, grid, target: HomotopyTarget, t: float):
     """Residual vector plus the worst cone margin over the nodes."""
-    return _pointwise_residual(*jet_arrays(rho, grid, p.n), grid, target, t, p)
+    return _pointwise_residual(*jet_arrays(rho, grid, target.p.n), grid, target, t)
 
 
-def residual_vector(rho, grid, target: HomotopyTarget, t: float, p: QuotientParams = None):
+def residual_vector(rho, grid, target: HomotopyTarget, t: float):
     """Per-node log residual of the discrete equation at homotopy time t."""
-    p = p if p is not None else target.p
-    res, _ = _residual_and_margin(np.asarray(rho, dtype=float), grid, target, t, p)
+    res, _ = _residual_and_margin(np.asarray(rho, dtype=float), grid, target, t)
     return res
 
 
-def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float, p: QuotientParams = None):
+def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float):
     """Sparse d(residual)/d(rho) = sum_a diag(dR/dj_a) D_a over the raw jets j_a.
 
     The residual at a node depends on rho only through its raw jets j_0 = rho
@@ -162,11 +152,10 @@ def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float, p: QuotientPa
     pointwise partial dR/dj_a comes from one forward difference applied to all
     nodes at once, with step sqrt(eps) max(1, |j_a|).
     """
-    p = p if p is not None else target.p
     jets = grid.raw_jets(rho)
 
     def residual(j):
-        return _pointwise_residual(*grid.frame_jets(j, p.n), grid, target, t, p)[0]
+        return _pointwise_residual(*grid.frame_jets(j, target.p.n), grid, target, t)[0]
 
     base = residual(jets)
     partials = np.empty_like(jets)
@@ -177,18 +166,16 @@ def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float, p: QuotientPa
     return grid.linearize(partials)
 
 
-def newton_solve(rho0, t: float, target: HomotopyTarget, grid, p: QuotientParams = None,
-                 cfg: SolverConfig = None):
+def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig = None):
     """Damped Newton on the sup-norm of the log residual.
 
     Trial iterates must keep rho positive and the spectrum inside the cone
     with margin >= cfg.cone_margin; steps are halved until a sufficient
     decrease holds.  Returns (field, iterations).
     """
-    p = p if p is not None else target.p
     cfg = cfg if cfg is not None else SolverConfig()
     rho = np.asarray(rho0, dtype=float).copy()
-    res, margin = _residual_and_margin(rho, grid, target, t, p)
+    res, margin = _residual_and_margin(rho, grid, target, t)
     if margin < cfg.cone_margin:
         raise ConeViolation(
             f"initial state inadmissible (margin {margin:.3e} < {cfg.cone_margin:.1e})",
@@ -203,7 +190,7 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, p: QuotientParams
             trial = rho + step * delta
             if np.all(trial > 0.0):
                 try:
-                    trial_res, trial_margin = _residual_and_margin(trial, grid, target, t, p)
+                    trial_res, trial_margin = _residual_and_margin(trial, grid, target, t)
                 except (ConeViolation, DegenerateJet, NonpositiveF, EvalError):
                     trial_res, trial_margin = None, -np.inf
                 if trial_res is not None and trial_margin >= cfg.cone_margin:
@@ -219,7 +206,7 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, p: QuotientParams
                 f"no convergence in {cfg.max_newton} Newton steps at t={t} "
                 f"(residual {res_sup:.3e})"
             )
-        J = assemble_jacobian(rho, grid, target, t, p)
+        J = assemble_jacobian(rho, grid, target, t)
         try:
             delta = scipy.sparse.linalg.splu(J.tocsc()).solve(-res)
             if not np.all(np.isfinite(delta)):
@@ -251,18 +238,16 @@ def continuation_solve(
     violation aborts with MonitorViolation instead of continuing.  Step control
     halves dt on corrector failure, which includes a trial t where f_t, the
     prescription expression or the jets cannot be evaluated, and grows it after
-    fast correctors.
+    fast correctors.  A stall carries the last corrector failure as its cause.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    p = target.p
-    nodes = grid.node_count
-    rho = np.ones(nodes) if rho0 is None else np.asarray(rho0, dtype=float).copy()
-    trace = SolveTrace()
+    rho = np.ones(grid.node_count) if rho0 is None else np.asarray(rho0, dtype=float).copy()
+    trace = []
 
     def accept(t, iters, rho_now):
-        res = residual_vector(rho_now, grid, target, t, p)
-        snap = snapshot_bounds(rho_now, grid, p)
-        trace.record(SolveStep(t=t, newton_iters=iters,
+        res = residual_vector(rho_now, grid, target, t)
+        snap = snapshot_bounds(rho_now, grid, target.p)
+        trace.append(SolveStep(t=t, newton_iters=iters,
                                residual_sup=float(np.abs(res).max()), bounds=snap))
         if validated:
             radial = check_c0(snap, target.r1, target.r2)
@@ -274,7 +259,7 @@ def continuation_solve(
                     t=t, snapshot=snap, field=rho_now, trace=trace,
                 )
 
-    rho, iters = newton_solve(rho, 0.0, target, grid, p, cfg)
+    rho, iters = newton_solve(rho, 0.0, target, grid, cfg)
     accept(0.0, iters, rho)
 
     t = 0.0
@@ -282,14 +267,15 @@ def continuation_solve(
     while t < 1.0:
         t_try = min(t + dt, 1.0)
         try:
-            rho_new, iters = newton_solve(rho, t_try, target, grid, p, cfg)
-        except (NoConvergence, ConeViolation, NonpositiveF, EvalError, DegenerateJet):
+            rho_new, iters = newton_solve(rho, t_try, target, grid, cfg)
+        except (NoConvergence, ConeViolation, NonpositiveF, EvalError, DegenerateJet) as exc:
             dt *= 0.5
             if dt < cfg.dt_min:
                 raise ContinuationStalled(
-                    f"step size underflow at t={t} (dt={dt:.3e} < {cfg.dt_min:.1e})",
+                    f"step size underflow at t={t} (dt={dt:.3e} < {cfg.dt_min:.1e}); "
+                    f"last corrector failure: {type(exc).__name__}: {exc}",
                     last_t=t, field=rho, trace=trace,
-                )
+                ) from exc
             continue
         rho = rho_new
         t = t_try
@@ -297,4 +283,4 @@ def continuation_solve(
         if iters <= _FAST_NEWTON_ITERS:
             dt = min(dt * _DT_GROWTH, cfg.dt_max)
 
-    return SolutionField(rho=rho, grid=grid, bounds=trace.steps[-1].bounds, trace=trace)
+    return SolutionField(rho=rho, grid=grid, bounds=trace[-1].bounds, trace=trace)

@@ -61,7 +61,7 @@ def test_criterion_1_unit_sphere_fixed_point():
         grid = build_axisym_grid(129)
         rho0 = 1.0 + 0.01 * np.cos(grid.theta)
         started = time.perf_counter()
-        rho, iters = newton_solve(rho0, 0.0, target, grid, p, SolverConfig())
+        rho, iters = newton_solve(rho0, 0.0, target, grid, SolverConfig())
         elapsed = time.perf_counter() - started
         err = float(np.abs(rho - 1.0).max())
         assert err <= 1e-8, f"({n},{k},{l}): sup error {err:.3e}"
@@ -210,7 +210,7 @@ def test_criterion_7_validated_continuation_run():
     target = make_homotopy(base, p, 0.5, 2.0)
     grid = build_axisym_grid(129)
     sol = continuation_solve(target, grid, SolverConfig(), validated=True)
-    last = sol.trace.steps[-1]
+    last = sol.trace[-1]
     assert last.t == 1.0
     assert last.residual_sup <= 1e-10
     radial = check_c0(sol.bounds, 0.5, 2.0)

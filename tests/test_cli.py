@@ -17,10 +17,13 @@ from hessquot.cli import (
     _write_rho_csv,
     dump_config,
     export_mesh_obj,
+    load_config,
     main,
     parse_config_text,
 )
 from hessquot.sphere_grid import build_axisym_grid, build_s2_grid
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = """
 [problem]
@@ -56,7 +59,7 @@ class TestConfigParsing:
         assert cfg.grid.mode == "axisym"
         assert cfg.grid.resolution == "129"
         assert cfg.solver.dt_init == 0.1
-        assert cfg.solver.newton_tol is None
+        assert cfg.solver.newton_tol == 1e-10
         assert cfg.output.directory == "out"
 
     def test_k_too_small(self):
@@ -129,6 +132,24 @@ class TestConfigParsing:
         full = MINIMAL + "\n[solver]\nnewton_tol = 1e-9\nallow_unvalidated = true\n"
         cfg = parse_config_text(full)
         assert parse_config_text(dump_config(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "name, newton_tol",
+        [("radial", 1e-10), ("anisotropic", 1e-10), ("gauss_s2", 1e-8)],
+    )
+    def test_shipped_configs(self, name, newton_tol):
+        cfg = load_config(str(CONFIGS / f"{name}.ini"))
+        assert parse_config_text(dump_config(cfg)) == cfg
+        assert cfg.solver.newton_tol == newton_tol
+
+    def test_s2_defaults(self):
+        cfg = parse_config_text(MINIMAL.replace("n = 3", "n = 2") + "\n[grid]\nmode = s2\n")
+        assert cfg.grid.resolution == "32x64"
+        assert cfg.solver.newton_tol == 1e-8
+
+    def test_empty_resolution_is_config_error(self):
+        with pytest.raises(ConfigError):
+            parse_config_text(MINIMAL + "\n[grid]\nresolution =\n")
 
 
 class TestSolveCommand:
@@ -296,6 +317,15 @@ class TestExport:
         single = tmp_path / "single.csv"
         single.write_text("theta,rho\n0.0,1.0\n")
         assert main(["export", str(config), str(single)]) == EXIT_CONFIG
+
+    @pytest.mark.filterwarnings("error")
+    def test_export_header_only_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(RADIAL_SOLVE.format(outdir=tmp_path / "out"))
+        empty = tmp_path / "empty.csv"
+        empty.write_text("theta,rho\n")
+        assert main(["export", str(config), str(empty)]) == EXIT_CONFIG
+        assert "field has 0 rows, grid expects 65" in capsys.readouterr().out
 
     def test_export_non_numeric_cell_is_io_error(self, tmp_path):
         config = tmp_path / "run.ini"

@@ -30,7 +30,7 @@ class TestResidualVector:
         p = QuotientParams(3, 2, 0)
         target = radial_target(p)
         grid = build_axisym_grid(65)
-        res = residual_vector(np.ones(65), grid, target, 0.0, p)
+        res = residual_vector(np.ones(65), grid, target, 0.0)
         assert np.abs(res).max() < 1e-14
 
     def test_radial_sign(self):
@@ -40,8 +40,8 @@ class TestResidualVector:
         p = QuotientParams(3, 2, 0)
         target = radial_target(p)
         grid = build_axisym_grid(65)
-        res_out = residual_vector(np.full(65, 1.5), grid, target, 0.0, p)
-        res_in = residual_vector(np.full(65, 0.7), grid, target, 0.0, p)
+        res_out = residual_vector(np.full(65, 1.5), grid, target, 0.0)
+        res_in = residual_vector(np.full(65, 0.7), grid, target, 0.0)
         assert np.all(res_out > 0.0)
         assert np.all(res_in < 0.0)
         assert res_out.std() < 1e-12 and res_in.std() < 1e-12
@@ -51,7 +51,7 @@ class TestResidualVector:
         level = reference_level(p)
         target = make_homotopy(parse_f(f"{level}"), p, 0.5, 2.0)
         grid = build_axisym_grid(65)
-        res = residual_vector(np.ones(65), grid, target, 1.0, p)
+        res = residual_vector(np.ones(65), grid, target, 1.0)
         assert np.abs(res).max() < 1e-14
 
     def test_cone_violation_reports_node(self):
@@ -60,7 +60,7 @@ class TestResidualVector:
         grid = build_axisym_grid(65)
         wild = 1.0 + 0.9 * np.cos(12.0 * grid.theta)
         with pytest.raises(ConeViolation) as err:
-            residual_vector(wild, grid, target, 0.0, p)
+            residual_vector(wild, grid, target, 0.0)
         assert err.value.node is not None
 
 
@@ -70,11 +70,11 @@ class TestJacobian:
         p = QuotientParams(3, 2, 0)
         target = radial_target(p)
         grid = build_axisym_grid(65)
-        J = assemble_jacobian(np.ones(65), grid, target, 0.0, p)
+        J = assemble_jacobian(np.ones(65), grid, target, 0.0)
         radial = J @ np.ones(65)
         h = 1e-6
-        up = residual_vector(np.full(65, 1.0 + h), grid, target, 0.0, p)
-        dn = residual_vector(np.full(65, 1.0 - h), grid, target, 0.0, p)
+        up = residual_vector(np.full(65, 1.0 + h), grid, target, 0.0)
+        dn = residual_vector(np.full(65, 1.0 - h), grid, target, 0.0)
         oracle = (up - dn) / (2.0 * h)
         assert radial == pytest.approx(oracle, rel=1e-5)
         assert np.all(radial > 0.0)
@@ -89,15 +89,15 @@ class TestJacobian:
         grid = build_axisym_grid(65)
         rng = np.random.default_rng(7)
         rho = 1.0 + 0.02 * np.cos(2.0 * grid.theta)
-        J = assemble_jacobian(rho, grid, target, 0.4, p)
-        base = residual_vector(rho, grid, target, 0.4, p)
+        J = assemble_jacobian(rho, grid, target, 0.4)
+        base = residual_vector(rho, grid, target, 0.4)
         for _ in range(3):
             w = rng.normal(size=65)
             w /= np.abs(w).max()
             # the one-sided truncation carries the squared stencil weights, so
             # the probe step sits well below the usual sqrt(eps)
             h = 1e-9
-            fd = (residual_vector(rho + h * w, grid, target, 0.4, p) - base) / h
+            fd = (residual_vector(rho + h * w, grid, target, 0.4) - base) / h
             Jw = J @ w
             assert np.abs(Jw - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
@@ -106,8 +106,8 @@ class TestJacobian:
         target = radial_target(p2)
         grid_a = build_axisym_grid(33)
         grid_s = build_s2_grid(16, 32)
-        Ja = assemble_jacobian(np.ones(33), grid_a, target, 0.0, p2)
-        Js = assemble_jacobian(np.ones(grid_s.node_count), grid_s, target, 0.0, p2)
+        Ja = assemble_jacobian(np.ones(33), grid_a, target, 0.0)
+        Js = assemble_jacobian(np.ones(grid_s.node_count), grid_s, target, 0.0)
         ra = Ja @ np.ones(33)
         rs = Js @ np.ones(grid_s.node_count)
         assert ra.mean() == pytest.approx(rs.mean(), rel=1e-4)
@@ -119,7 +119,7 @@ class TestJacobian:
         tt = np.repeat(grid.theta, grid.n_phi)
         pp = np.tile(grid.phi, grid.n_theta)
         rho = 1.0 + 0.02 * np.sin(tt) * np.cos(pp) + 0.01 * np.cos(2.0 * tt)
-        J = assemble_jacobian(rho, grid, target, 0.5, p)
+        J = assemble_jacobian(rho, grid, target, 0.5)
         # the 3x3 stencil, closed across the poles, touches at most 9 nodes
         assert np.diff(J.indptr).max() <= 9
         rng = np.random.default_rng(11)
@@ -130,8 +130,8 @@ class TestJacobian:
             # near-pole azimuthal stencil weights
             h = 1e-7
             fd = (
-                residual_vector(rho + h * w, grid, target, 0.5, p)
-                - residual_vector(rho - h * w, grid, target, 0.5, p)
+                residual_vector(rho + h * w, grid, target, 0.5)
+                - residual_vector(rho - h * w, grid, target, 0.5)
             ) / (2.0 * h)
             assert np.abs(J @ w - fd).max() <= 1e-5 * np.abs(fd).max()
 
@@ -139,7 +139,7 @@ class TestJacobian:
         p = QuotientParams(3, 2, 0)
         target = radial_target(p)
         grid = build_axisym_grid(33)
-        J = assemble_jacobian(np.ones(33), grid, target, 0.0, p).toarray()
+        J = assemble_jacobian(np.ones(33), grid, target, 0.0).toarray()
         for i in range(33):
             for j in range(33):
                 if abs(i - j) > 1:
@@ -159,7 +159,7 @@ class TestNewton:
             + np.cos(3 * grid.theta) * bump[2]
             + bump[3]
         ) / np.abs(bump).max()
-        rho, iters = newton_solve(rho0, 0.0, target, grid, p, SolverConfig())
+        rho, iters = newton_solve(rho0, 0.0, target, grid, SolverConfig())
         assert np.abs(rho - 1.0).max() <= 1e-8
         assert iters <= 10
 
@@ -167,7 +167,7 @@ class TestNewton:
         p = QuotientParams(3, 2, 0)
         target = radial_target(p)
         grid = build_axisym_grid(65)
-        rho, iters = newton_solve(np.ones(65), 0.0, target, grid, p, SolverConfig())
+        rho, iters = newton_solve(np.ones(65), 0.0, target, grid, SolverConfig())
         assert iters == 0
         assert np.array_equal(rho, np.ones(65))
 
@@ -177,7 +177,7 @@ class TestNewton:
         grid = build_axisym_grid(65)
         wild = 1.0 + 0.9 * np.cos(12.0 * grid.theta)
         with pytest.raises(ConeViolation):
-            newton_solve(wild, 0.0, target, grid, p, SolverConfig())
+            newton_solve(wild, 0.0, target, grid, SolverConfig())
 
     @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
     def test_singular_jacobian_raises_no_convergence(self, monkeypatch, fill):
@@ -188,7 +188,7 @@ class TestNewton:
         monkeypatch.setattr(continuation_solver, "assemble_jacobian",
                             lambda *args, **kwargs: singular)
         with pytest.raises(NoConvergence, match="singular Newton system"):
-            newton_solve(np.full(65, 1.01), 0.0, target, grid, p, SolverConfig())
+            newton_solve(np.full(65, 1.01), 0.0, target, grid, SolverConfig())
 
 
 class TestContinuation:
@@ -202,7 +202,7 @@ class TestContinuation:
         grid = build_axisym_grid(65)
         sol = continuation_solve(target, grid, SolverConfig(), validated=False)
         assert np.abs(sol.rho - 1.0).max() < 1e-10
-        assert sol.trace.steps[-1].t == 1.0
+        assert sol.trace[-1].t == 1.0
 
     def test_decaying_radial_problem_returns_sphere(self):
         p = QuotientParams(3, 2, 0)
@@ -210,9 +210,9 @@ class TestContinuation:
         grid = build_axisym_grid(65)
         sol = continuation_solve(target, grid, SolverConfig(), validated=True)
         assert np.abs(sol.rho - 1.0).max() <= 1e-8
-        ts = [s.t for s in sol.trace.steps]
+        ts = [s.t for s in sol.trace]
         assert ts == sorted(ts) and ts[-1] == 1.0
-        for step in sol.trace.steps:
+        for step in sol.trace:
             assert step.residual_sup <= SolverConfig().newton_tol
             assert step.bounds.cone_margin_min > 0.0
             # the curvature and gradient suprema stay finite along the path;
@@ -237,9 +237,9 @@ class TestContinuation:
         a = continuation_solve(target, grid1, SolverConfig(), validated=True)
         b = continuation_solve(target, grid2, SolverConfig(), validated=True)
         assert np.array_equal(a.rho, b.rho)
-        assert [s.t for s in a.trace.steps] == [s.t for s in b.trace.steps]
-        assert [s.residual_sup for s in a.trace.steps] == [
-            s.residual_sup for s in b.trace.steps
+        assert [s.t for s in a.trace] == [s.t for s in b.trace]
+        assert [s.residual_sup for s in a.trace] == [
+            s.residual_sup for s in b.trace
         ]
 
     def test_stall_reports_partial_trace(self):
@@ -250,9 +250,12 @@ class TestContinuation:
         cfg = SolverConfig(max_newton=1, dt_init=0.1, dt_min=0.09)
         with pytest.raises(ContinuationStalled) as err:
             continuation_solve(target, grid, cfg, validated=False)
-        assert err.value.trace.steps  # the t = 0 step is still recorded
+        assert err.value.trace  # the t = 0 step is still recorded
         assert err.value.last_t == 0.0
         assert err.value.field.shape == (65,)
+        # the stall names the last corrector failure and chains it as the cause
+        assert "NoConvergence" in str(err.value)
+        assert isinstance(err.value.__cause__, NoConvergence)
 
     def test_monitor_abort_on_false_attestation(self):
         # claiming a tight annulus is validated must abort, not continue
@@ -271,7 +274,7 @@ class TestContinuation:
         tt = np.repeat(grid.theta, grid.n_phi)
         rho0 = 1.0 + 0.01 * np.cos(tt)
         cfg = SolverConfig(newton_tol=1e-8)
-        rho, _ = newton_solve(rho0, 0.0, target, grid, p, cfg)
+        rho, _ = newton_solve(rho0, 0.0, target, grid, cfg)
         rings = rho.reshape(grid.n_theta, grid.n_phi)
         assert (rings.max(axis=1) - rings.min(axis=1)).max() <= 10 * cfg.newton_tol
         assert np.abs(rho - 1.0).max() <= 1e-7
@@ -287,10 +290,10 @@ class TestScaleDegenerateTarget:
         target = make_homotopy(f, p, 0.5, 2.0)
         grid = build_axisym_grid(65)
         rho = profile.value(grid.theta)
-        r1 = residual_vector(rho, grid, target, 1.0, p)
-        r2 = residual_vector(1.3 * rho, grid, target, 1.0, p)
+        r1 = residual_vector(rho, grid, target, 1.0)
+        r2 = residual_vector(1.3 * rho, grid, target, 1.0)
         assert np.abs(r1 - r2).max() < 1e-12
-        J = assemble_jacobian(rho, grid, target, 1.0, p)
+        J = assemble_jacobian(rho, grid, target, 1.0)
         kernel_response = np.abs(J @ rho).max()
         typical = np.abs(J @ np.cos(2 * grid.theta)).max()
         assert kernel_response < 1e-3 * typical
