@@ -11,7 +11,13 @@ so the logs are total.  The residual depends on rho only through the nodal
 jets, which are the grid's sparse stencil operators applied to rho, so the
 Jacobian is the pointwise jet partials times those operators; the partials
 come from one forward difference per jet component over all nodes at once.
-Each Newton step solves J d = -R with one sparse LU factorization of J.
+
+The corrector keeps one sparse LU of J across Newton iterations and
+continuation steps (chord, or Shamanskii, steps) and factors J afresh only
+when a full step with the held LU fails to cut the residual sup by
+_CHORD_CONTRACTION; see newton_solve.  J's sparsity pattern is structurally
+symmetric (central stencils, symmetric pole closures), so the factorization
+orders the columns by minimum degree on the pattern of J^T + J.
 
 The path starts from the exactly-known state rho = 1 at t = 0 and follows an
 adaptive step in t to the target problem at t = 1.  Every trial iterate is
@@ -57,8 +63,9 @@ _JET_STEP = math.sqrt(np.finfo(float).eps)
 # line search: step shrink per halving and the Armijo slope of the decrease test
 _STEP_SHRINK = 0.5
 _ARMIJO_SLOPE = 1e-4
-# continuation: dt grows by _DT_GROWTH after a corrector of <= _FAST_NEWTON_ITERS steps
-_FAST_NEWTON_ITERS = 4
+# a step with a reused LU is kept when it cuts the residual sup by this factor
+_CHORD_CONTRACTION = 0.25
+# continuation: dt grows by _DT_GROWTH after a corrector that factored at most once
 _DT_GROWTH = 1.5
 
 
@@ -166,12 +173,20 @@ def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float):
     return grid.linearize(partials)
 
 
-def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig = None):
-    """Damped Newton on the sup-norm of the log residual.
+def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig = None,
+                 lu=None):
+    """Damped Newton on the sup-norm of the log residual, reusing one sparse LU.
 
-    Trial iterates must keep rho positive and the spectrum inside the cone
-    with margin >= cfg.cone_margin; steps are halved until a sufficient
-    decrease holds.  Returns (field, iterations).
+    `lu` is a factorization of some earlier Jacobian, or None.  While one is
+    held, each step first tries the full chord step with it and keeps the
+    trial when it is admissible and its residual sup is at most
+    _CHORD_CONTRACTION times the current one.  Otherwise the LU is dropped and
+    J is assembled at the current iterate and factored with the
+    MMD_AT_PLUS_A ordering; that fresh step is damped, halving until the
+    Armijo decrease holds.  Every trial iterate must keep rho positive and the
+    spectrum inside the cone with margin >= cfg.cone_margin, and the iteration
+    stops on the true residual sup <= cfg.newton_tol.  Returns (field,
+    iterations, factorizations, residual sup, LU held at the end).
     """
     cfg = cfg if cfg is not None else SolverConfig()
     rho = np.asarray(rho0, dtype=float).copy()
@@ -182,21 +197,26 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
             margin=margin,
         )
     res_sup = float(np.abs(res).max())
-    iters = 0
+    iters = factorizations = 0
+
+    def admissible(trial):
+        """(trial, residual, residual sup) at an admissible trial iterate, else None."""
+        if not np.all(trial > 0.0):
+            return None
+        try:
+            trial_res, trial_margin = _residual_and_margin(trial, grid, target, t)
+        except (ConeViolation, DegenerateJet, NonpositiveF, EvalError):
+            return None
+        if trial_margin < cfg.cone_margin:
+            return None
+        return trial, trial_res, float(np.abs(trial_res).max())
 
     def line_search(delta):
         step = 1.0
         for _ in range(cfg.max_halvings + 1):
-            trial = rho + step * delta
-            if np.all(trial > 0.0):
-                try:
-                    trial_res, trial_margin = _residual_and_margin(trial, grid, target, t)
-                except (ConeViolation, DegenerateJet, NonpositiveF, EvalError):
-                    trial_res, trial_margin = None, -np.inf
-                if trial_res is not None and trial_margin >= cfg.cone_margin:
-                    trial_sup = float(np.abs(trial_res).max())
-                    if trial_sup <= (1.0 - _ARMIJO_SLOPE * step) * res_sup:
-                        return trial, trial_res, trial_sup
+            outcome = admissible(rho + step * delta)
+            if outcome is not None and outcome[2] <= (1.0 - _ARMIJO_SLOPE * step) * res_sup:
+                return outcome
             step *= _STEP_SHRINK
         return None
 
@@ -206,22 +226,31 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
                 f"no convergence in {cfg.max_newton} Newton steps at t={t} "
                 f"(residual {res_sup:.3e})"
             )
-        J = assemble_jacobian(rho, grid, target, t)
-        try:
-            delta = scipy.sparse.linalg.splu(J.tocsc()).solve(-res)
-            if not np.all(np.isfinite(delta)):
-                raise RuntimeError("non-finite Newton step")
-        except RuntimeError as exc:
-            raise NoConvergence(f"singular Newton system at t={t}: {exc}") from exc
-        outcome = line_search(delta)
+        outcome = None
+        if lu is not None:
+            outcome = admissible(rho + lu.solve(-res))
+            # written so that a NaN residual sup fails the test too
+            if outcome is None or not outcome[2] <= _CHORD_CONTRACTION * res_sup:
+                outcome = lu = None
         if outcome is None:
-            raise NoConvergence(
-                f"line search exhausted {cfg.max_halvings} halvings at t={t} "
-                f"(residual {res_sup:.3e})"
-            )
+            J = assemble_jacobian(rho, grid, target, t)
+            try:
+                lu = scipy.sparse.linalg.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                delta = lu.solve(-res)
+                if not np.all(np.isfinite(delta)):
+                    raise RuntimeError("non-finite Newton step")
+            except RuntimeError as exc:
+                raise NoConvergence(f"singular Newton system at t={t}: {exc}") from exc
+            factorizations += 1
+            outcome = line_search(delta)
+            if outcome is None:
+                raise NoConvergence(
+                    f"line search exhausted {cfg.max_halvings} halvings at t={t} "
+                    f"(residual {res_sup:.3e})"
+                )
         rho, res, res_sup = outcome
         iters += 1
-    return rho, iters
+    return rho, iters, factorizations, res_sup, lu
 
 
 def continuation_solve(
@@ -238,17 +267,22 @@ def continuation_solve(
     violation aborts with MonitorViolation instead of continuing.  Step control
     halves dt on corrector failure, which includes a trial t where f_t, the
     prescription expression or the jets cannot be evaluated, and grows it after
-    fast correctors.  A stall carries the last corrector failure as its cause.
+    a corrector that factored at most once; chord steps raise the iteration
+    count without costing a Jacobian, so the factorizations measure the work.
+    Each corrector starts from the LU the previous accepted one ended with.  A
+    stall carries the last corrector failure as its cause.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     rho = np.ones(grid.node_count) if rho0 is None else np.asarray(rho0, dtype=float).copy()
     trace = []
+    # The LU carried from one corrector to the next.  It is handed over with
+    # pop, so the corrector holds the only reference and frees it before it
+    # factors anew: at most one LU is alive at a time.
+    carried = {}
 
-    def accept(t, iters, rho_now):
-        res = residual_vector(rho_now, grid, target, t)
+    def accept(t, iters, res_sup, rho_now):
         snap = snapshot_bounds(rho_now, grid, target.p)
-        trace.append(SolveStep(t=t, newton_iters=iters,
-                               residual_sup=float(np.abs(res).max()), bounds=snap))
+        trace.append(SolveStep(t=t, newton_iters=iters, residual_sup=res_sup, bounds=snap))
         if validated:
             radial = check_c0(snap, target.r1, target.r2)
             positive = check_positivity(snap)
@@ -259,15 +293,16 @@ def continuation_solve(
                     t=t, snapshot=snap, field=rho_now, trace=trace,
                 )
 
-    rho, iters = newton_solve(rho, 0.0, target, grid, cfg)
-    accept(0.0, iters, rho)
+    rho, iters, _, res_sup, carried["lu"] = newton_solve(rho, 0.0, target, grid, cfg)
+    accept(0.0, iters, res_sup, rho)
 
     t = 0.0
     dt = cfg.dt_init
     while t < 1.0:
         t_try = min(t + dt, 1.0)
         try:
-            rho_new, iters = newton_solve(rho, t_try, target, grid, cfg)
+            rho_new, iters, factorizations, res_sup, carried["lu"] = newton_solve(
+                rho, t_try, target, grid, cfg, carried.pop("lu", None))
         except (NoConvergence, ConeViolation, NonpositiveF, EvalError, DegenerateJet) as exc:
             dt *= 0.5
             if dt < cfg.dt_min:
@@ -279,8 +314,8 @@ def continuation_solve(
             continue
         rho = rho_new
         t = t_try
-        accept(t, iters, rho)
-        if iters <= _FAST_NEWTON_ITERS:
+        accept(t, iters, res_sup, rho)
+        if factorizations <= 1:
             dt = min(dt * _DT_GROWTH, cfg.dt_max)
 
     return SolutionField(rho=rho, grid=grid, bounds=trace[-1].bounds, trace=trace)

@@ -156,7 +156,7 @@ def check_fixed_point_solve():
     target = make_homotopy(parse_f("12 * rho^(-3)"), p, 0.5, 2.0)
     grid = build_axisym_grid(65)
     rho0 = 1.0 + 0.01 * np.cos(grid.theta)
-    rho, iters = newton_solve(rho0, 0.0, target, grid, SolverConfig())
+    rho, iters, *_ = newton_solve(rho0, 0.0, target, grid, SolverConfig())
     err = float(np.abs(rho - 1.0).max())
     ok = err <= 1e-8 and iters <= 10
     return "unit-sphere fixed point", ok, f"sup error {err:.2e} in {iters} iterations"

@@ -61,7 +61,7 @@ def test_criterion_1_unit_sphere_fixed_point():
         grid = build_axisym_grid(129)
         rho0 = 1.0 + 0.01 * np.cos(grid.theta)
         started = time.perf_counter()
-        rho, iters = newton_solve(rho0, 0.0, target, grid, SolverConfig())
+        rho, iters, *_ = newton_solve(rho0, 0.0, target, grid, SolverConfig())
         elapsed = time.perf_counter() - started
         err = float(np.abs(rho - 1.0).max())
         assert err <= 1e-8, f"({n},{k},{l}): sup error {err:.3e}"

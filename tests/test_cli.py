@@ -222,6 +222,16 @@ class TestSolveCommand:
         assert (override / "rho.csv").exists()
         assert not outdir.exists()
 
+    @pytest.mark.parametrize("name", ["radial", "anisotropic", "gauss_s2"])
+    def test_shipped_config_step_sequence(self, tmp_path, monkeypatch, name):
+        # guards the dt-growth rule: each shipped run reaches t = 1 in at most
+        # 7 accepted steps, t = 0 included
+        monkeypatch.setenv("HESSQUOT_OUTDIR", str(tmp_path))
+        assert main(["solve", str(CONFIGS / f"{name}.ini")]) == EXIT_OK
+        rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) <= 7
+        assert float(rows[-1].split(",")[0]) == 1.0
+
     def test_config_error_exit_code(self, tmp_path):
         config = tmp_path / "broken.ini"
         config.write_text("[problem]\nn = 3\n")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
 from hessquot import continuation_solver
 from hessquot.errors import ConeViolation, ContinuationStalled, MonitorViolation, NoConvergence
@@ -135,6 +136,16 @@ class TestJacobian:
             ) / (2.0 * h)
             assert np.abs(J @ w - fd).max() <= 1e-5 * np.abs(fd).max()
 
+    @pytest.mark.parametrize("mode", ["axisym", "s2"])
+    def test_pattern_is_structurally_symmetric(self, mode):
+        # the minimum-degree ordering on J^T + J assumes a symmetric pattern
+        p = QuotientParams(2, 2, 0)
+        target = make_homotopy(parse_f("rho^(-3) * (1 + 0.15 * x1 / rho)"), p, 0.5, 2.0)
+        grid = build_axisym_grid(33) if mode == "axisym" else build_s2_grid(16, 32)
+        J = assemble_jacobian(np.ones(grid.node_count), grid, target, 0.5)
+        pattern = (J != 0).astype(int)
+        assert (pattern - pattern.T).nnz == 0
+
     def test_sparsity_is_stencil_local(self):
         p = QuotientParams(3, 2, 0)
         target = radial_target(p)
@@ -159,7 +170,7 @@ class TestNewton:
             + np.cos(3 * grid.theta) * bump[2]
             + bump[3]
         ) / np.abs(bump).max()
-        rho, iters = newton_solve(rho0, 0.0, target, grid, SolverConfig())
+        rho, iters, *_ = newton_solve(rho0, 0.0, target, grid, SolverConfig())
         assert np.abs(rho - 1.0).max() <= 1e-8
         assert iters <= 10
 
@@ -167,9 +178,26 @@ class TestNewton:
         p = QuotientParams(3, 2, 0)
         target = radial_target(p)
         grid = build_axisym_grid(65)
-        rho, iters = newton_solve(np.ones(65), 0.0, target, grid, SolverConfig())
+        rho, iters, *_ = newton_solve(np.ones(65), 0.0, target, grid, SolverConfig())
         assert iters == 0
         assert np.array_equal(rho, np.ones(65))
+
+    def test_wrong_lu_falls_back_to_fresh_factorization(self):
+        # the identity is a wrong Jacobian: its chord step must fail the
+        # contraction test and hand over to a freshly factored J
+        p = QuotientParams(3, 2, 0)
+        target = make_homotopy(parse_f("12 * rho^(-3) * (1 + 0.2 * x1 / rho)"), p, 0.5, 2.0)
+        grid = build_axisym_grid(65)
+        cfg = SolverConfig()
+        identity = scipy.sparse.linalg.splu(scipy.sparse.identity(65, format="csc"))
+        fresh = newton_solve(np.ones(65), 0.3, target, grid, cfg)
+        reused = newton_solve(np.ones(65), 0.3, target, grid, cfg, lu=identity)
+        # the rejected chord trial costs no iteration, so the two runs coincide
+        assert reused[1:3] == fresh[1:3]
+        assert reused[3] <= cfg.newton_tol
+        assert reused[3] == pytest.approx(
+            np.abs(residual_vector(reused[0], grid, target, 0.3)).max(), abs=1e-15)
+        assert np.abs(reused[0] - fresh[0]).max() <= cfg.newton_tol
 
     def test_inadmissible_start_raises(self):
         p = QuotientParams(3, 2, 0)
@@ -242,6 +270,33 @@ class TestContinuation:
             s.residual_sup for s in b.trace
         ]
 
+    def test_accept_reuses_corrector_residual(self, monkeypatch):
+        def no_residual(*args, **kwargs):
+            raise AssertionError("the corrector's residual must be reused")
+
+        p = QuotientParams(3, 2, 0)
+        target = make_homotopy(parse_f("12 * rho^(-3) * (1 + 0.2 * x1 / rho)"), p, 0.5, 2.0)
+        monkeypatch.setattr(continuation_solver, "residual_vector", no_residual)
+        sol = continuation_solve(target, build_axisym_grid(33), SolverConfig())
+        assert sol.trace[-1].t == 1.0
+        assert max(s.residual_sup for s in sol.trace) <= SolverConfig().newton_tol
+
+    def test_lu_is_reused_across_iterations(self, monkeypatch):
+        calls = []
+
+        def counted_splu(*args, **kwargs):
+            calls.append(kwargs.get("permc_spec"))
+            return splu(*args, **kwargs)
+
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+        p = QuotientParams(2, 2, 0)
+        target = make_homotopy(parse_f("rho^(-3) * (1 + 0.15 * x1 / rho)"), p, 0.5, 2.0)
+        sol = continuation_solve(target, build_s2_grid(16, 32), SolverConfig(newton_tol=1e-8))
+        assert sol.trace[-1].t == 1.0
+        assert 0 < len(calls) < sum(s.newton_iters for s in sol.trace)
+        assert set(calls) == {"MMD_AT_PLUS_A"}
+
     def test_stall_reports_partial_trace(self):
         p = QuotientParams(3, 2, 0)
         base = parse_f("12 * rho^(-3) * (1 + 0.2 * x1 / rho)")
@@ -274,7 +329,7 @@ class TestContinuation:
         tt = np.repeat(grid.theta, grid.n_phi)
         rho0 = 1.0 + 0.01 * np.cos(tt)
         cfg = SolverConfig(newton_tol=1e-8)
-        rho, _ = newton_solve(rho0, 0.0, target, grid, cfg)
+        rho, *_ = newton_solve(rho0, 0.0, target, grid, cfg)
         rings = rho.reshape(grid.n_theta, grid.n_phi)
         assert (rings.max(axis=1) - rings.min(axis=1)).max() <= 10 * cfg.newton_tol
         assert np.abs(rho - 1.0).max() <= 1e-7
