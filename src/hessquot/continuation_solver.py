@@ -1,4 +1,4 @@
-"""Damped Newton corrector and homotopy continuation for the discrete problem.
+"""Newton corrector and homotopy continuation for the discrete problem.
 
 The discrete unknown is the nodal field rho > 0 on a sphere grid.  The per-node
 residual is the log form of the curvature equation,
@@ -12,23 +12,25 @@ jets, which are the grid's sparse stencil operators applied to rho, so the
 Jacobian is the pointwise jet partials times those operators; the partials
 come from one forward difference per jet component over all nodes at once.
 
-The corrector keeps one sparse LU of J across Newton iterations and
-continuation steps (chord, or Shamanskii, steps) and factors J afresh only
-when a full step with the held LU fails to cut the residual sup by
-_CHORD_CONTRACTION; see newton_solve.  J's sparsity pattern is structurally
-symmetric (central stencils, symmetric pole closures), so the factorization
-orders the columns by minimum degree on the pattern of J^T + J.
+The corrector is a local iteration of full steps: it keeps one sparse LU of J
+across Newton iterations and continuation steps (chord, or Shamanskii, steps)
+and factors J afresh only when a full step with the held LU fails to cut the
+residual sup by _CHORD_CONTRACTION; see newton_solve.  J's sparsity pattern is
+structurally symmetric (central stencils, symmetric pole closures), so the
+factorization orders the columns by minimum degree on the pattern of J^T + J.
 
 The path starts from the exactly-known state rho = 1 at t = 0 and follows an
 adaptive step in t to the target problem at t = 1.  Every trial iterate is
 guarded: nodes must keep rho > 0 and the eta spectrum inside Gamma_k with a
-configurable margin.
+configurable margin.  The step in t is the only globalization: a freshly
+factored step that is inadmissible or does not decrease the residual ends the
+corrector at once, and the continuation retries with half the step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse.linalg
@@ -60,13 +62,14 @@ __all__ = [
 
 # relative forward-difference step for the pointwise jet partials
 _JET_STEP = math.sqrt(np.finfo(float).eps)
-# line search: step shrink per halving and the Armijo slope of the decrease test
-_STEP_SHRINK = 0.5
+# a freshly factored step is kept when it cuts the residual sup by (1 - _ARMIJO_SLOPE),
+# a step with a reused LU when it cuts it by _CHORD_CONTRACTION
 _ARMIJO_SLOPE = 1e-4
-# a step with a reused LU is kept when it cuts the residual sup by this factor
 _CHORD_CONTRACTION = 0.25
 # continuation: dt grows by _DT_GROWTH after a corrector that factored at most once
 _DT_GROWTH = 1.5
+# errors that make a trial iterate or a trial t inadmissible
+_INADMISSIBLE = (ConeViolation, DegenerateJet, NonpositiveF, EvalError)
 
 
 @dataclass
@@ -76,10 +79,12 @@ class SolverConfig:
     dt_init: float = 0.1
     dt_min: float = 1e-4
     dt_max: float = 0.25
-    max_halvings: int = 20
     cone_margin: float = 1e-12
 
     def __post_init__(self):
+        for f in fields(SolverConfig):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.newton_tol <= 0 or self.dt_init <= 0 or self.dt_min <= 0:
             raise ValueError(
                 "newton_tol, dt_init and dt_min must be positive, got "
@@ -89,11 +94,8 @@ class SolverConfig:
             raise ValueError(f"need dt_min <= dt_init <= 1, got {self.dt_min}, {self.dt_init}")
         if not self.dt_min <= self.dt_max:
             raise ValueError(f"need dt_min <= dt_max, got {self.dt_min}, {self.dt_max}")
-        if self.max_newton < 1 or self.max_halvings < 1:
-            raise ValueError(
-                "max_newton and max_halvings must be >= 1, got "
-                f"{self.max_newton} and {self.max_halvings}"
-            )
+        if self.max_newton < 1:
+            raise ValueError(f"max_newton must be >= 1, got {self.max_newton}")
 
 
 @dataclass
@@ -135,8 +137,7 @@ def _pointwise_residual(rho, grad, hess, grid, target: HomotopyTarget, t: float)
     if np.any(fvals <= 0.0):
         bad = int(np.argmin(fvals))
         raise NonpositiveF(f"f_t nonpositive at node {bad} (value {fvals[bad]:.3e})")
-    sl = sig[:, p.l] if p.l > 0 else 1.0
-    res = np.log(sig[:, p.k]) - np.log(sl) - np.log(fvals)
+    res = np.log(sig[:, p.k]) - np.log(sig[:, p.l]) - np.log(fvals)
     return res, float(margins[worst])
 
 
@@ -175,16 +176,18 @@ def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float):
 
 def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig = None,
                  lu=None):
-    """Damped Newton on the sup-norm of the log residual, reusing one sparse LU.
+    """Full-step Newton on the sup-norm of the log residual, reusing one sparse LU.
 
     `lu` is a factorization of some earlier Jacobian, or None.  While one is
     held, each step first tries the full chord step with it and keeps the
     trial when it is admissible and its residual sup is at most
     _CHORD_CONTRACTION times the current one.  Otherwise the LU is dropped and
     J is assembled at the current iterate and factored with the
-    MMD_AT_PLUS_A ordering; that fresh step is damped, halving until the
-    Armijo decrease holds.  Every trial iterate must keep rho positive and the
-    spectrum inside the cone with margin >= cfg.cone_margin, and the iteration
+    MMD_AT_PLUS_A ordering; that fresh full step is kept when it is admissible
+    and its residual sup is at most (1 - _ARMIJO_SLOPE) times the current one,
+    and otherwise the corrector raises NoConvergence, so that the caller
+    shortens the step in t.  Admissible means that rho stays positive and the
+    spectrum inside the cone with margin >= cfg.cone_margin.  The iteration
     stops on the true residual sup <= cfg.newton_tol.  Returns (field,
     iterations, factorizations, residual sup, LU held at the end).
     """
@@ -199,26 +202,21 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
     res_sup = float(np.abs(res).max())
     iters = factorizations = 0
 
-    def admissible(trial):
-        """(trial, residual, residual sup) at an admissible trial iterate, else None."""
+    def full_step(delta, contraction):
+        """(trial, residual, residual sup) when rho + delta is admissible and
+        cuts the residual sup by `contraction`, else None."""
+        trial = rho + delta
         if not np.all(trial > 0.0):
             return None
         try:
             trial_res, trial_margin = _residual_and_margin(trial, grid, target, t)
-        except (ConeViolation, DegenerateJet, NonpositiveF, EvalError):
+        except _INADMISSIBLE:
             return None
-        if trial_margin < cfg.cone_margin:
+        trial_sup = float(np.abs(trial_res).max())
+        # written so that a NaN residual sup fails the test too
+        if trial_margin < cfg.cone_margin or not trial_sup <= contraction * res_sup:
             return None
-        return trial, trial_res, float(np.abs(trial_res).max())
-
-    def line_search(delta):
-        step = 1.0
-        for _ in range(cfg.max_halvings + 1):
-            outcome = admissible(rho + step * delta)
-            if outcome is not None and outcome[2] <= (1.0 - _ARMIJO_SLOPE * step) * res_sup:
-                return outcome
-            step *= _STEP_SHRINK
-        return None
+        return trial, trial_res, trial_sup
 
     while res_sup > cfg.newton_tol:
         if iters >= cfg.max_newton:
@@ -226,13 +224,9 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
                 f"no convergence in {cfg.max_newton} Newton steps at t={t} "
                 f"(residual {res_sup:.3e})"
             )
-        outcome = None
-        if lu is not None:
-            outcome = admissible(rho + lu.solve(-res))
-            # written so that a NaN residual sup fails the test too
-            if outcome is None or not outcome[2] <= _CHORD_CONTRACTION * res_sup:
-                outcome = lu = None
+        outcome = None if lu is None else full_step(lu.solve(-res), _CHORD_CONTRACTION)
         if outcome is None:
+            lu = None  # free the held LU before factoring anew
             J = assemble_jacobian(rho, grid, target, t)
             try:
                 lu = scipy.sparse.linalg.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -242,10 +236,10 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
             except RuntimeError as exc:
                 raise NoConvergence(f"singular Newton system at t={t}: {exc}") from exc
             factorizations += 1
-            outcome = line_search(delta)
+            outcome = full_step(delta, 1.0 - _ARMIJO_SLOPE)
             if outcome is None:
                 raise NoConvergence(
-                    f"line search exhausted {cfg.max_halvings} halvings at t={t} "
+                    f"Newton step inadmissible or not decreasing at t={t} "
                     f"(residual {res_sup:.3e})"
                 )
         rho, res, res_sup = outcome
@@ -303,7 +297,7 @@ def continuation_solve(
         try:
             rho_new, iters, factorizations, res_sup, carried["lu"] = newton_solve(
                 rho, t_try, target, grid, cfg, carried.pop("lu", None))
-        except (NoConvergence, ConeViolation, NonpositiveF, EvalError, DegenerateJet) as exc:
+        except (NoConvergence, *_INADMISSIBLE) as exc:
             dt *= 0.5
             if dt < cfg.dt_min:
                 raise ContinuationStalled(

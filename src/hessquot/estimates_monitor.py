@@ -32,9 +32,6 @@ class BoundsSnapshot:
 
     FIELDS = ("rho_min", "rho_max", "u_min", "grad_sup", "kappa_sup", "cone_margin_min", "eta_min")
 
-    def as_tuple(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
 
 @dataclass
 class CheckResult:

@@ -88,8 +88,7 @@ def manufactured_forcing(p: QuotientParams, profile: ZonalProfile = None, extra_
         rho, grad, hess = zonal_jets_analytic(theta, p.n, profile)
         geo = geometry_batch(rho, grad, hess)
         sig = sigma_batch(geo.eta, p.k)
-        sl = sig[:, p.l] if p.l > 0 else 1.0
-        value = sig[:, p.k] / sl
+        value = sig[:, p.k] / sig[:, p.l]
         out = value * (r / rho) ** exponent
         return out if out.size > 1 else float(out[0])
 

@@ -182,5 +182,4 @@ def residual_at_point(geom: PointGeometry, p: QuotientParams, fval: float) -> fl
             margin=report.margin,
         )
     sig = sigma_batch(geom.eta_spectrum[None, :], p.k)[0]
-    sl = sig[p.l] if p.l > 0 else 1.0
-    return math.log(sig[p.k]) - math.log(sl) - math.log(fval)
+    return math.log(sig[p.k]) - math.log(sig[p.l]) - math.log(fval)

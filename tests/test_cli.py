@@ -1,5 +1,6 @@
 """Config parsing, command dispatch, artifact formats, and exit codes."""
 
+import dataclasses
 import pathlib
 import re
 
@@ -14,6 +15,8 @@ from hessquot.cli import (
     EXIT_OK,
     EXIT_STALLED,
     EXIT_VALIDATION,
+    SolverSection,
+    _parse_sections,
     _write_rho_csv,
     dump_config,
     export_mesh_obj,
@@ -108,6 +111,9 @@ class TestConfigParsing:
             ("dt_min", "0.5"),
             ("dt_max", "-1"),
             ("dt_max", "0"),
+            ("newton_tol", "nan"),
+            ("newton_tol", "inf"),
+            ("cone_margin", "nan"),
         ],
     )
     def test_out_of_range_solver_value(self, key, value):
@@ -125,6 +131,9 @@ class TestConfigParsing:
         cfg = parse_config_text(block)
         assert (cfg.problem.n, cfg.grid.resolution) == (3, "129")
         assert cfg.output.formats == ("csv", "obj")
+        # the example lists every [solver] key, so a new or deleted key shows here
+        assert set(_parse_sections(block)["solver"]) == {
+            f.name for f in dataclasses.fields(SolverSection)}
 
     def test_round_trip(self):
         cfg = parse_config_text(MINIMAL)

@@ -218,6 +218,33 @@ class TestNewton:
         with pytest.raises(NoConvergence, match="singular Newton system"):
             newton_solve(np.full(65, 1.01), 0.0, target, grid, SolverConfig())
 
+    def test_failed_fresh_step_raises_at_once(self, monkeypatch):
+        # -J points uphill: the full step fails its decrease test, and the
+        # corrector must give up without shortening the step in rho
+        p = QuotientParams(3, 2, 0)
+        target = make_homotopy(parse_f("12 * rho^(-3) * (1 + 0.2 * x1 / rho)"), p, 0.5, 2.0)
+        grid = build_axisym_grid(33)
+        jacobian = continuation_solver.assemble_jacobian
+        residual = continuation_solver._residual_and_margin
+        splu = scipy.sparse.linalg.splu
+        calls = {"residual": 0, "factor": 0}
+
+        def counted_residual(*args):
+            calls["residual"] += 1
+            return residual(*args)
+
+        def counted_splu(*args, **kwargs):
+            calls["factor"] += 1
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(continuation_solver, "assemble_jacobian",
+                            lambda *args: -jacobian(*args))
+        monkeypatch.setattr(continuation_solver, "_residual_and_margin", counted_residual)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+        with pytest.raises(NoConvergence):
+            newton_solve(np.ones(33), 0.5, target, grid, SolverConfig())
+        assert calls == {"residual": 2, "factor": 1}
+
 
 class TestContinuation:
     def test_t_independent_radial_problem(self):
