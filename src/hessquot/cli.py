@@ -21,6 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .errors import (
+    BadAnnulus,
     ConeViolation,
     ConfigError,
     ContinuationStalled,
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .continuation_solver import SolverConfig, SolveStep, continuation_solve
 from .estimates_monitor import check_c0, check_positivity
-from .fspec import MIN_VALIDATE_SAMPLES, make_homotopy, parse_f, validate_assumptions
+from .fspec import check_annulus, make_homotopy, parse_f, validate_assumptions
 from .sphere_grid import build_axisym_grid, build_s2_grid
 from .symfun import QuotientParams
 
@@ -82,7 +83,6 @@ class GridConfig:
 @dataclass
 class SolverSection(SolverConfig):
     allow_unvalidated: bool = False
-    validate_samples: int = 400
 
 
 @dataclass
@@ -166,13 +166,13 @@ def parse_config_text(text: str) -> RunConfig:
         QuotientParams(problem.n, problem.k, problem.l)
     except ValueError as exc:
         raise ConfigError(str(exc), key="problem") from None
-    if not (0.0 < problem.r1 < 1.0 < problem.r2):
-        raise ConfigError(
-            f"annulus must satisfy 0 < r1 < 1 < r2, got ({problem.r1}, {problem.r2})",
-            key="problem.r1",
-        )
     try:
-        parse_f(problem.f)
+        check_annulus(problem.r1, problem.r2)
+    except BadAnnulus as exc:
+        key = "problem.r2" if 0.0 < problem.r1 < 1.0 else "problem.r1"
+        raise ConfigError(str(exc), key=key) from None
+    try:
+        parse_f(problem.f, problem.n + 1)
     except ExpressionError as exc:
         raise ConfigError(f"bad expression: {exc}", key="problem.f") from None
 
@@ -197,12 +197,6 @@ def parse_config_text(text: str) -> RunConfig:
         solver = SolverSection(**{"newton_tol": default_tol, **sections.get("solver", {})})
     except ValueError as exc:
         raise ConfigError(str(exc), key="solver") from None
-    if solver.validate_samples < MIN_VALIDATE_SAMPLES:
-        raise ConfigError(
-            f"validate_samples must be >= {MIN_VALIDATE_SAMPLES}, "
-            f"got {solver.validate_samples}",
-            key="solver.validate_samples",
-        )
     return RunConfig(problem=problem, grid=grid, solver=solver, output=output)
 
 
@@ -295,8 +289,8 @@ def _summary_lines(status, trace, target, r1, r2, validation_note):
                 f"c0 = {_fmt(target.c0)}",
             ]
         )
-        for name in b.FIELDS:
-            lines.append(f"{name} = {_fmt(getattr(b, name))}")
+        for f in fields(b):
+            lines.append(f"{f.name} = {_fmt(getattr(b, f.name))}")
         lines.append(
             "check_c0 = %s (lower=%s, upper=%s)"
             % ("PASS" if radial.passed else "FAIL",
@@ -316,9 +310,7 @@ def _validate(cfg: RunConfig):
     """Check the structural assumptions on f and print the report; returns (base, p, report)."""
     base = parse_f(cfg.problem.f)
     p = QuotientParams(cfg.problem.n, cfg.problem.k, cfg.problem.l)
-    report = validate_assumptions(
-        base, p, cfg.problem.r1, cfg.problem.r2, samples=cfg.solver.validate_samples
-    )
+    report = validate_assumptions(base, p, cfg.problem.r1, cfg.problem.r2)
     for name in ("outer_bound", "inner_bound", "radial_monotone"):
         chk = getattr(report, name)
         print(

@@ -22,15 +22,16 @@ factorization orders the columns by minimum degree on the pattern of J^T + J.
 The path starts from the exactly-known state rho = 1 at t = 0 and follows an
 adaptive step in t to the target problem at t = 1.  Every trial iterate is
 guarded: nodes must keep rho > 0 and the eta spectrum inside Gamma_k with a
-configurable margin.  The step in t is the only globalization: a freshly
-factored step that is inadmissible or does not decrease the residual ends the
-corrector at once, and the continuation retries with half the step.
+margin of at least _CONE_MARGIN.  The step in t is the only globalization: a
+freshly factored step that is inadmissible or does not decrease the residual
+ends the corrector at once, and the continuation retries with half the step.
+The step policy is fixed by the module constants below.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg
@@ -66,8 +67,17 @@ _JET_STEP = math.sqrt(np.finfo(float).eps)
 # a step with a reused LU when it cuts it by _CHORD_CONTRACTION
 _ARMIJO_SLOPE = 1e-4
 _CHORD_CONTRACTION = 0.25
-# continuation: dt grows by _DT_GROWTH after a corrector that factored at most once
+# Newton steps per corrector, chord and freshly factored alike
+_MAX_NEWTON = 30
+# smallest admissible cone margin, the least sigma_j(eta) over 1 <= j <= k
+_CONE_MARGIN = 1e-12
+# continuation: the first step in t is _DT_INIT; dt grows by _DT_GROWTH, up to
+# _DT_MAX, after a corrector that factored at most once, and halves after a
+# failed one; the path stalls when dt falls below _DT_MIN
+_DT_INIT = 0.1
 _DT_GROWTH = 1.5
+_DT_MAX = 0.25
+_DT_MIN = 1e-4
 # errors that make a trial iterate or a trial t inadmissible
 _INADMISSIBLE = (ConeViolation, DegenerateJet, NonpositiveF, EvalError)
 
@@ -75,27 +85,10 @@ _INADMISSIBLE = (ConeViolation, DegenerateJet, NonpositiveF, EvalError)
 @dataclass
 class SolverConfig:
     newton_tol: float = 1e-10
-    max_newton: int = 30
-    dt_init: float = 0.1
-    dt_min: float = 1e-4
-    dt_max: float = 0.25
-    cone_margin: float = 1e-12
 
     def __post_init__(self):
-        for f in fields(SolverConfig):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        if self.newton_tol <= 0 or self.dt_init <= 0 or self.dt_min <= 0:
-            raise ValueError(
-                "newton_tol, dt_init and dt_min must be positive, got "
-                f"{self.newton_tol}, {self.dt_init} and {self.dt_min}"
-            )
-        if not self.dt_min <= self.dt_init <= 1.0:
-            raise ValueError(f"need dt_min <= dt_init <= 1, got {self.dt_min}, {self.dt_init}")
-        if not self.dt_min <= self.dt_max:
-            raise ValueError(f"need dt_min <= dt_max, got {self.dt_min}, {self.dt_max}")
-        if self.max_newton < 1:
-            raise ValueError(f"max_newton must be >= 1, got {self.max_newton}")
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
 
 
 @dataclass
@@ -187,16 +180,17 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
     and its residual sup is at most (1 - _ARMIJO_SLOPE) times the current one,
     and otherwise the corrector raises NoConvergence, so that the caller
     shortens the step in t.  Admissible means that rho stays positive and the
-    spectrum inside the cone with margin >= cfg.cone_margin.  The iteration
-    stops on the true residual sup <= cfg.newton_tol.  Returns (field,
-    iterations, factorizations, residual sup, LU held at the end).
+    spectrum inside the cone with margin >= _CONE_MARGIN.  The iteration
+    stops on the true residual sup <= cfg.newton_tol, or raises NoConvergence
+    after _MAX_NEWTON steps.  Returns (field, iterations, factorizations,
+    residual sup, LU held at the end).
     """
     cfg = cfg if cfg is not None else SolverConfig()
     rho = np.asarray(rho0, dtype=float).copy()
     res, margin = _residual_and_margin(rho, grid, target, t)
-    if margin < cfg.cone_margin:
+    if margin < _CONE_MARGIN:
         raise ConeViolation(
-            f"initial state inadmissible (margin {margin:.3e} < {cfg.cone_margin:.1e})",
+            f"initial state inadmissible (margin {margin:.3e} < {_CONE_MARGIN:.1e})",
             margin=margin,
         )
     res_sup = float(np.abs(res).max())
@@ -214,14 +208,14 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
             return None
         trial_sup = float(np.abs(trial_res).max())
         # written so that a NaN residual sup fails the test too
-        if trial_margin < cfg.cone_margin or not trial_sup <= contraction * res_sup:
+        if trial_margin < _CONE_MARGIN or not trial_sup <= contraction * res_sup:
             return None
         return trial, trial_res, trial_sup
 
     while res_sup > cfg.newton_tol:
-        if iters >= cfg.max_newton:
+        if iters >= _MAX_NEWTON:
             raise NoConvergence(
-                f"no convergence in {cfg.max_newton} Newton steps at t={t} "
+                f"no convergence in {_MAX_NEWTON} Newton steps at t={t} "
                 f"(residual {res_sup:.3e})"
             )
         outcome = None if lu is None else full_step(lu.solve(-res), _CHORD_CONTRACTION)
@@ -252,7 +246,6 @@ def continuation_solve(
     grid,
     cfg: SolverConfig = None,
     validated: bool = False,
-    rho0=None,
 ) -> SolutionField:
     """Follow the homotopy from the unit sphere at t = 0 to the target at t = 1.
 
@@ -267,7 +260,7 @@ def continuation_solve(
     stall carries the last corrector failure as its cause.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    rho = np.ones(grid.node_count) if rho0 is None else np.asarray(rho0, dtype=float).copy()
+    rho = np.ones(grid.node_count)
     trace = []
     # The LU carried from one corrector to the next.  It is handed over with
     # pop, so the corrector holds the only reference and frees it before it
@@ -291,7 +284,7 @@ def continuation_solve(
     accept(0.0, iters, res_sup, rho)
 
     t = 0.0
-    dt = cfg.dt_init
+    dt = _DT_INIT
     while t < 1.0:
         t_try = min(t + dt, 1.0)
         try:
@@ -299,9 +292,9 @@ def continuation_solve(
                 rho, t_try, target, grid, cfg, carried.pop("lu", None))
         except (NoConvergence, *_INADMISSIBLE) as exc:
             dt *= 0.5
-            if dt < cfg.dt_min:
+            if dt < _DT_MIN:
                 raise ContinuationStalled(
-                    f"step size underflow at t={t} (dt={dt:.3e} < {cfg.dt_min:.1e}); "
+                    f"step size underflow at t={t} (dt={dt:.3e} < {_DT_MIN:.1e}); "
                     f"last corrector failure: {type(exc).__name__}: {exc}",
                     last_t=t, field=rho, trace=trace,
                 ) from exc
@@ -310,6 +303,6 @@ def continuation_solve(
         t = t_try
         accept(t, iters, res_sup, rho)
         if factorizations <= 1:
-            dt = min(dt * _DT_GROWTH, cfg.dt_max)
+            dt = min(dt * _DT_GROWTH, _DT_MAX)
 
     return SolutionField(rho=rho, grid=grid, bounds=trace[-1].bounds, trace=trace)

@@ -57,11 +57,12 @@ class EvalError(ExpressionError):
 
 
 class BadAnnulus(HessquotError):
-    """Annulus radii must satisfy 0 < r1 < 1 < r2."""
+    """Annulus radii must satisfy 0 < r1 < 1 < r2 < inf."""
 
 
 class NoConvergence(HessquotError):
-    """Newton corrector failed within its iteration/backtracking budget."""
+    """Newton corrector failed: a freshly factored step was inadmissible or did
+    not decrease the residual, or the iteration budget ran out."""
 
 
 class ContinuationStalled(HessquotError):

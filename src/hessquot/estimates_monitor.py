@@ -30,8 +30,6 @@ class BoundsSnapshot:
     cone_margin_min: float
     eta_min: float
 
-    FIELDS = ("rho_min", "rho_max", "u_min", "grad_sup", "kappa_sup", "cone_margin_min", "eta_min")
-
 
 @dataclass
 class CheckResult:

@@ -36,6 +36,7 @@ __all__ = [
     "to_source",
     "eval_f",
     "HomotopyTarget",
+    "check_annulus",
     "make_homotopy",
     "eval_homotopy",
     "reference_level",
@@ -117,8 +118,9 @@ def _tokenize(source: str):
 
 
 class _Parser:
-    def __init__(self, source: str):
+    def __init__(self, source: str, dim=None):
         self.source = source
+        self.dim = dim
         self.tokens = _tokenize(source)
         self.pos = 0
 
@@ -194,7 +196,7 @@ class _Parser:
             if text == "rho":
                 return Var("rho", 0)
             m = _VAR_RE.match(text)
-            if m:
+            if m and (self.dim is None or 1 <= int(m.group(2)) <= self.dim):
                 return Var(m.group(1), int(m.group(2)))
             raise UnknownIdentifier(text, at)
         if kind == "op" and text == "(":
@@ -204,11 +206,12 @@ class _Parser:
         raise ParseError(f"unexpected token {text!r}", at)
 
 
-def parse_f(source: str) -> Expr:
-    """Parse a prescription into an expression tree."""
+def parse_f(source: str, dim: int | None = None) -> Expr:
+    """Parse a prescription into an expression tree; given the ambient dimension
+    `dim`, a coordinate x_i or nu_i outside 1..dim is an UnknownIdentifier."""
     if not source or not source.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(source).parse()
+    return _Parser(source, dim).parse()
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -351,9 +354,14 @@ def _pick_epsilon(m: int, r1: float, r2: float):
     return eps, c0
 
 
+def check_annulus(r1: float, r2: float):
+    """Raise BadAnnulus unless 0 < r1 < 1 < r2 < inf."""
+    if not (0.0 < r1 < 1.0 < r2 < math.inf):
+        raise BadAnnulus(f"annulus must satisfy 0 < r1 < 1 < r2 < inf, got ({r1}, {r2})")
+
+
 def make_homotopy(base, p: QuotientParams, r1: float, r2: float) -> HomotopyTarget:
-    if not (0.0 < r1 < 1.0 < r2):
-        raise BadAnnulus(f"annulus must satisfy 0 < r1 < 1 < r2, got ({r1}, {r2})")
+    check_annulus(r1, r2)
     eps, c0 = _pick_epsilon(p.gap, r1, r2)
     return HomotopyTarget(base=base, p=p, r1=r1, r2=r2, epsilon=eps, c0=c0)
 
@@ -444,8 +452,7 @@ def validate_assumptions(
     """Numerically check the three structural conditions on f over the annulus."""
     if samples < MIN_VALIDATE_SAMPLES:
         raise ValueError(f"samples must be >= {MIN_VALIDATE_SAMPLES}, got {samples}")
-    if not (0.0 < r1 < 1.0 < r2):
-        raise BadAnnulus(f"annulus must satisfy 0 < r1 < 1 < r2, got ({r1}, {r2})")
+    check_annulus(r1, r2)
     dim = p.n + 1
     m = p.gap
     dirs = quasi_uniform_directions(samples, dim)

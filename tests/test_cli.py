@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from hessquot import continuation_solver
 from hessquot.continuation_solver import SolverConfig
 from hessquot.errors import ConfigError
 from hessquot.cli import (
@@ -61,8 +62,8 @@ class TestConfigParsing:
         cfg = parse_config_text(MINIMAL)
         assert cfg.grid.mode == "axisym"
         assert cfg.grid.resolution == "129"
-        assert cfg.solver.dt_init == 0.1
         assert cfg.solver.newton_tol == 1e-10
+        assert cfg.solver.allow_unvalidated is False
         assert cfg.output.directory == "out"
 
     def test_k_too_small(self):
@@ -96,6 +97,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text(MINIMAL.replace("r1 = 0.5", "r1 = 1.5"))
 
+    def test_infinite_outer_radius_is_config_error(self, tmp_path):
+        config = tmp_path / "inf.ini"
+        config.write_text(MINIMAL.replace("r2 = 2.0", "r2 = inf"))
+        with pytest.raises(ConfigError) as err:
+            load_config(str(config))
+        assert err.value.key == "problem.r2"
+        assert main(["solve", str(config)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("name", ["x5", "x0", "nu4"])
+    def test_coordinate_beyond_ambient_dimension(self, tmp_path, name):
+        # n = 2: the ambient space is R^3, so only x1..x3 and nu1..nu3 exist
+        config = tmp_path / "dim.ini"
+        config.write_text(MINIMAL.replace("n = 3", "n = 2").replace(
+            "12 * rho^(-3)", f"2 * rho^(-2) * (1 + 0.1 * {name})"))
+        with pytest.raises(ConfigError) as err:
+            load_config(str(config))
+        assert err.value.key == "problem.f"
+        assert f"'{name}'" in str(err.value)
+        assert main(["validate", str(config)]) == EXIT_CONFIG
+        assert main(["solve", str(config)]) == EXIT_CONFIG
+
     def test_s2_requires_n2(self):
         bad = MINIMAL + "\n[grid]\nmode = s2\n"
         with pytest.raises(ConfigError):
@@ -121,9 +143,22 @@ class TestConfigParsing:
             parse_config_text(MINIMAL + f"\n[solver]\n{key} = {value}\n")
         assert key in str(err.value)
 
-    def test_solver_config_rejects_zero_dt_max(self):
-        with pytest.raises(ValueError):
-            SolverConfig(dt_max=0.0)
+    @pytest.mark.parametrize(
+        "key", ["max_newton", "dt_init", "dt_min", "dt_max", "cone_margin", "validate_samples"])
+    def test_step_policy_keys_are_unknown(self, tmp_path, key):
+        # the step policy is fixed in the solver; a config that sets one of
+        # its former keys, even to the old default, is a config error
+        config = tmp_path / "policy.ini"
+        config.write_text(MINIMAL + f"\n[solver]\n{key} = 1\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(str(config))
+        assert "unknown key" in str(err.value) and key in str(err.value)
+        assert main(["validate", str(config)]) == EXIT_CONFIG
+
+    def test_solver_config_rejects_bad_newton_tol(self):
+        for value in (0.0, -1e-10, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SolverConfig(newton_tol=value)
 
     def test_readme_example_parses(self):
         readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -193,14 +228,15 @@ class TestSolveCommand:
         config.write_text(text)
         assert main(["solve", str(config)]) == EXIT_OK
 
-    def test_stall_writes_partial_trace_and_exits_5(self, tmp_path):
+    def test_stall_writes_partial_trace_and_exits_5(self, tmp_path, monkeypatch):
         config = tmp_path / "stall.ini"
         outdir = tmp_path / "out"
         text = RADIAL_SOLVE.format(outdir=outdir).replace(
             "f = 12 * rho^(-3)", "f = 12 * rho^(-3) * (1 + 0.2 * x1 / rho)"
         )
-        text += "\n[solver]\nmax_newton = 1\ndt_min = 0.09\n"
         config.write_text(text)
+        monkeypatch.setattr(continuation_solver, "_MAX_NEWTON", 1)
+        monkeypatch.setattr(continuation_solver, "_DT_MIN", 0.09)
         assert main(["solve", str(config)]) == EXIT_STALLED
         trace = (outdir / "trace.csv").read_text().splitlines()
         assert len(trace) >= 2  # header plus the recorded t = 0 step
@@ -275,14 +311,15 @@ def edge_use_counts(faces):
 
 def read_obj(path):
     vertices, faces = [], []
-    for line in open(path, encoding="utf-8"):
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "v":
-            vertices.append([float(x) for x in parts[1:4]])
-        elif parts[0] == "f":
-            faces.append([int(x) - 1 for x in parts[1:]])
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "v":
+                vertices.append([float(x) for x in parts[1:4]])
+            elif parts[0] == "f":
+                faces.append([int(x) - 1 for x in parts[1:]])
     return np.array(vertices), faces
 
 

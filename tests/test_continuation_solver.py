@@ -324,14 +324,15 @@ class TestContinuation:
         assert 0 < len(calls) < sum(s.newton_iters for s in sol.trace)
         assert set(calls) == {"MMD_AT_PLUS_A"}
 
-    def test_stall_reports_partial_trace(self):
+    def test_stall_reports_partial_trace(self, monkeypatch):
         p = QuotientParams(3, 2, 0)
         base = parse_f("12 * rho^(-3) * (1 + 0.2 * x1 / rho)")
         target = make_homotopy(base, p, 0.5, 2.0)
         grid = build_axisym_grid(65)
-        cfg = SolverConfig(max_newton=1, dt_init=0.1, dt_min=0.09)
+        monkeypatch.setattr(continuation_solver, "_MAX_NEWTON", 1)
+        monkeypatch.setattr(continuation_solver, "_DT_MIN", 0.09)
         with pytest.raises(ContinuationStalled) as err:
-            continuation_solve(target, grid, cfg, validated=False)
+            continuation_solve(target, grid, SolverConfig(), validated=False)
         assert err.value.trace  # the t = 0 step is still recorded
         assert err.value.last_t == 0.0
         assert err.value.field.shape == (65,)

@@ -37,6 +37,15 @@ class TestParser:
             parse_f("2*sigma")
         assert err.value.position == 2
 
+    def test_coordinate_beyond_ambient_dimension(self):
+        # with the ambient dimension the parser rejects the token where it stands
+        for text, at in (("1 + x4", 4), ("x0", 0), ("2 * nu4", 4)):
+            with pytest.raises(UnknownIdentifier) as err:
+                parse_f(text, 3)
+            assert err.value.position == at
+        assert parse_f("x3 + nu3", 3) == parse_f("x3 + nu3")
+        assert parse_f("x4") == Var("x", 4)
+
     def test_precedence_power_over_unary_minus(self):
         assert eval_f(parse_f("-2^2"), np.array([1.0, 0.0]), np.array([1.0, 0.0])) == -4.0
 
@@ -155,6 +164,10 @@ class TestHomotopy:
         with pytest.raises(BadAnnulus):
             make_homotopy(parse_f("1"), p, 0.0, 2.0)
 
+    def test_infinite_outer_radius(self):
+        with pytest.raises(BadAnnulus):
+            make_homotopy(parse_f("1"), QuotientParams(3, 2, 0), 0.5, float("inf"))
+
     def test_epsilon_cap_without_shrinking_bracket(self):
         from hessquot.fspec import _pick_epsilon
 
@@ -240,6 +253,11 @@ class TestValidateAssumptions:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             validate_assumptions(parse_f("1"), QuotientParams(3, 2, 0), 0.5, 2.0, samples=10)
+
+    def test_infinite_outer_radius(self):
+        with pytest.raises(BadAnnulus):
+            validate_assumptions(parse_f("12 * rho^(-3)"), QuotientParams(3, 2, 0), 0.5,
+                                 float("inf"))
 
     def test_callable_base_is_evaluated_in_four_batches(self):
         # outer bound, inner bound, and the radial probe at r + h and r - h
