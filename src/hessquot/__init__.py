@@ -37,7 +37,6 @@ from .radial_geometry import (
     PointJet,
     assemble_point_geometry,
     geometry_batch,
-    residual_at_point,
     sphere_closed_form,
 )
 from .sphere_grid import (

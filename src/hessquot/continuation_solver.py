@@ -108,16 +108,21 @@ class SolutionField:
 
 
 def _pointwise_residual(rho, grad, hess, grid, target: HomotopyTarget, t: float):
-    """Residual vector of nodal jets, plus the worst cone margin over the nodes."""
+    """Residual vector of nodal jets, plus the worst cone margin over the nodes.
+
+    This is the one admissibility test of the solver: it raises ConeViolation
+    unless the worst margin is >= _CONE_MARGIN (a NaN margin fails too), and
+    geometry_batch raises DegenerateJet for rho <= 0 or non-finite jets.
+    """
     p = target.p
     geo = geometry_batch(rho, grad, hess)
     sig = sigma_batch(geo.eta, p.k)
     margins = sig[:, 1:].min(axis=1)
     worst = int(np.argmin(margins))
-    if margins[worst] <= 0.0:
+    if not margins[worst] >= _CONE_MARGIN:
         raise ConeViolation(
             f"eta spectrum left Gamma_{p.k} at node {worst} "
-            f"(margin {margins[worst]:.3e})",
+            f"(margin {margins[worst]:.3e} < {_CONE_MARGIN:.1e})",
             node=worst,
             margin=float(margins[worst]),
         )
@@ -135,7 +140,11 @@ def _pointwise_residual(rho, grad, hess, grid, target: HomotopyTarget, t: float)
 
 
 def _residual_and_margin(rho, grid, target: HomotopyTarget, t: float):
-    """Residual vector plus the worst cone margin over the nodes."""
+    """Residual vector plus the worst cone margin over the nodes.
+
+    Callers use only the residual; the name and return value stay because the
+    benchmark's tracer counts residual evaluations on this binding.
+    """
     return _pointwise_residual(*jet_arrays(rho, grid, target.p.n), grid, target, t)
 
 
@@ -179,20 +188,17 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
     MMD_AT_PLUS_A ordering; that fresh full step is kept when it is admissible
     and its residual sup is at most (1 - _ARMIJO_SLOPE) times the current one,
     and otherwise the corrector raises NoConvergence, so that the caller
-    shortens the step in t.  Admissible means that rho stays positive and the
-    spectrum inside the cone with margin >= _CONE_MARGIN.  The iteration
-    stops on the true residual sup <= cfg.newton_tol, or raises NoConvergence
-    after _MAX_NEWTON steps.  Returns (field, iterations, factorizations,
-    residual sup, LU held at the end).
+    shortens the step in t.  Admissible means that _pointwise_residual, the
+    one test, raises none of _INADMISSIBLE: rho stays positive and finite, the
+    spectrum inside the cone with margin >= _CONE_MARGIN, and f_t positive and
+    evaluable; an inadmissible start raises that error.  The iteration stops on
+    the true residual sup <= cfg.newton_tol, or raises NoConvergence after
+    _MAX_NEWTON steps.  Returns (field, iterations, factorizations, residual
+    sup, LU held at the end).
     """
     cfg = cfg if cfg is not None else SolverConfig()
     rho = np.asarray(rho0, dtype=float).copy()
-    res, margin = _residual_and_margin(rho, grid, target, t)
-    if margin < _CONE_MARGIN:
-        raise ConeViolation(
-            f"initial state inadmissible (margin {margin:.3e} < {_CONE_MARGIN:.1e})",
-            margin=margin,
-        )
+    res, _ = _residual_and_margin(rho, grid, target, t)
     res_sup = float(np.abs(res).max())
     iters = factorizations = 0
 
@@ -200,15 +206,13 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
         """(trial, residual, residual sup) when rho + delta is admissible and
         cuts the residual sup by `contraction`, else None."""
         trial = rho + delta
-        if not np.all(trial > 0.0):
-            return None
         try:
-            trial_res, trial_margin = _residual_and_margin(trial, grid, target, t)
+            trial_res, _ = _residual_and_margin(trial, grid, target, t)
         except _INADMISSIBLE:
             return None
         trial_sup = float(np.abs(trial_res).max())
         # written so that a NaN residual sup fails the test too
-        if trial_margin < _CONE_MARGIN or not trial_sup <= contraction * res_sup:
+        if not trial_sup <= contraction * res_sup:
             return None
         return trial, trial_res, trial_sup
 

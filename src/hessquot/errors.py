@@ -39,14 +39,18 @@ class ExpressionError(HessquotError):
 
 
 class ParseError(ExpressionError):
-    def __init__(self, message, position):
-        super().__init__(f"{message} (offset {position})")
+    """`position` is the offset in the source text, or None when the error is
+    found in a tree, which keeps no offsets."""
+
+    def __init__(self, message, position=None):
+        super().__init__(message if position is None else f"{message} (offset {position})")
         self.position = position
 
 
 class UnknownIdentifier(ParseError):
-    def __init__(self, name, position):
-        super().__init__(f"unknown identifier '{name}'", position)
+    def __init__(self, name, position=None, context=None):
+        message = f"unknown identifier '{name}'"
+        super().__init__(message if context is None else f"{message} in {context}", position)
         self.name = name
 
 

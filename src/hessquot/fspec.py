@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 EPSILON_CAP = 0.1
-ANNULUS_SAMPLES = 1024
 MIN_VALIDATE_SAMPLES = 100
 _FUNCTIONS = {
     "exp": np.exp,
@@ -61,7 +60,10 @@ _VAR_RE = re.compile(r"(x|nu)([0-9]+)$")
 
 
 class Expr:
-    """Base class of expression nodes."""
+    """Base class of expression nodes; calling a tree evaluates it like eval_f."""
+
+    def __call__(self, X, nu):
+        return eval_f(self, X, nu)
 
 
 @dataclass(frozen=True)
@@ -103,16 +105,13 @@ _TOKEN_RE = re.compile(
 def _tokenize(source: str):
     tokens = []
     pos = 0
-    while pos < len(source):
+    end = len(source.rstrip())   # trailing blanks end the input
+    while pos < end:
         m = _TOKEN_RE.match(source, pos)
         if m is None:
-            stripped = source[pos:].lstrip()
-            at = len(source) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        if m.lastgroup is None:
-            break
-        start = m.start(m.lastgroup)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), start))
+            at = len(source) - len(source[pos:].lstrip())
+            raise ParseError(f"unexpected character {source[at]!r}", at)
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
     return tokens
 
@@ -267,7 +266,8 @@ def _eval_node(node: Expr, rho, X, nu):
         source = X if node.kind == "x" else nu
         dim = source.shape[-1]
         if not 1 <= node.index <= dim:
-            raise UnknownIdentifier(f"{node.kind}{node.index} (ambient dimension {dim})", 0)
+            name = f"{node.kind}{node.index}"
+            raise UnknownIdentifier(name, context=f"ambient dimension {dim}")
         return source[..., node.index - 1]
     if isinstance(node, Neg):
         return -_eval_node(node.arg, rho, X, nu)
@@ -315,12 +315,6 @@ def eval_f(expr: Expr, X, nu):
     return np.ascontiguousarray(np.broadcast_to(out, np.shape(rho)), dtype=float)
 
 
-def _base_values(base, X, nu):
-    if isinstance(base, Expr):
-        return eval_f(base, X, nu)
-    return base(X, nu)
-
-
 def reference_level(p: QuotientParams) -> float:
     """Quotient value of the unit sphere: C(n,k)/C(n,l) (n-1)^(k-l)."""
     return p.binomial_ratio * (p.n - 1) ** p.gap
@@ -328,7 +322,7 @@ def reference_level(p: QuotientParams) -> float:
 
 @dataclass
 class HomotopyTarget:
-    """The family f_t; `base` is an Expr or a callable f(X, nu)."""
+    """The family f_t; `base` is a callable f(X, nu), such as an Expr."""
 
     base: object
     p: QuotientParams
@@ -338,20 +332,13 @@ class HomotopyTarget:
     c0: float
 
 
-def _pick_epsilon(m: int, r1: float, r2: float):
+def _pick_epsilon(m: int, r2: float):
     """Largest eps keeping rho^-m + eps (rho^-m - 1) >= c0 on [r1, r2], then
-    halved and capped.  The bracket is monotone in rho, but the rule is applied
-    to a fixed sample so the choice is reproducible."""
+    halved and capped.  Only rho > 1 constrains eps, and there the bound
+    (rho^-m - c0)/(1 - rho^-m) falls as rho grows, so r2 sets it."""
     c0 = 0.5 * r2 ** (-m)
-    rho = np.linspace(r1, r2, ANNULUS_SAMPLES)
-    a = rho ** (-float(m))
-    shrinking = a < 1.0
-    if np.any(shrinking):
-        eps_star = float(np.min((a[shrinking] - c0) / (1.0 - a[shrinking])))
-        eps = min(EPSILON_CAP, eps_star / 2.0)
-    else:
-        eps = EPSILON_CAP
-    return eps, c0
+    a = r2 ** (-float(m))
+    return min(EPSILON_CAP, (a - c0) / (1.0 - a) / 2.0), c0
 
 
 def check_annulus(r1: float, r2: float):
@@ -362,7 +349,7 @@ def check_annulus(r1: float, r2: float):
 
 def make_homotopy(base, p: QuotientParams, r1: float, r2: float) -> HomotopyTarget:
     check_annulus(r1, r2)
-    eps, c0 = _pick_epsilon(p.gap, r1, r2)
+    eps, c0 = _pick_epsilon(p.gap, r2)
     return HomotopyTarget(base=base, p=p, r1=r1, r2=r2, epsilon=eps, c0=c0)
 
 
@@ -378,7 +365,7 @@ def eval_homotopy(target: HomotopyTarget, t: float, X, nu):
     if t == 0.0:
         out = radial
     else:
-        out = t * _base_values(target.base, X, nu) + (1.0 - t) * radial
+        out = t * target.base(X, nu) + (1.0 - t) * radial
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -458,11 +445,11 @@ def validate_assumptions(
     dirs = quasi_uniform_directions(samples, dim)
 
     level = p.binomial_ratio * ((p.n - 1) / r2) ** m
-    f_outer = np.asarray(_base_values(base, r2 * dirs, dirs), dtype=float)
+    f_outer = np.asarray(base(r2 * dirs, dirs), dtype=float)
     outer = _worst(level - f_outer, r2 * dirs, tol=1e-12 * max(1.0, abs(level)))
 
     level = p.binomial_ratio * ((p.n - 1) / r1) ** m
-    f_inner = np.asarray(_base_values(base, r1 * dirs, dirs), dtype=float)
+    f_inner = np.asarray(base(r1 * dirs, dirs), dtype=float)
     inner = _worst(f_inner - level, r1 * dirs, tol=1e-12 * max(1.0, abs(level)))
 
     n_dir = min(samples, 64)
@@ -477,8 +464,8 @@ def validate_assumptions(
     d = np.repeat(xdirs, n_nu * n_rho, axis=0)
     nu = np.tile(np.repeat(nus, n_rho, axis=0), (n_dir, 1))
     r = np.tile(rhos, n_dir * n_nu)
-    up = (r + h) ** m * np.asarray(_base_values(base, (r + h)[:, None] * d, nu), dtype=float)
-    dn = (r - h) ** m * np.asarray(_base_values(base, (r - h)[:, None] * d, nu), dtype=float)
+    up = (r + h) ** m * np.asarray(base((r + h)[:, None] * d, nu), dtype=float)
+    dn = (r - h) ** m * np.asarray(base((r - h)[:, None] * d, nu), dtype=float)
     margins = -(up - dn) / (2.0 * h)
     points = r[:, None] * d
     scale = max(1.0, float(np.abs(margins).max()))

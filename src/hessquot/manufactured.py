@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial_geometry import geometry_batch
+from .sphere_grid import AxisymGrid
 from .symfun import QuotientParams, sigma_batch
 
 __all__ = ["ZonalProfile", "cosine_profile", "zonal_jets_analytic", "manufactured_forcing"]
@@ -40,27 +41,19 @@ def cosine_profile(amplitude: float = 0.05, mode: int = 2) -> ZonalProfile:
 
 
 def zonal_jets_analytic(theta: np.ndarray, n: int, profile: ZonalProfile):
-    """Exact (rho, grad, hess) arrays of a zonal field at arbitrary colatitudes.
+    """Exact (rho, grad, hess) arrays of a zonal field at an array of colatitudes.
 
-    The orbit-direction Hessian entries are cot(theta) rho', replaced by the
-    limit rho'' within a small window of the poles.
+    The orbit term is cot(theta) rho', replaced by the limit rho'' within a
+    small window of the poles; AxisymGrid.frame_jets embeds the four jets.
     """
     theta = np.asarray(theta, dtype=float)
-    rho = profile.value(theta)
     d1 = profile.d1(theta)
     d2 = profile.d2(theta)
     sin_t = np.sin(theta)
     near_pole = np.abs(sin_t) < 1e-9
     safe_sin = np.where(near_pole, 1.0, sin_t)
-    tang = np.where(near_pole, d2, np.cos(theta) * d1 / safe_sin)
-
-    grad = np.zeros(theta.shape + (n,))
-    grad[..., 0] = d1
-    hess = np.zeros(theta.shape + (n, n))
-    hess[..., 0, 0] = d2
-    for j in range(1, n):
-        hess[..., j, j] = tang
-    return rho, grad, hess
+    orbit = np.where(near_pole, d2, np.cos(theta) * d1 / safe_sin)
+    return AxisymGrid.frame_jets((profile.value(theta), d1, d2, orbit), n)
 
 
 def manufactured_forcing(p: QuotientParams, profile: ZonalProfile = None, extra_decay: int = 1):

@@ -21,13 +21,11 @@ symmetric similar matrix g^{-1/2} h g^{-1/2} so they stay real numerically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConeViolation, DegenerateJet, NonpositiveF
-from .symfun import QuotientParams, in_gamma_k, sigma_batch
+from .errors import DegenerateJet
 
 __all__ = [
     "PointJet",
@@ -36,7 +34,6 @@ __all__ = [
     "assemble_point_geometry",
     "geometry_batch",
     "sphere_closed_form",
-    "residual_at_point",
 ]
 
 
@@ -169,17 +166,3 @@ def sphere_closed_form(r: float, n: int) -> PointGeometry:
         kappa=kappa,
         eta_spectrum=np.full(n, (n - 1) / r),
     )
-
-
-def residual_at_point(geom: PointGeometry, p: QuotientParams, fval: float) -> float:
-    """log sigma_k(eta) - log sigma_l(eta) - log fval; zero iff the equation holds."""
-    if fval <= 0.0:
-        raise NonpositiveF(f"prescription value must be positive, got {fval}")
-    report = in_gamma_k(geom.eta_spectrum, p.k)
-    if not report.member:
-        raise ConeViolation(
-            f"eta spectrum outside Gamma_{p.k} (margin {report.margin:.3e})",
-            margin=report.margin,
-        )
-    sig = sigma_batch(geom.eta_spectrum[None, :], p.k)[0]
-    return math.log(sig[p.k]) - math.log(sig[p.l]) - math.log(fval)

@@ -172,11 +172,13 @@ class AxisymGrid(_StencilGrid):
         orbit.eliminate_zeros()
         return scipy.sparse.vstack([d1, d2, orbit], format="csr")
 
-    def frame_jets(self, jets: np.ndarray, n: int):
+    @staticmethod
+    def frame_jets(jets: np.ndarray, n: int):
         """(rho, grad, hess) for a zonal field from its raw jets (rho, d1, d2, orbit).
 
         Frame: row 0 is the meridian direction, rows 1..n-1 span the orbit
         directions where the covariant Hessian of a zonal field is the orbit term.
+        It reads no grid state, so analytic zonal jets use it too.
         """
         if n < 2:
             raise ValueError(f"dimension n must be >= 2, got {n}")

@@ -70,6 +70,13 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_f("1 $ 2")
 
+    def test_trailing_whitespace(self):
+        for text in ("1 ", "rho\t", "x1 + 2  ", "6 * rho^(-2)\n"):
+            assert parse_f(text) == parse_f(text.rstrip())
+        with pytest.raises(ParseError) as err:
+            parse_f("1 $ ")
+        assert err.value.position == 2
+
 
 def expr_trees(depth=3):
     leaves = st.one_of(
@@ -127,6 +134,8 @@ class TestEval:
         nu = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         got = eval_f(parse_f("rho + x2"), X, nu)
         assert got == pytest.approx([1.0, 4.0, 3.0])
+        # calling a tree is eval_f
+        assert np.array_equal(parse_f("rho + x2")(X, nu), got)
 
     def test_eval_errors(self):
         X = np.array([1.0, 0.0])
@@ -137,8 +146,11 @@ class TestEval:
             eval_f(parse_f("1/x2"), X, nu)
         with pytest.raises(EvalError):
             eval_f(parse_f("sqrt(-rho)"), X, nu)
-        with pytest.raises(UnknownIdentifier):
+        with pytest.raises(UnknownIdentifier) as err:
             eval_f(parse_f("x7"), X, nu)
+        # the tree keeps no offsets, so none is claimed
+        assert err.value.name == "x7" and err.value.position is None
+        assert str(err.value) == "unknown identifier 'x7' in ambient dimension 2"
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -155,6 +167,11 @@ class TestHomotopy:
         assert target.epsilon == pytest.approx(1.0 / 12.0, rel=1e-9)
         assert target.c0 == pytest.approx(0.125)
 
+    def test_epsilon_cap(self):
+        # m = 2 on [0.5, 1.5]: the halved bound (4/9 - 2/9)/(1 - 4/9)/2 = 1/5 exceeds the cap
+        target = make_homotopy(parse_f("1"), QuotientParams(3, 2, 0), 0.5, 1.5)
+        assert target.epsilon == 0.1
+
     def test_bad_annulus(self):
         p = QuotientParams(3, 2, 0)
         with pytest.raises(BadAnnulus):
@@ -167,13 +184,6 @@ class TestHomotopy:
     def test_infinite_outer_radius(self):
         with pytest.raises(BadAnnulus):
             make_homotopy(parse_f("1"), QuotientParams(3, 2, 0), 0.5, float("inf"))
-
-    def test_epsilon_cap_without_shrinking_bracket(self):
-        from hessquot.fspec import _pick_epsilon
-
-        # bracket >= 1 on [r1, r2] when r2 <= 1: no constraint, cap applies
-        eps, _ = _pick_epsilon(2, 0.5, 1.0)
-        assert eps == pytest.approx(0.1)
 
     def test_reference_at_unit_radius(self):
         p = QuotientParams(3, 2, 0)

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hessquot.errors import ConeViolation, DegenerateJet, NonpositiveF
+from hessquot.errors import DegenerateJet
 from hessquot.radial_geometry import (
     PointJet,
     assemble_point_geometry,
-    residual_at_point,
     sphere_closed_form,
 )
 from hessquot.symfun import QuotientParams, elementary_symmetric
@@ -160,34 +159,3 @@ class TestAssembly:
             assemble_point_geometry(
                 PointJet(rho=1.0, grad=np.array([np.nan, 0.0]), hess=np.zeros((2, 2))), 2
             )
-
-
-class TestResidualAtPoint:
-    def test_round_sphere_reference_value(self):
-        for r in (0.5, 1.0, 2.0):
-            p = QuotientParams(3, 2, 0)
-            geo = sphere_closed_form(r, 3)
-            fval = p.binomial_ratio * ((p.n - 1) / r) ** p.gap
-            assert residual_at_point(geo, p, fval) == pytest.approx(0.0, abs=1e-13)
-
-    def test_log_two_example(self):
-        geo = sphere_closed_form(1.0, 3)
-        got = residual_at_point(geo, QuotientParams(3, 2, 0), 6.0)
-        assert got == pytest.approx(math.log(2.0), rel=1e-12)
-
-    def test_exact_match_gives_zero(self):
-        geo = assemble_point_geometry(
-            PointJet(rho=1.2, grad=np.array([0.1, -0.05, 0.0]), hess=np.zeros((3, 3))), 3
-        )
-        p = QuotientParams(3, 2, 0)
-        fval = elementary_symmetric(geo.eta_spectrum, 2)
-        assert residual_at_point(geo, p, fval) == pytest.approx(0.0, abs=1e-13)
-
-    def test_error_cases(self):
-        geo = sphere_closed_form(1.0, 3)
-        with pytest.raises(NonpositiveF):
-            residual_at_point(geo, QuotientParams(3, 2, 0), 0.0)
-        bad = sphere_closed_form(1.0, 3)
-        bad.eta_spectrum = np.array([-2.0, -2.0, -2.0])
-        with pytest.raises(ConeViolation):
-            residual_at_point(bad, QuotientParams(3, 2, 0), 1.0)
