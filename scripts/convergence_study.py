@@ -22,7 +22,7 @@ def run(n, k, l, amplitude, mode, resolutions):
     p = QuotientParams(n, k, l)
     profile = cosine_profile(amplitude, mode)
     forcing = manufactured_forcing(p, profile)
-    report = validate_assumptions(forcing, p, 0.5, 2.0, samples=200)
+    report = validate_assumptions(forcing, p, 0.5, 2.0)
     target = make_homotopy(forcing, p, 0.5, 2.0)
     print(f"(n,k,l) = ({n},{k},{l}), amplitude {amplitude}, mode {mode}, "
           f"assumptions {'pass' if report.all_passed else 'FAIL'}")

@@ -23,7 +23,7 @@ def main():
     grid = build_s2_grid(int(nt), int(nphi))
     p = QuotientParams(2, 2, 0)
     base = parse_f(args.expression)
-    report = validate_assumptions(base, p, 0.5, 2.0, samples=200)
+    report = validate_assumptions(base, p, 0.5, 2.0)
     print("assumptions:", "pass" if report.all_passed else "FAIL")
     target = make_homotopy(base, p, 0.5, 2.0)
 

@@ -44,7 +44,6 @@ from .sphere_grid import (
     SphereGrid2D,
     build_axisym_grid,
     build_s2_grid,
-    field_norms,
     jet_arrays,
 )
 from .fspec import (

@@ -3,9 +3,10 @@
 Configs are INI-style sections of key = value lines (zero-dependency parsing,
 easy to diff).  Commands exit with 0 on success, 1 when a selftest check fails
 or on any other library error, 2 on config errors, 3 on failed assumption
-validation, 4 on cone violations, 5 when the continuation stalls or a bound
-monitor aborts, and 6 on I/O errors.  The output directory can be overridden
-with the HESSQUOT_OUTDIR environment variable.
+validation, 5 when the continuation stalls or a bound monitor aborts, and 6 on
+I/O errors.  A cone exit during continuation is a corrector failure, so it
+ends as a stall.  The output directory can be overridden with the
+HESSQUOT_OUTDIR environment variable.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ import numpy as np
 
 from .errors import (
     BadAnnulus,
-    ConeViolation,
     ConfigError,
     ContinuationStalled,
     ExpressionError,
     HessquotError,
     MonitorViolation,
-    NoConvergence,
     TooCoarse,
 )
 from .continuation_solver import SolverConfig, SolveStep, continuation_solve
@@ -41,7 +40,6 @@ __all__ = [
     "RunConfig",
     "load_config",
     "parse_config_text",
-    "dump_config",
     "run_solve",
     "run_validate",
     "run_selftest",
@@ -52,7 +50,6 @@ __all__ = [
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
-EXIT_CONE = 4
 EXIT_STALLED = 5
 EXIT_IO = 6
 
@@ -207,21 +204,6 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     return parse_config_text(text)
-
-
-def dump_config(cfg: RunConfig) -> str:
-    """Serialize a config; parsing the result reproduces the config exactly."""
-    lines = []
-    for name, kinds in _KEYS.items():
-        lines += ["", f"[{name}]"]
-        for key, kind in kinds.items():
-            value = getattr(getattr(cfg, name), key)
-            if kind is bool:
-                value = str(value).lower()
-            elif kind is tuple:
-                value = ",".join(value)
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines[1:]) + "\n"
 
 
 def _parse_resolution(grid: GridConfig):
@@ -460,12 +442,6 @@ def main(argv=None) -> int:
     except (ConfigError, TooCoarse) as exc:
         print(f"config error: {exc}")
         return EXIT_CONFIG
-    except ConeViolation as exc:
-        print(f"cone violation: {exc}")
-        return EXIT_CONE
-    except (ContinuationStalled, MonitorViolation, NoConvergence) as exc:
-        print(f"solver failure: {exc}")
-        return EXIT_STALLED
     except OSError as exc:
         print(f"I/O error: {exc}")
         return EXIT_IO

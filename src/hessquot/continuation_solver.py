@@ -102,7 +102,6 @@ class SolveStep:
 @dataclass
 class SolutionField:
     rho: np.ndarray
-    grid: object
     bounds: BoundsSnapshot
     trace: list[SolveStep]
 
@@ -253,6 +252,9 @@ def continuation_solve(
 ) -> SolutionField:
     """Follow the homotopy from the unit sphere at t = 0 to the target at t = 1.
 
+    The unit sphere solves f_0 exactly, so t = 0 is recorded, not corrected:
+    its trace row holds zero Newton iterations and the residual sup measured
+    at rho = 1, and the first corrector runs at t = _DT_INIT with no LU.
     `validated` asserts that the assumption checks passed, which turns the
     radial-containment and positivity monitors into hard invariants: a
     violation aborts with MonitorViolation instead of continuing.  Step control
@@ -284,8 +286,8 @@ def continuation_solve(
                     t=t, snapshot=snap, field=rho_now, trace=trace,
                 )
 
-    rho, iters, _, res_sup, carried["lu"] = newton_solve(rho, 0.0, target, grid, cfg)
-    accept(0.0, iters, res_sup, rho)
+    res, _ = _residual_and_margin(rho, grid, target, 0.0)
+    accept(0.0, 0, float(np.abs(res).max()), rho)
 
     t = 0.0
     dt = _DT_INIT
@@ -309,4 +311,4 @@ def continuation_solve(
         if factorizations <= 1:
             dt = min(dt * _DT_GROWTH, _DT_MAX)
 
-    return SolutionField(rho=rho, grid=grid, bounds=trace[-1].bounds, trace=trace)
+    return SolutionField(rho=rho, bounds=trace[-1].bounds, trace=trace)

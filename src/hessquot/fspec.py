@@ -47,7 +47,8 @@ __all__ = [
 ]
 
 EPSILON_CAP = 0.1
-MIN_VALIDATE_SAMPLES = 100
+# directions on each bounding sphere checked by validate_assumptions
+VALIDATE_SAMPLES = 400
 _FUNCTIONS = {
     "exp": np.exp,
     "log": np.log,
@@ -116,6 +117,10 @@ def _tokenize(source: str):
     return tokens
 
 
+# binding strength of each operator, shared by the parser and to_source
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
 class _Parser:
     def __init__(self, source: str, dim=None):
         self.source = source
@@ -147,40 +152,23 @@ class _Parser:
             raise ParseError(f"trailing input {tok[1]!r}", tok[2])
         return expr
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.pos += 1
-                node = Bin(tok[1], node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "*/":
-                self.pos += 1
-                node = Bin(tok[1], node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> Expr:
+    def expr(self, floor: int = 1) -> Expr:
+        """Precedence climbing over _PRECEDENCE: binary operators that bind at
+        least as tightly as `floor`, with a leading '-' on any operand."""
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.pos += 1
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
+            node = Neg(self.expr(_PRECEDENCE["neg"]))
+        else:
+            node = self.atom()
+        while True:
+            tok = self.peek()
+            prec = _PRECEDENCE.get(tok[1], 0) if tok and tok[0] == "op" else 0
+            if prec < floor:
+                return node
             self.pos += 1
-            return Bin("^", base, self.unary())   # right-assoc, signed exponent ok
-        return base
+            # '^' is right-associative, every other operator left-associative
+            node = Bin(tok[1], node, self.expr(prec if tok[1] == "^" else prec + 1))
 
     def atom(self) -> Expr:
         kind, text, at = self.next()
@@ -211,9 +199,6 @@ def parse_f(source: str, dim: int | None = None) -> Expr:
     if not source or not source.strip():
         raise ParseError("empty expression", 0)
     return _Parser(source, dim).parse()
-
-
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def _prec(node: Expr) -> int:
@@ -433,16 +418,12 @@ def _worst(margins: np.ndarray, points: np.ndarray, tol: float) -> AssumptionChe
     )
 
 
-def validate_assumptions(
-    base, p: QuotientParams, r1: float, r2: float, samples: int = 400
-) -> AssumptionReport:
+def validate_assumptions(base, p: QuotientParams, r1: float, r2: float) -> AssumptionReport:
     """Numerically check the three structural conditions on f over the annulus."""
-    if samples < MIN_VALIDATE_SAMPLES:
-        raise ValueError(f"samples must be >= {MIN_VALIDATE_SAMPLES}, got {samples}")
     check_annulus(r1, r2)
     dim = p.n + 1
     m = p.gap
-    dirs = quasi_uniform_directions(samples, dim)
+    dirs = quasi_uniform_directions(VALIDATE_SAMPLES, dim)
 
     level = p.binomial_ratio * ((p.n - 1) / r2) ** m
     f_outer = np.asarray(base(r2 * dirs, dirs), dtype=float)
@@ -452,7 +433,7 @@ def validate_assumptions(
     f_inner = np.asarray(base(r1 * dirs, dirs), dtype=float)
     inner = _worst(f_inner - level, r1 * dirs, tol=1e-12 * max(1.0, abs(level)))
 
-    n_dir = min(samples, 64)
+    n_dir = 64
     n_rho = 16
     n_nu = 8
     xdirs = quasi_uniform_directions(n_dir, dim)

@@ -66,7 +66,6 @@ class PointGeometry:
 class GeometryBatch:
     """Vectorized geometry over a batch of points (solver hot path)."""
 
-    rho: np.ndarray          # (N,)
     v: np.ndarray            # (N,)
     u: np.ndarray            # (N,)
     nu_radial: np.ndarray    # (N,)
@@ -116,7 +115,6 @@ def geometry_batch(rho: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> Geome
     nu_radial = 1.0 / v
     nu_tangent = -grad / (v * rho)[:, None]
     return GeometryBatch(
-        rho=rho,
         v=v,
         u=u,
         nu_radial=nu_radial,

@@ -32,7 +32,6 @@ __all__ = [
     "build_axisym_grid",
     "build_s2_grid",
     "jet_arrays",
-    "field_norms",
 ]
 
 MIN_AXISYM_NODES = 16
@@ -315,12 +314,3 @@ def build_s2_grid(n_theta: int, n_phi: int) -> SphereGrid2D:
 def jet_arrays(field_values, grid, n: int):
     """(rho, grad, hess) arrays of a nodal field in the grid's orthonormal frame."""
     return grid.frame_jets(grid.raw_jets(field_values), n)
-
-
-def field_norms(field_values, grid, n: int = 2):
-    """(sup, quadrature-weighted L2) norms of a nodal field."""
-    w = grid.quadrature_weights(n)
-    f = _check_field(field_values, w.size)
-    sup = float(np.abs(f).max())
-    l2 = float(math.sqrt(float(np.sum(w * f**2))))
-    return sup, l2

@@ -251,22 +251,15 @@ def newton_maclaurin_slack(values, p: QuotientParams) -> tuple:
     return slack1, slack2
 
 
-def sample_gamma_k(p, seed: int, count: int) -> np.ndarray:
+def sample_gamma_k(p: QuotientParams, seed: int, count: int) -> np.ndarray:
     """Seeded rejection samples of Gamma_k spectra from the cube [-1, 2]^n.
 
-    `p` is a QuotientParams or a plain (n, k) pair (the sampler itself only
-    needs the cone index, including k = 1).  Returns a (count, n) array;
-    identical seeds give identical output.  Raises SamplingExhausted past the
-    fixed draw cap.
+    Returns a (count, n) array; identical seeds give identical output.  Raises
+    SamplingExhausted past the fixed draw cap.
     """
-    if isinstance(p, QuotientParams):
-        n, k = p.n, p.k
-    else:
-        n, k = p
+    n, k = p.n, p.k
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not 1 <= k <= n:
-        raise ValueError(f"cone index must satisfy 1 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     lo, hi = SAMPLING_CUBE
     accepted = []

@@ -26,3 +26,40 @@ def test_every_traced_binding_exists():
     }
     # a rename in the package would otherwise silently zero a per-layer metric
     assert missing == KNOWN_ABSENT
+
+
+ANISOTROPIC_33 = """
+[problem]
+n = 3
+k = 2
+l = 0
+f = 12 * rho^(-3) * (1 + 0.2 * x1 / rho)
+r1 = 0.5
+r2 = 2.0
+
+[grid]
+mode = axisym
+resolution = 33
+
+[output]
+directory = {outdir}
+formats = csv,obj
+"""
+
+
+def test_every_traced_layer_fires(tmp_path):
+    from hessquot.cli import EXIT_OK, main
+
+    tracing = load_tracing()
+    config = tmp_path / "run.ini"
+    config.write_text(ANISOTROPIC_33.format(outdir=tmp_path / "out"))
+    tracer = tracing.Tracer()
+    undo, _ = tracer.install()
+    try:
+        assert main(["solve", str(config)]) == EXIT_OK
+    finally:
+        tracing.uninstall(undo)
+    opened = {span[2] for span in tracer.spans}
+    timed = {name for names in tracing.SELF_TIMES.values() for name in names}
+    # a binding that exists but is no longer called on its path reads 0 too
+    assert timed - opened == {"continuation_solver.linsys"}

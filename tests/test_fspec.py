@@ -241,7 +241,7 @@ class TestHomotopy:
 class TestValidateAssumptions:
     def test_decaying_prescription_passes(self):
         p = QuotientParams(3, 2, 0)
-        report = validate_assumptions(parse_f("12 * rho^(-3)"), p, 0.5, 2.0, samples=200)
+        report = validate_assumptions(parse_f("12 * rho^(-3)"), p, 0.5, 2.0)
         assert report.all_passed
         # closed-form margins: outer 12/r2^2 - 12/r2^3, inner 12/r1^3 - 12/r1^2
         assert report.outer_bound.worst_margin == pytest.approx(3.0 - 1.5, rel=1e-9)
@@ -249,20 +249,16 @@ class TestValidateAssumptions:
 
     def test_constant_at_outer_bound_fails_inner(self):
         p = QuotientParams(3, 2, 0)
-        report = validate_assumptions(parse_f("3"), p, 0.5, 2.0, samples=200)
+        report = validate_assumptions(parse_f("3"), p, 0.5, 2.0)
         assert report.outer_bound.passed
         assert not report.inner_bound.passed
         assert not report.radial_monotone.passed  # rho^2 * 3 is increasing
 
     def test_equality_case_margin_near_zero(self):
         p = QuotientParams(3, 2, 0)
-        report = validate_assumptions(parse_f("12 * rho^(-2)"), p, 0.5, 2.0, samples=200)
+        report = validate_assumptions(parse_f("12 * rho^(-2)"), p, 0.5, 2.0)
         assert report.radial_monotone.passed
         assert report.radial_monotone.worst_margin == pytest.approx(0.0, abs=1e-5)
-
-    def test_sample_floor(self):
-        with pytest.raises(ValueError):
-            validate_assumptions(parse_f("1"), QuotientParams(3, 2, 0), 0.5, 2.0, samples=10)
 
     def test_infinite_outer_radius(self):
         with pytest.raises(BadAnnulus):
@@ -277,7 +273,7 @@ class TestValidateAssumptions:
             calls.append(len(X))
             return 12.0 * np.linalg.norm(X, axis=-1) ** -3
 
-        report = validate_assumptions(base, QuotientParams(3, 2, 0), 0.5, 2.0, samples=200)
+        report = validate_assumptions(base, QuotientParams(3, 2, 0), 0.5, 2.0)
         assert report.all_passed
         assert len(calls) == 4
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hessquot.errors import SizeMismatch, TooCoarse
-from hessquot.sphere_grid import build_axisym_grid, build_s2_grid, field_norms, jet_arrays
+from hessquot.sphere_grid import build_axisym_grid, build_s2_grid, jet_arrays
 
 
 def s2_angles(grid):
@@ -186,22 +186,14 @@ class TestS2Jets:
 
 
 class TestFieldNorms:
-    def test_constant_sup(self):
-        grid = build_axisym_grid(33)
-        sup, _ = field_norms(np.full(33, -2.5), grid, n=3)
-        assert sup == 2.5
+    """The quadrature L2 norm of the unit field, sqrt(sum of the weights), is
+    the square root of the sphere's area."""
 
     def test_sphere_area_quadrature(self):
-        grid = build_s2_grid(64, 128)
-        _, l2 = field_norms(np.ones(grid.node_count), grid)
-        assert l2 == pytest.approx(math.sqrt(4.0 * math.pi), rel=0.01)
-
-    def test_zero_field(self):
-        grid = build_s2_grid(16, 32)
-        assert field_norms(np.zeros(grid.node_count), grid) == (0.0, 0.0)
+        w = build_s2_grid(64, 128).quadrature_weights(2)
+        assert math.sqrt(w.sum()) == pytest.approx(math.sqrt(4.0 * math.pi), rel=0.01)
 
     def test_axisym_measure_matches_sphere_area(self):
-        # n = 2 constant field integrates to the 2-sphere area
-        grid = build_axisym_grid(129)
-        _, l2 = field_norms(np.ones(129), grid, n=2)
-        assert l2 == pytest.approx(math.sqrt(4.0 * math.pi), rel=1e-3)
+        # with n = 2 the weights sum to the 2-sphere area
+        w = build_axisym_grid(129).quadrature_weights(2)
+        assert math.sqrt(w.sum()) == pytest.approx(math.sqrt(4.0 * math.pi), rel=1e-3)

@@ -277,11 +277,6 @@ class TestSampling:
         for lam in a:
             assert in_gamma_k(lam, p.k).member
 
-    def test_plain_pair_with_first_cone(self):
-        sample = sample_gamma_k((3, 1), seed=1, count=1)
-        assert sample.shape == (1, 3)
-        assert elementary_symmetric(sample[0], 1) > 0.0
-
     def test_all_samples_inside_cone(self):
         p = QuotientParams(5, 4, 2)
         samples = sample_gamma_k(p, seed=3, count=1000)
