@@ -114,7 +114,7 @@ def _pointwise_residual(rho, grad, hess, grid, target: HomotopyTarget, t: float)
     geometry_batch raises DegenerateJet for rho <= 0 or non-finite jets.
     """
     p = target.p
-    geo = geometry_batch(rho, grad, hess)
+    geo = geometry_batch(rho, grad, hess, p.n)
     sig = sigma_batch(geo.eta, p.k)
     margins = sig[:, 1:].min(axis=1)
     worst = int(np.argmin(margins))

@@ -40,7 +40,7 @@ class CheckResult:
 def snapshot_bounds(rho, grid, p: QuotientParams) -> BoundsSnapshot:
     """Scan all nodes of a field state and collect the monitored extrema."""
     rho_arr, grad, hess = jet_arrays(rho, grid, p.n)
-    geo = geometry_batch(rho_arr, grad, hess)
+    geo = geometry_batch(rho_arr, grad, hess, p.n)
     margins = gamma_margins(geo.eta, p.k)
     return BoundsSnapshot(
         rho_min=float(rho_arr.min()),

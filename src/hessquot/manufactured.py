@@ -41,10 +41,12 @@ def cosine_profile(amplitude: float = 0.05, mode: int = 2) -> ZonalProfile:
 
 
 def zonal_jets_analytic(theta: np.ndarray, n: int, profile: ZonalProfile):
-    """Exact (rho, grad, hess) arrays of a zonal field at an array of colatitudes.
+    """Exact reduced frame jets (rho, grad, hess) of a zonal field at an array
+    of colatitudes, shapes (N,), (N, 2), (N, 2, 2) for every n.
 
     The orbit term is cot(theta) rho', replaced by the limit rho'' within a
-    small window of the poles; AxisymGrid.frame_jets embeds the four jets.
+    small window of the poles; AxisymGrid.frame_jets places the four jets in
+    the meridian-orbit frame.
     """
     theta = np.asarray(theta, dtype=float)
     d1 = profile.d1(theta)
@@ -79,7 +81,7 @@ def manufactured_forcing(p: QuotientParams, profile: ZonalProfile = None, extra_
         r = np.linalg.norm(X, axis=-1)
         theta = np.arccos(np.clip(X[:, 0] / r, -1.0, 1.0))
         rho, grad, hess = zonal_jets_analytic(theta, p.n, profile)
-        geo = geometry_batch(rho, grad, hess)
+        geo = geometry_batch(rho, grad, hess, p.n)
         sig = sigma_batch(geo.eta, p.k)
         value = sig[:, p.k] / sig[:, p.l]
         out = value * (r / rho) ** exponent

@@ -5,11 +5,12 @@ fields in any dimension, and a full latitude-longitude grid on the 2-sphere.
 Each grid builds its 2nd-order central-difference stencils once, as sparse
 matrices stacked into one jet operator, so the raw partials of a field are a
 single product `jet_operator @ rho`; the grid's frame then combines them into
-the covariant gradient and Hessian.  Jets are linear in rho, so the same
-operator also serves the solver's Jacobian.  The axisymmetric grid includes
-the poles and closes stencils by even reflection (rho(-theta) = rho(theta));
-the 2-D grid offsets nodes half a spacing off the poles and closes stencils
-with the antipodal rule (crossing a pole lands at phi + pi).
+the covariant gradient and Hessian in two frame directions (see frame_jets).
+Jets are linear in rho, so the same operator also serves the solver's
+Jacobian.  The axisymmetric grid includes the poles and closes stencils by
+even reflection (rho(-theta) = rho(theta)); the 2-D grid offsets nodes half a
+spacing off the poles and closes stencils with the antipodal rule (crossing a
+pole lands at phi + pi).
 
 The polar axis is the first ambient coordinate, so x1 = rho cos(theta).
 Node ordering on the 2-D grid is theta-major: index = i * n_phi + j.
@@ -129,17 +130,17 @@ class AxisymGrid(_StencilGrid):
 
     def node_frames(self, n: int):
         """Meridian points (cos t, sin t, 0, ...) of S^n in R^{n+1}, shape (N, n+1),
-        and orthonormal tangent frames, shape (N, n, n+1); row 0 is d/dtheta."""
+        and the two frame rows of frame_jets, shape (N, 2, n+1): d/dtheta and
+        one orbit direction; the normal has no component along the others."""
         if n not in self._frame_cache:
             N = self.node_count
             pos = np.zeros((N, n + 1))
             pos[:, 0] = np.cos(self.theta)
             pos[:, 1] = np.sin(self.theta)
-            frm = np.zeros((N, n, n + 1))
+            frm = np.zeros((N, 2, n + 1))
             frm[:, 0, 0] = -np.sin(self.theta)
             frm[:, 0, 1] = np.cos(self.theta)
-            for j in range(1, n):
-                frm[:, j, j + 1] = 1.0
+            frm[:, 1, 2] = 1.0
             self._frame_cache[n] = (pos, frm)
         return self._frame_cache[n]
 
@@ -173,21 +174,22 @@ class AxisymGrid(_StencilGrid):
 
     @staticmethod
     def frame_jets(jets: np.ndarray, n: int):
-        """(rho, grad, hess) for a zonal field from its raw jets (rho, d1, d2, orbit).
+        """Reduced frame jets (rho, grad, hess), shapes (N,), (N, 2), (N, 2, 2),
+        of a zonal field from its raw jets (rho, d1, d2, orbit).
 
-        Frame: row 0 is the meridian direction, rows 1..n-1 span the orbit
-        directions where the covariant Hessian of a zonal field is the orbit term.
-        It reads no grid state, so analytic zonal jets use it too.
+        Frame: e_1 is the meridian direction and e_2 stands for each of the
+        n - 1 orbit directions, where the gradient vanishes and the covariant
+        Hessian is the orbit term with no cross terms; the shapes do not
+        depend on n.  It reads no grid state, so analytic zonal jets use it too.
         """
         if n < 2:
             raise ValueError(f"dimension n must be >= 2, got {n}")
         rho, d1, d2, orbit = jets
-        grad = np.zeros((rho.size, n))
+        grad = np.zeros((rho.size, 2))
         grad[:, 0] = d1
-        hess = np.zeros((rho.size, n, n))
+        hess = np.zeros((rho.size, 2, 2))
         hess[:, 0, 0] = d2
-        for j in range(1, n):
-            hess[:, j, j] = orbit
+        hess[:, 1, 1] = orbit
         return rho, grad, hess
 
 
@@ -267,7 +269,8 @@ class SphereGrid2D(_StencilGrid):
         return scipy.sparse.vstack(ops, format="csr")
 
     def frame_jets(self, jets: np.ndarray, n: int):
-        """(rho, grad, hess) from the raw jets (rho, r_t, r_p, r_tt, r_tp, r_pp).
+        """Frame jets (rho, grad, hess), shapes (N,), (N, 2), (N, 2, 2), from the
+        raw jets (rho, r_t, r_p, r_tt, r_tp, r_pp).
 
         In the frame e_1 = d/dtheta, e_2 = (1/sin t) d/dphi the covariant
         Hessian of a scalar is
@@ -312,5 +315,6 @@ def build_s2_grid(n_theta: int, n_phi: int) -> SphereGrid2D:
 
 
 def jet_arrays(field_values, grid, n: int):
-    """(rho, grad, hess) arrays of a nodal field in the grid's orthonormal frame."""
+    """Reduced frame jets (rho, grad, hess) of a nodal field, shapes (N,), (N, 2)
+    and (N, 2, 2) on either grid; see the grids' frame_jets."""
     return grid.frame_jets(grid.raw_jets(field_values), n)

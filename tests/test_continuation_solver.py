@@ -14,7 +14,7 @@ from hessquot.continuation_solver import (
     newton_solve,
     residual_vector,
 )
-from hessquot.fspec import make_homotopy, parse_f, reference_level
+from hessquot.fspec import make_homotopy, parse_f, reference_level, validate_assumptions
 from hessquot.manufactured import cosine_profile, manufactured_forcing
 from hessquot.sphere_grid import build_axisym_grid, build_s2_grid
 from hessquot.symfun import QuotientParams
@@ -361,6 +361,40 @@ class TestContinuation:
         rings = rho.reshape(grid.n_theta, grid.n_phi)
         assert (rings.max(axis=1) - rings.min(axis=1)).max() <= 10 * cfg.newton_tol
         assert np.abs(rho - 1.0).max() <= 1e-7
+
+
+class TestSolvePathIsClosedForm:
+    """The solver's geometry is the closed form on the two-direction frame."""
+
+    @pytest.fixture
+    def no_eigen(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigen-decomposition on the solve path")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+
+    @pytest.mark.parametrize("case", ["axisym", "s2"])
+    def test_validated_solve_calls_no_eigen_decomposition(self, no_eigen, case):
+        if case == "axisym":
+            p, grid, tol = QuotientParams(4, 3, 1), build_axisym_grid(33), 1e-10
+            text = f"{reference_level(p)} * rho^(-3) * (1 + 0.15 * x1 / rho)"
+        else:
+            p, grid, tol = QuotientParams(2, 2, 0), build_s2_grid(16, 32), 1e-8
+            text = "rho^(-3) * (1 + 0.15 * x1 / rho)"
+        base = parse_f(text)
+        assert validate_assumptions(base, p, 0.5, 2.0).all_passed
+        target = make_homotopy(base, p, 0.5, 2.0)
+        sol = continuation_solve(target, grid, SolverConfig(newton_tol=tol), validated=True)
+        assert sol.trace[-1].t == 1.0
+        assert sol.trace[-1].residual_sup <= tol
+
+    def test_manufactured_forcing_calls_no_eigen_decomposition(self, no_eigen):
+        grid = build_axisym_grid(33)
+        positions, _ = grid.node_frames(6)
+        forcing = manufactured_forcing(QuotientParams(6, 4, 2))
+        values = forcing(positions, positions)
+        assert values.shape == (33,) and np.all(values > 0.0)
 
 
 class TestScaleDegenerateTarget:

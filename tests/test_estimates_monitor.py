@@ -59,7 +59,7 @@ class TestSnapshot:
         from hessquot.sphere_grid import jet_arrays
 
         rho, grad, hess = jet_arrays(field, grid, p.n)
-        geo = geometry_batch(rho, grad, hess)
+        geo = geometry_batch(rho, grad, hess, p.n)
         sums = geo.eta.sum(axis=1)
         assert np.all(p.n * geo.eta.min(axis=1) <= sums + 1e-12)
         assert sums == pytest.approx((p.n - 1) * geo.H, rel=1e-10)

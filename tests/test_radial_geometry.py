@@ -9,6 +9,7 @@ from hessquot.errors import DegenerateJet
 from hessquot.radial_geometry import (
     PointJet,
     assemble_point_geometry,
+    geometry_batch,
     sphere_closed_form,
 )
 from hessquot.symfun import QuotientParams, elementary_symmetric
@@ -159,3 +160,59 @@ class TestAssembly:
             assemble_point_geometry(
                 PointJet(rho=1.0, grad=np.array([np.nan, 0.0]), hess=np.zeros((2, 2))), 2
             )
+
+
+class TestClosedFormAgainstDenseOracle:
+    """geometry_batch on reduced frame jets against dense diagonalization."""
+
+    @staticmethod
+    def random_jets(seed, count=2000):
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(0.5, 2.0, size=count)
+        angle = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        size = rng.uniform(0.0, 2.0, size=count)
+        grad = np.stack([size * np.cos(angle), size * np.sin(angle)], axis=-1)
+        h = rng.uniform(-1.0, 1.0, size=(count, 2, 2))
+        return rho, grad, 0.5 * (h + h.transpose(0, 2, 1))
+
+    @staticmethod
+    def assert_agrees(batch, i, dense):
+        scale = max(1.0, float(np.abs(dense.eta_spectrum).max()))
+        tol = 1e-13 * scale
+        nu = np.zeros_like(dense.nu)
+        nu[0] = batch.nu_radial[i]
+        nu[1:3] = batch.nu_tangent[i]
+        # both sides ascending, so the order is checked too
+        assert np.abs(batch.eta[i] - dense.eta_spectrum).max() <= tol
+        assert np.abs(batch.kappa[i] - dense.kappa).max() <= tol
+        assert abs(batch.u[i] - dense.u) <= tol
+        assert np.abs(nu - dense.nu).max() <= tol
+
+    def test_non_zonal_two_sphere_jets(self):
+        rho, grad, hess = self.random_jets(23)
+        assert np.abs(hess[:, 0, 1]).min() > 0.0
+        batch = geometry_batch(rho, grad, hess, 2)
+        for i in range(rho.size):
+            dense = assemble_point_geometry(PointJet(rho[i], grad[i], hess[i]), 2)
+            self.assert_agrees(batch, i, dense)
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 8, 12])
+    def test_zonal_jets_embedded_densely(self, n):
+        rho, grad, hess = self.random_jets(29 + n)
+        grad[:, 1] = 0.0
+        hess[:, 0, 1] = hess[:, 1, 0] = 0.0
+        batch = geometry_batch(rho, grad, hess, n)
+        assert batch.kappa.shape == batch.eta.shape == (rho.size, n)
+        for i in range(rho.size):
+            dense_grad = np.zeros(n)
+            dense_grad[0] = grad[i, 0]
+            dense_hess = np.diag([hess[i, 0, 0]] + [hess[i, 1, 1]] * (n - 1))
+            dense = assemble_point_geometry(PointJet(rho[i], dense_grad, dense_hess), n)
+            self.assert_agrees(batch, i, dense)
+
+    def test_dense_jets_are_rejected(self):
+        rho = np.ones(4)
+        with pytest.raises(ValueError, match="reduced frame jets"):
+            geometry_batch(rho, np.zeros((4, 3)), np.zeros((4, 3, 3)), 3)
+        with pytest.raises(ValueError, match="reduced frame jets"):
+            geometry_batch(rho, np.zeros((4, 2)), np.zeros((4, 3, 3)), 3)
