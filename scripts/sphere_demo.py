@@ -31,9 +31,12 @@ def main():
     sol = continuation_solve(
         target, grid, SolverConfig(newton_tol=1e-8), validated=report.all_passed
     )
+    # a finer grid's corrector adds a t = 1 row right after a t = 1 row
+    rungs = sum(a.t == b.t == 1.0 for a, b in zip(sol.trace, sol.trace[1:]))
     print(
         f"solved in {time.perf_counter() - started:.1f} s: "
-        f"{len(sol.trace)} steps, final residual "
+        f"{len(sol.trace) - rungs} path steps on {sol.trace[0].nodes} nodes, "
+        f"{rungs} finer rungs, final residual "
         f"{sol.trace[-1].residual_sup:.2e}, "
         f"rho in [{sol.rho.min():.4f}, {sol.rho.max():.4f}]"
     )

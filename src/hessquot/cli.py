@@ -240,16 +240,18 @@ def _write_rho_csv(path, rho, grid):
         handle.write("\n".join(lines) + "\n")
 
 
-# trace.csv columns: fields of each SolveStep, then fields of its bounds snapshot
+# trace.csv columns: fields of each SolveStep, then fields of its bounds snapshot,
+# then the node count of the step's grid (t stays column 0)
 TRACE_STEP_COLUMNS = ("t", "newton_iters", "residual_sup")
 TRACE_BOUND_COLUMNS = ("rho_min", "rho_max", "u_min", "grad_sup", "kappa_sup", "cone_margin_min")
 
 
 def _write_trace_csv(path, trace: list[SolveStep]):
-    lines = [",".join(TRACE_STEP_COLUMNS + TRACE_BOUND_COLUMNS)]
+    lines = [",".join(TRACE_STEP_COLUMNS + TRACE_BOUND_COLUMNS + ("nodes",))]
     for step in trace:
         cells = [getattr(step, name) for name in TRACE_STEP_COLUMNS]
         cells += [getattr(step.bounds, name) for name in TRACE_BOUND_COLUMNS]
+        cells.append(step.nodes)
         lines.append(",".join(map(_fmt, cells)))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -26,6 +26,10 @@ margin of at least _CONE_MARGIN.  The step in t is the only globalization: a
 freshly factored step that is inadmissible or does not decrease the residual
 ends the corrector at once, and the continuation retries with half the step.
 The step policy is fixed by the module constants below.
+
+On a grid that halves (see sphere_grid) the path is followed on the coarsest
+halving only, and each finer grid takes one corrector at t = 1 from the
+interpolated coarser solution (grid sequencing); see continuation_solve.
 """
 
 from __future__ import annotations
@@ -97,6 +101,7 @@ class SolveStep:
     newton_iters: int
     residual_sup: float
     bounds: BoundsSnapshot
+    nodes: int  # node count of the grid the step was accepted on
 
 
 @dataclass
@@ -244,50 +249,29 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
     return rho, iters, factorizations, res_sup, lu
 
 
-def continuation_solve(
-    target: HomotopyTarget,
-    grid,
-    cfg: SolverConfig = None,
-    validated: bool = False,
-) -> SolutionField:
-    """Follow the homotopy from the unit sphere at t = 0 to the target at t = 1.
+def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace):
+    """The homotopy path on one grid, from rho = 1 at t = 0 to t = 1.
 
     The unit sphere solves f_0 exactly, so t = 0 is recorded, not corrected:
     its trace row holds zero Newton iterations and the residual sup measured
-    at rho = 1, and the first corrector runs at t = _DT_INIT with no LU.
-    `validated` asserts that the assumption checks passed, which turns the
-    radial-containment and positivity monitors into hard invariants: a
-    violation aborts with MonitorViolation instead of continuing.  Step control
-    halves dt on corrector failure, which includes a trial t where f_t, the
-    prescription expression or the jets cannot be evaluated, and grows it after
-    a corrector that factored at most once; chord steps raise the iteration
-    count without costing a Jacobian, so the factorizations measure the work.
-    Each corrector starts from the LU the previous accepted one ended with.  A
-    stall carries the last corrector failure as its cause.
+    at rho = 1, and the first corrector runs at t = _DT_INIT with no LU.  Step
+    control halves dt on corrector failure, which includes a trial t where
+    f_t, the prescription expression or the jets cannot be evaluated, and
+    grows it after a corrector that factored at most once; chord steps raise
+    the iteration count without costing a Jacobian, so the factorizations
+    measure the work.  Each corrector starts from the LU the previous accepted
+    one ended with.  Every accepted state goes through accept(grid, t, iters,
+    residual sup, rho); a stall raises ContinuationStalled with `trace`, and
+    carries the last corrector failure as its cause.  Returns rho at t = 1.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
     rho = np.ones(grid.node_count)
-    trace = []
     # The LU carried from one corrector to the next.  It is handed over with
     # pop, so the corrector holds the only reference and frees it before it
     # factors anew: at most one LU is alive at a time.
     carried = {}
 
-    def accept(t, iters, res_sup, rho_now):
-        snap = snapshot_bounds(rho_now, grid, target.p)
-        trace.append(SolveStep(t=t, newton_iters=iters, residual_sup=res_sup, bounds=snap))
-        if validated:
-            radial = check_c0(snap, target.r1, target.r2)
-            positive = check_positivity(snap)
-            if not (radial.passed and positive.passed):
-                raise MonitorViolation(
-                    f"bounds monitor failed at t={t}: radial margins {radial.margins}, "
-                    f"positivity {positive.margins}",
-                    t=t, snapshot=snap, field=rho_now, trace=trace,
-                )
-
     res, _ = _residual_and_margin(rho, grid, target, 0.0)
-    accept(0.0, 0, float(np.abs(res).max()), rho)
+    accept(grid, 0.0, 0, float(np.abs(res).max()), rho)
 
     t = 0.0
     dt = _DT_INIT
@@ -307,8 +291,61 @@ def continuation_solve(
             continue
         rho = rho_new
         t = t_try
-        accept(t, iters, res_sup, rho)
+        accept(grid, t, iters, res_sup, rho)
         if factorizations <= 1:
             dt = min(dt * _DT_GROWTH, _DT_MAX)
+    return rho
 
+
+def continuation_solve(
+    target: HomotopyTarget,
+    grid,
+    cfg: SolverConfig = None,
+    validated: bool = False,
+) -> SolutionField:
+    """Follow the homotopy from the unit sphere at t = 0 to the target at t = 1.
+
+    The path (see _follow_path) runs on the coarsest grid of the ladder grid,
+    grid.coarsened(), ...; each finer grid then takes one Newton corrector at
+    t = 1 from the coarser solution prolonged onto it, with no LU.  The path
+    only has to reach the solution branch, and the prolonged solution starts
+    the fine corrector inside its quadratic basin.  Should anything fail
+    before the target grid's t = 1 state is accepted, the path is followed
+    again on the target grid: the rows accepted so far stay in the trace, and
+    no coarse field escapes in an exception.  `validated` asserts that the
+    assumption checks passed, which turns the radial-containment and
+    positivity monitors, checked on every accepted state, into hard
+    invariants: a violation aborts with MonitorViolation.
+    """
+    cfg = cfg if cfg is not None else SolverConfig()
+    trace = []
+
+    def accept(on_grid, t, iters, res_sup, rho_now):
+        snap = snapshot_bounds(rho_now, on_grid, target.p)
+        trace.append(SolveStep(t=t, newton_iters=iters, residual_sup=res_sup, bounds=snap,
+                               nodes=on_grid.node_count))
+        if validated:
+            radial = check_c0(snap, target.r1, target.r2)
+            positive = check_positivity(snap)
+            if not (radial.passed and positive.passed):
+                raise MonitorViolation(
+                    f"bounds monitor failed at t={t}: radial margins {radial.margins}, "
+                    f"positivity {positive.margins}",
+                    t=t, snapshot=snap, field=rho_now, trace=trace,
+                )
+
+    ladder = [grid]
+    while (coarser := ladder[-1].coarsened()) is not None:
+        ladder.append(coarser)
+    if len(ladder) > 1:
+        try:
+            rho = _follow_path(target, ladder[-1], cfg, accept, trace)
+            for finer in reversed(ladder[:-1]):
+                rho, iters, _, res_sup, _ = newton_solve(
+                    finer.prolong(rho), 1.0, target, finer, cfg, lu=None)
+                accept(finer, 1.0, iters, res_sup, rho)
+            return SolutionField(rho=rho, bounds=trace[-1].bounds, trace=trace)
+        except (ContinuationStalled, MonitorViolation, NoConvergence, *_INADMISSIBLE):
+            pass  # follow the path on the target grid instead
+    rho = _follow_path(target, grid, cfg, accept, trace)
     return SolutionField(rho=rho, bounds=trace[-1].bounds, trace=trace)

@@ -12,6 +12,12 @@ even reflection (rho(-theta) = rho(theta)); the 2-D grid offsets nodes half a
 spacing off the poles and closes stencils with the antipodal rule (crossing a
 pole lands at phi + pi).
 
+The 2-D grid also halves: coarsened() is the grid of half the rows and half
+the columns, and prolong interpolates a field from it to 4th order, so the
+solver can follow its path on a coarse grid and correct on the fine one.  The
+axisymmetric grid does not halve (its coarsened() is None): a solve there
+costs mostly fixed overhead per step, which a coarse path does not save.
+
 The polar axis is the first ambient coordinate, so x1 = rho cos(theta).
 Node ordering on the 2-D grid is theta-major: index = i * n_phi + j.
 """
@@ -69,7 +75,8 @@ class _StencilGrid:
     provides `columns` and `angles()`, the CSV coordinate names and the
     (N, len(columns)) node coordinates, and `surface_rings(rho)`, the surface
     points X = rho x as (R, M, 3) rings from north to south plus the
-    (2, 3) north and south pole points.
+    (2, 3) north and south pole points.  `coarsened()` is the next coarser
+    grid of a sequenced solve, or None.
     """
 
     def raw_jets(self, field_values) -> np.ndarray:
@@ -192,6 +199,10 @@ class AxisymGrid(_StencilGrid):
         hess[:, 1, 1] = orbit
         return rho, grad, hess
 
+    def coarsened(self):
+        """None: the axisymmetric grid is not halved (see the module docstring)."""
+        return None
+
 
 @dataclass
 class SphereGrid2D(_StencilGrid):
@@ -288,6 +299,41 @@ class SphereGrid2D(_StencilGrid):
         h22 = r_pp / st**2 + cot * r_t
         hess = np.stack([np.stack([r_tt, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2)
         return rho, grad, hess
+
+    def coarsened(self):
+        """The grid of n_theta/2 rows and n_phi/2 columns that prolong
+        interpolates from, or None when n_theta is odd, n_phi is not a multiple
+        of 4 (the half must stay even) or a half is below MIN_S2_*."""
+        if self.n_theta % 2 or self.n_phi % 4:
+            return None
+        if self.n_theta // 2 < MIN_S2_THETA or self.n_phi // 2 < MIN_S2_PHI:
+            return None
+        return build_s2_grid(self.n_theta // 2, self.n_phi // 2)
+
+    def prolong(self, coarse_values) -> np.ndarray:
+        """A field on coarsened() interpolated to this grid: 4-point Lagrange,
+        tensor product in theta and phi.
+
+        In coarse index units fine row 2i sits at i - 1/4 and row 2i + 1 at
+        i + 1/4, with weights (-5, 35, 105, -7)/128 and (-7, 105, 35, -5)/128;
+        two ghost rows past each pole follow the antipodal rule.  Fine column
+        2j is coarse column j and column 2j + 1 the periodic midpoint rule
+        (-1, 9, 9, -1)/16.
+        """
+        nt, nphi = self.n_theta // 2, self.n_phi // 2
+        c = _check_field(coarse_values, nt * nphi).reshape(nt, nphi)
+        # g[r + 2] is coarse row r; row -1 - m is row m turned by pi in phi
+        g = np.concatenate([np.roll(c[1::-1], nphi // 2, axis=1), c,
+                            np.roll(c[:-3:-1], nphi // 2, axis=1)])
+        w = np.array([-7.0, 105.0, 35.0, -5.0]) / 128.0
+        rows = np.empty((2 * nt, nphi))
+        rows[0::2] = sum(w[a] * g[3 - a:3 - a + nt] for a in range(4))
+        rows[1::2] = sum(w[a] * g[1 + a:1 + a + nt] for a in range(4))
+        fine = np.empty((2 * nt, 2 * nphi))
+        fine[:, 0::2] = rows
+        fine[:, 1::2] = (9.0 * (rows + np.roll(rows, -1, axis=1))
+                         - np.roll(rows, 1, axis=1) - np.roll(rows, -2, axis=1)) / 16.0
+        return fine.reshape(-1)
 
 
 def build_axisym_grid(N: int) -> AxisymGrid:

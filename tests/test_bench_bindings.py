@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 import pathlib
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # The tracer still names this deleted function for its linsys_s metric.
@@ -47,12 +49,33 @@ formats = csv,obj
 """
 
 
-def test_every_traced_layer_fires(tmp_path):
+# the sequenced path: the 16x32 halving, then one corrector on 32x64
+GAUSS_S2_32x64 = """
+[problem]
+n = 2
+k = 2
+l = 0
+f = rho^(-3) * (1 + 0.15 * x1 / rho)
+r1 = 0.5
+r2 = 2.0
+
+[grid]
+mode = s2
+resolution = 32x64
+
+[output]
+directory = {outdir}
+formats = csv,obj
+"""
+
+
+@pytest.mark.parametrize("text", [ANISOTROPIC_33, GAUSS_S2_32x64], ids=["axisym", "s2"])
+def test_every_traced_layer_fires(tmp_path, text):
     from hessquot.cli import EXIT_OK, main
 
     tracing = load_tracing()
     config = tmp_path / "run.ini"
-    config.write_text(ANISOTROPIC_33.format(outdir=tmp_path / "out"))
+    config.write_text(text.format(outdir=tmp_path / "out"))
     tracer = tracing.Tracer()
     undo, _ = tracer.install()
     try:

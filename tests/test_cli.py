@@ -38,6 +38,23 @@ r1 = 0.5
 r2 = 2.0
 """
 
+GAUSS_S2_32x64 = """
+[problem]
+n = 2
+k = 2
+l = 0
+f = rho^(-3) * (1 + 0.15 * x1 / rho)
+r1 = 0.5
+r2 = 2.0
+
+[grid]
+mode = s2
+resolution = 32x64
+
+[output]
+directory = {outdir}
+"""
+
 RADIAL_SOLVE = """
 [problem]
 n = 3
@@ -448,3 +465,18 @@ class TestDeterminism:
         assert main(["solve", str(config)]) == EXIT_OK
         assert (out1 / "rho.csv").read_bytes() == (out2 / "rho.csv").read_bytes()
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+    def test_sequenced_s2_outputs_are_byte_identical(self, tmp_path):
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for outdir in outs:
+            config = tmp_path / "s2.ini"
+            config.write_text(GAUSS_S2_32x64.format(outdir=outdir))
+            assert main(["solve", str(config)]) == EXIT_OK
+        for name in ("rho.csv", "trace.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        lines = (outs[0] / "trace.csv").read_text().splitlines()
+        assert lines[0].split(",")[0] == "t" and lines[0].split(",")[-1] == "nodes"
+        rows = [line.split(",") for line in lines[1:]]
+        # the path on the 16x32 halving, then one corrector on the 32x64 grid
+        assert (float(rows[-1][0]), rows[-1][-1]) == (1.0, "2048")
+        assert {row[-1] for row in rows[:-1]} == {"512"}

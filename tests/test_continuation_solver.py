@@ -16,7 +16,7 @@ from hessquot.continuation_solver import (
 )
 from hessquot.fspec import make_homotopy, parse_f, reference_level, validate_assumptions
 from hessquot.manufactured import cosine_profile, manufactured_forcing
-from hessquot.sphere_grid import build_axisym_grid, build_s2_grid
+from hessquot.sphere_grid import SphereGrid2D, build_axisym_grid, build_s2_grid
 from hessquot.symfun import QuotientParams
 
 
@@ -361,6 +361,82 @@ class TestContinuation:
         rings = rho.reshape(grid.n_theta, grid.n_phi)
         assert (rings.max(axis=1) - rings.min(axis=1)).max() <= 10 * cfg.newton_tol
         assert np.abs(rho - 1.0).max() <= 1e-7
+
+
+class TestGridSequencing:
+    """On the 2-sphere the path runs on the coarsest halving and each finer
+    grid takes one corrector at t = 1; anything that fails falls back to the
+    path on the target grid."""
+
+    TOL = 1e-8
+
+    @staticmethod
+    def gauss_target():
+        p = QuotientParams(2, 2, 0)
+        return make_homotopy(parse_f("rho^(-3) * (1 + 0.15 * x1 / rho)"), p, 0.5, 2.0)
+
+    def full_path(self, monkeypatch, target, grid):
+        with monkeypatch.context() as m:
+            m.setattr(SphereGrid2D, "coarsened", lambda self: None)
+            return continuation_solve(target, grid, SolverConfig(newton_tol=self.TOL),
+                                      validated=True)
+
+    def test_fallback_after_failed_target_corrector(self, monkeypatch):
+        target = self.gauss_target()
+        grid = build_s2_grid(32, 64)
+        reference = self.full_path(monkeypatch, target, grid)
+        newton = continuation_solver.newton_solve
+        failed = []
+
+        def fail_once(rho0, t, target, on_grid, *args, **kwargs):
+            if t == 1.0 and on_grid.node_count == grid.node_count and not failed:
+                failed.append(t)
+                raise NoConvergence("injected failure of the target-grid corrector")
+            return newton(rho0, t, target, on_grid, *args, **kwargs)
+
+        monkeypatch.setattr(continuation_solver, "newton_solve", fail_once)
+        sol = continuation_solve(target, grid, SolverConfig(newton_tol=self.TOL),
+                                 validated=True)
+        assert failed and sol.trace[-1].t == 1.0
+        assert np.array_equal(sol.rho, reference.rho)
+        nodes = [s.nodes for s in sol.trace]
+        coarse = nodes.index(2048)
+        assert coarse > 0 and set(nodes[:coarse]) == {512}
+        assert sol.trace[coarse - 1].t == 1.0
+        # the fallback's rows are the full path's rows, from its t = 0 on
+        rest = sol.trace[coarse:]
+        assert rest[0].t == 0.0 and set(nodes[coarse:]) == {2048}
+        assert [(s.t, s.newton_iters, s.residual_sup) for s in rest] == [
+            (s.t, s.newton_iters, s.residual_sup) for s in reference.trace]
+
+    @pytest.mark.parametrize("shape", [(32, 64), (48, 96)])
+    def test_sequenced_agrees_with_full_path(self, monkeypatch, shape):
+        target = self.gauss_target()
+        grid = build_s2_grid(*shape)
+        reference = self.full_path(monkeypatch, target, grid)
+        sizes = []
+
+        def sized_splu(A, *args, **kwargs):
+            sizes.append(A.shape[0])
+            return splu(A, *args, **kwargs)
+
+        splu = scipy.sparse.linalg.splu
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", sized_splu)
+        sol = continuation_solve(target, grid, SolverConfig(newton_tol=self.TOL),
+                                 validated=True)
+        assert np.abs(sol.rho - reference.rho).max() <= 10 * self.TOL
+        assert np.abs(residual_vector(sol.rho, grid, target, 1.0)).max() <= self.TOL
+        assert 1 <= sizes.count(grid.node_count) <= 2
+        last = sol.trace[-1]
+        assert (last.t, last.nodes) == (1.0, grid.node_count)
+        assert {s.nodes for s in sol.trace[:-1]} == {grid.node_count // 4}
+
+    def test_axisym_rows_stay_on_the_grid(self):
+        p = QuotientParams(3, 2, 0)
+        target = make_homotopy(parse_f("12 * rho^(-3) * (1 + 0.2 * x1 / rho)"), p, 0.5, 2.0)
+        sol = continuation_solve(target, build_axisym_grid(129), SolverConfig())
+        assert sol.trace[-1].t == 1.0
+        assert {s.nodes for s in sol.trace} == {129}
 
 
 class TestSolvePathIsClosedForm:

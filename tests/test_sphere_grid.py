@@ -188,6 +188,55 @@ class TestS2Jets:
             jet_arrays(np.ones(100), grid, 2)
 
 
+class TestCoarsening:
+    """coarsened() halves the 2-sphere grid; prolong interpolates back to 4th order."""
+
+    def test_s2_halves(self):
+        coarse = build_s2_grid(48, 96).coarsened()
+        assert (coarse.n_theta, coarse.n_phi) == (24, 48)
+
+    @pytest.mark.parametrize("shape", [(16, 32), (18, 36), (32, 66)])
+    def test_s2_without_a_coarser_rung(self, shape):
+        # a half below the minimum, an odd half of n_phi, an odd half of n_phi
+        assert build_s2_grid(*shape).coarsened() is None
+
+    @pytest.mark.parametrize("N", [17, 33, 129, 1025])
+    def test_axisym_is_not_halved(self, N):
+        assert build_axisym_grid(N).coarsened() is None
+
+    @staticmethod
+    def prolong_error(field, coarse_shape):
+        fine = build_s2_grid(2 * coarse_shape[0], 2 * coarse_shape[1])
+        coarse = build_s2_grid(*coarse_shape)
+        err = fine.prolong(field(*s2_angles(coarse))) - field(*s2_angles(fine))
+        return np.abs(err).reshape(fine.n_theta, fine.n_phi)
+
+    def test_constant_field(self):
+        err = self.prolong_error(lambda tt, pp: np.full_like(tt, 1.7), (16, 32))
+        assert err.max() <= 1e-15
+
+    def test_non_zonal_fourth_order(self):
+        # odd in cos(theta) and first-degree in phi, so the antipodal ghost rows matter
+        def field(tt, pp):
+            return 1.0 + 0.1 * np.sin(tt) * np.cos(tt) * np.cos(pp) + 0.05 * np.cos(tt)
+
+        errors = [self.prolong_error(field, shape).max()
+                  for shape in ((16, 32), (32, 64), (64, 128))]
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(r >= 14.0 for r in ratios), f"errors {errors}"
+
+    def test_x2_next_to_the_poles(self):
+        # x2 = sin(theta) cos(phi) changes sign across each pole
+        err = self.prolong_error(lambda tt, pp: np.sin(tt) * np.cos(pp), (32, 64))
+        polar = err[[0, 1, -2, -1]].max()
+        assert polar <= 1e-6
+        assert polar <= err[2:-2].max()
+
+    def test_prolong_size_mismatch(self):
+        with pytest.raises(SizeMismatch):
+            build_s2_grid(32, 64).prolong(np.ones(2048))
+
+
 class TestFieldNorms:
     """The quadrature L2 norm of the unit field, sqrt(sum of the weights), is
     the square root of the sphere's area."""
