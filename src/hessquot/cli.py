@@ -232,12 +232,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_rows(rows) -> str:
+    """One line per row of a 2-D array, each number as _fmt writes it."""
+    rows = np.asarray(rows, dtype=float)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+
+
 def _write_rho_csv(path, rho, grid):
-    lines = [",".join(grid.columns + ("rho",))]
-    for row in np.column_stack([grid.angles(), rho]).tolist():
-        lines.append(",".join(map(_fmt, row)))
+    header = ",".join(grid.columns + ("rho",)) + "\n"
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(header + _csv_rows(np.column_stack([grid.angles(), rho])))
 
 
 # trace.csv columns: fields of each SolveStep, then fields of its bounds snapshot,
@@ -247,14 +252,13 @@ TRACE_BOUND_COLUMNS = ("rho_min", "rho_max", "u_min", "grad_sup", "kappa_sup", "
 
 
 def _write_trace_csv(path, trace: list[SolveStep]):
-    lines = [",".join(TRACE_STEP_COLUMNS + TRACE_BOUND_COLUMNS + ("nodes",))]
-    for step in trace:
-        cells = [getattr(step, name) for name in TRACE_STEP_COLUMNS]
-        cells += [getattr(step.bounds, name) for name in TRACE_BOUND_COLUMNS]
-        cells.append(step.nodes)
-        lines.append(",".join(map(_fmt, cells)))
+    header = ",".join(TRACE_STEP_COLUMNS + TRACE_BOUND_COLUMNS + ("nodes",)) + "\n"
+    rows = [[getattr(step, name) for name in TRACE_STEP_COLUMNS]
+            + [getattr(step.bounds, name) for name in TRACE_BOUND_COLUMNS] + [step.nodes]
+            for step in trace]
+    columns = len(TRACE_STEP_COLUMNS) + len(TRACE_BOUND_COLUMNS) + 1
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(header + _csv_rows(np.reshape(rows, (-1, columns))))
 
 
 def _summary_lines(status, trace, target, r1, r2, validation_note):
@@ -358,23 +362,20 @@ def export_mesh_obj(rho, grid, path):
     """
     rings, poles = grid.surface_rings(rho)
     R, M, _ = rings.shape
-    vertices = np.concatenate([rings.reshape(-1, 3), poles]).tolist()
-    vn, vs, last = R * M, R * M + 1, (R - 1) * M
-    faces = []
-    for i in range(R - 1):
-        for j in range(M):
-            a, d = i * M + j, i * M + (j + 1) % M
-            faces.append((a, a + M, d + M, d))
-    for j in range(M):
-        faces.append((vn, (j + 1) % M, j))
-        faces.append((vs, last + j, last + (j + 1) % M))
-
+    vertices = np.concatenate([rings.reshape(-1, 3), poles])
+    # quad (a, a + M, d + M, d) joins column j of ring i to column j + 1, then
+    # each column has a north and a south fan triangle; OBJ counts from 1
+    ring, column = np.arange(R - 1)[:, None] * M, np.arange(M)
+    a, d = (ring + column).ravel(), (ring + (column + 1) % M).ravel()
+    quads = np.stack([a, a + M, d + M, d], axis=-1) + 1
+    north, south, last = R * M, R * M + 1, (R - 1) * M
+    fans = np.stack([np.full(M, north), (column + 1) % M, column,
+                     np.full(M, south), last + column, last + (column + 1) % M], axis=-1) + 1
     with open(path, "w", encoding="utf-8") as handle:
-        for v in vertices:
-            handle.write("v %s %s %s\n" % (_fmt(v[0]), _fmt(v[1]), _fmt(v[2])))
-        for f in faces:
-            handle.write("f " + " ".join(str(i + 1) for i in f) + "\n")
-    return len(vertices), len(faces)
+        handle.write(("v %.17g %.17g %.17g\n" * len(vertices)) % tuple(vertices.ravel().tolist()))
+        handle.write(("f %d %d %d %d\n" * len(quads)) % tuple(quads.ravel().tolist()))
+        handle.write(("f %d %d %d\n" * (2 * M)) % tuple(fans.ravel().tolist()))
+    return len(vertices), len(quads) + 2 * M
 
 
 def run_selftest() -> int:

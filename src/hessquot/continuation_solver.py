@@ -9,8 +9,11 @@ which is zero exactly when the quotient matches the prescription and makes the
 Newton iteration scale-invariant; both sides are positive on admissible states
 so the logs are total.  The residual depends on rho only through the nodal
 jets, which are the grid's sparse stencil operators applied to rho, so the
-Jacobian is the pointwise jet partials times those operators; the partials
-come from one forward difference per jet component over all nodes at once.
+Jacobian is the pointwise jet partials times those operators.  The partials
+of the curvature term are closed forms, the first variation of the spectrum
+(radial_geometry.geometry_first_variation) at one geometry evaluation; log f_t
+sees the jets only through rho and its gradient, and its partials are forward
+differences along the raw jets that carry those.
 
 The corrector is a local iteration of full steps: it keeps one sparse LU of J
 across Newton iterations and continuation steps (chord, or Shamanskii, steps)
@@ -51,9 +54,9 @@ from .errors import (
 )
 from .estimates_monitor import BoundsSnapshot, check_c0, check_positivity, snapshot_bounds
 from .fspec import HomotopyTarget, eval_homotopy
-from .radial_geometry import geometry_batch
+from .radial_geometry import geometry_batch, geometry_first_variation
 from .sphere_grid import jet_arrays
-from .symfun import sigma_batch
+from .symfun import log_quotient_grad_batch, sigma_batch
 
 __all__ = [
     "SolverConfig",
@@ -65,7 +68,7 @@ __all__ = [
     "continuation_solve",
 ]
 
-# relative forward-difference step for the pointwise jet partials
+# relative forward-difference step for the partials of log f_t
 _JET_STEP = math.sqrt(np.finfo(float).eps)
 # a freshly factored step is kept when it cuts the residual sup by (1 - _ARMIJO_SLOPE),
 # a step with a reused LU when it cuts it by _CHORD_CONTRACTION
@@ -111,6 +114,22 @@ class SolutionField:
     trace: list[SolveStep]
 
 
+def _f_values(rho, grad, v, grid, target: HomotopyTarget, t: float):
+    """f_t at the surface points X = rho x with normals nu = (x - grad/rho)/v,
+    from frame jets and v = sqrt(1 + |grad|^2/rho^2); raises NonpositiveF
+    unless every value is positive."""
+    positions, frames = grid.node_frames(target.p.n)
+    X = rho[:, None] * positions
+    nu = (1.0 / v)[:, None] * positions + np.einsum(
+        "nj,njd->nd", -grad / (v * rho)[:, None], frames
+    )
+    fvals = np.asarray(eval_homotopy(target, t, X, nu), dtype=float)
+    if np.any(fvals <= 0.0):
+        bad = int(np.argmin(fvals))
+        raise NonpositiveF(f"f_t nonpositive at node {bad} (value {fvals[bad]:.3e})")
+    return fvals
+
+
 def _pointwise_residual(rho, grad, hess, grid, target: HomotopyTarget, t: float):
     """Residual vector of nodal jets, plus the worst cone margin over the nodes.
 
@@ -130,15 +149,7 @@ def _pointwise_residual(rho, grad, hess, grid, target: HomotopyTarget, t: float)
             node=worst,
             margin=float(margins[worst]),
         )
-    positions, frames = grid.node_frames(p.n)
-    X = rho[:, None] * positions
-    nu = geo.nu_radial[:, None] * positions + np.einsum(
-        "nj,njd->nd", geo.nu_tangent, frames
-    )
-    fvals = np.asarray(eval_homotopy(target, t, X, nu), dtype=float)
-    if np.any(fvals <= 0.0):
-        bad = int(np.argmin(fvals))
-        raise NonpositiveF(f"f_t nonpositive at node {bad} (value {fvals[bad]:.3e})")
+    fvals = _f_values(rho, grad, geo.v, grid, target, t)
     res = np.log(sig[:, p.k]) - np.log(sig[:, p.l]) - np.log(fvals)
     return res, float(margins[worst])
 
@@ -158,25 +169,47 @@ def residual_vector(rho, grid, target: HomotopyTarget, t: float):
     return res
 
 
+def _log_quotient_partials(rho, grad, hess, grid, p):
+    """Raw-jet partials (A + 1, N) of log sigma_k - log sigma_l in closed form,
+    from one geometry evaluation, and the geometry's v."""
+    geo = geometry_batch(rho, grad, hess, p.n)
+    d_eta = log_quotient_grad_batch(geo.eta, sigma_batch(geo.eta, p.k), p.k, p.l)
+    return grid.frame_pullback(*geometry_first_variation(rho, grad, geo, d_eta)), geo.v
+
+
+def _log_f_partials(jets, rho, grad, v, grid, target: HomotopyTarget, t: float):
+    """Raw-jet partials (A + 1, N) of log f_t, by forward differences along the
+    raw jets that move rho or grad (components 0..2 of the flattened frame
+    jets); the others are 0."""
+    log_f = np.log(_f_values(rho, grad, v, grid, target, t))
+    partials = np.zeros_like(jets)
+    for a in sorted({a for a, c, _ in grid.frame_basis if c < 3}):
+        bumped = jets.copy()
+        bumped[a] += _JET_STEP * np.maximum(1.0, np.abs(jets[a]))
+        rho_b, grad_b, _ = grid.frame_jets(bumped, target.p.n)
+        v_b = np.sqrt(1.0 + np.einsum("nc,nc->n", grad_b, grad_b) / rho_b**2)
+        f_b = _f_values(rho_b, grad_b, v_b, grid, target, t)
+        partials[a] = (np.log(f_b) - log_f) / (bumped[a] - jets[a])
+    return partials
+
+
 def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float):
     """Sparse d(residual)/d(rho) = sum_a diag(dR/dj_a) D_a over the raw jets j_a.
 
     The residual at a node depends on rho only through its raw jets j_0 = rho
-    and j_a = D_a rho, a = 1..A (the grid's stencil operators), so each
-    pointwise partial dR/dj_a comes from one forward difference applied to all
-    nodes at once, with step sqrt(eps) max(1, |j_a|).
+    and j_a = D_a rho, a = 1..A (the grid's stencil operators).  The partials
+    of log sigma_k - log sigma_l over the frame jets are closed forms, from one
+    geometry evaluation at rho (see radial_geometry.geometry_first_variation),
+    pulled back to the raw jets through the linear frame_jets.  log f_t depends
+    on the jets only through rho and its gradient, so its partials are one
+    forward difference, with step sqrt(eps) max(1, |j_a|), along each raw jet
+    that carries those, over all nodes at once.  The two helpers keep their
+    temporaries to themselves, so none is alive during linearize.
     """
     jets = grid.raw_jets(rho)
-
-    def residual(j):
-        return _pointwise_residual(*grid.frame_jets(j, target.p.n), grid, target, t)[0]
-
-    base = residual(jets)
-    partials = np.empty_like(jets)
-    for a in range(jets.shape[0]):
-        bumped = jets.copy()
-        bumped[a] += _JET_STEP * np.maximum(1.0, np.abs(jets[a]))
-        partials[a] = (residual(bumped) - base) / (bumped[a] - jets[a])
+    rho, grad, hess = grid.frame_jets(jets, target.p.n)
+    partials, v = _log_quotient_partials(rho, grad, hess, grid, target.p)
+    partials -= _log_f_partials(jets, rho, grad, v, grid, target, t)
     return grid.linearize(partials)
 
 

@@ -23,21 +23,33 @@ __all__ = ["ZonalProfile", "cosine_profile", "zonal_jets_analytic", "manufacture
 
 @dataclass
 class ZonalProfile:
-    """A smooth zonal radius with analytic derivatives in theta."""
+    """A smooth zonal radius: jets(theta) returns rho*, rho*' and rho*'' in
+    theta at once, so that they can share their trigonometry."""
 
-    value: callable
-    d1: callable
-    d2: callable
+    jets: callable
+
+    def value(self, theta):
+        return self.jets(theta)[0]
 
 
 def cosine_profile(amplitude: float = 0.05, mode: int = 2) -> ZonalProfile:
     """rho*(theta) = 1 + amplitude cos(mode theta); even at both poles."""
     a, m = float(amplitude), int(mode)
-    return ZonalProfile(
-        value=lambda t: 1.0 + a * np.cos(m * t),
-        d1=lambda t: -a * m * np.sin(m * t),
-        d2=lambda t: -a * m * m * np.cos(m * t),
-    )
+
+    def jets(t):
+        cos_mt = np.cos(m * t)
+        return 1.0 + a * cos_mt, -a * m * np.sin(m * t), -a * m * m * cos_mt
+
+    return ZonalProfile(jets)
+
+
+def _zonal_jets(theta, cos_t, sin_t, n: int, profile: ZonalProfile):
+    """zonal_jets_analytic, given cos(theta) and sin(theta)."""
+    rho, d1, d2 = profile.jets(theta)
+    near_pole = np.abs(sin_t) < 1e-9
+    safe_sin = np.where(near_pole, 1.0, sin_t)
+    orbit = np.where(near_pole, d2, cos_t * d1 / safe_sin)
+    return AxisymGrid.frame_jets((rho, d1, d2, orbit), n)
 
 
 def zonal_jets_analytic(theta: np.ndarray, n: int, profile: ZonalProfile):
@@ -49,13 +61,7 @@ def zonal_jets_analytic(theta: np.ndarray, n: int, profile: ZonalProfile):
     the meridian-orbit frame.
     """
     theta = np.asarray(theta, dtype=float)
-    d1 = profile.d1(theta)
-    d2 = profile.d2(theta)
-    sin_t = np.sin(theta)
-    near_pole = np.abs(sin_t) < 1e-9
-    safe_sin = np.where(near_pole, 1.0, sin_t)
-    orbit = np.where(near_pole, d2, np.cos(theta) * d1 / safe_sin)
-    return AxisymGrid.frame_jets((profile.value(theta), d1, d2, orbit), n)
+    return _zonal_jets(theta, np.cos(theta), np.sin(theta), n, profile)
 
 
 def manufactured_forcing(p: QuotientParams, profile: ZonalProfile = None, extra_decay: int = 1):
@@ -78,9 +84,12 @@ def manufactured_forcing(p: QuotientParams, profile: ZonalProfile = None, extra_
 
     def forcing(X, nu):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        r = np.linalg.norm(X, axis=-1)
-        theta = np.arccos(np.clip(X[:, 0] / r, -1.0, 1.0))
-        rho, grad, hess = zonal_jets_analytic(theta, p.n, profile)
+        # theta is the angle from the polar axis x1: |X| cos and |X| sin of it
+        axial = X[:, 0]
+        off_axis = np.sqrt(np.einsum("ij,ij->i", X[:, 1:], X[:, 1:]))
+        r = np.hypot(axial, off_axis)
+        theta = np.arctan2(off_axis, axial)
+        rho, grad, hess = _zonal_jets(theta, axial / r, off_axis / r, p.n, profile)
         geo = geometry_batch(rho, grad, hess, p.n)
         sig = sigma_batch(geo.eta, p.k)
         value = sig[:, p.k] / sig[:, p.l]

@@ -7,8 +7,9 @@ metric data, principal curvatures kappa, and the spectrum of the
 curvature-difference tensor eta = H g - h whose eigenvalues are
 lam_i = H - kappa_i.
 
-The normal is reported in the local basis (radial, e_1, ..., e_n); grids know
-their frame embeddings and map it to ambient coordinates when needed.
+The normal nu = (1, -D rho / rho) / v is reported in the local basis (radial,
+e_1, ..., e_n); grids know their frame embeddings and map it to ambient
+coordinates when needed.
 
 Formulas (orthonormal frame, sigma_ij = delta_ij):
     v    = sqrt(1 + |D rho|^2 / rho^2)
@@ -31,6 +32,19 @@ tr S/2 -/+ hypot(d, s_12), d = (s_11 - s_22)/2, are evaluated as the smaller
 diagonal entry minus, and the larger plus, s_12^2 / (hypot(d, s_12) + |d|).
 That form has no cancellation and is exact when S is diagonal, as on zonal
 jets, so it gives the values a dense diagonalization gives there.
+
+`geometry_first_variation` chains the partials of a function G of the eta
+spectrum to the frame jets, for the solver's Jacobian.  With F_j = dG/dkappa_j
+and Q the eigenvectors of S, the first variation of the spectrum of the
+pencil (h, g), dkappa_j = e_j^T (dh - kappa_j dg) e_j with e_j = P q_j
+(A. S. Lewis, Derivatives of spectral functions, Math. Oper. Res. 1996), gives
+    dG = <A, dh> - <B, dg>,  A = P M P,  B = P K P,
+    M = Q diag(F) Q^T,  K = Q diag(F kappa) Q^T,
+where each orbit copy adds its F (times s_22 in K) at E_22.  Then
+    dG/dhess  = -A / v
+    dG/drho   = (tr A - (2/rho^2) Drho.A.Drho)/v + <A, h> |Drho|^2/(rho^3 v^2) - 2 rho tr B
+    dG/dDrho  = (4/(rho v)) A Drho - <A, h> Drho/(rho^2 v^2) - 2 B Drho.
+
 `assemble_point_geometry` diagonalizes S densely for a full n-dimensional
 jet; it is the general-n oracle the closed form is tested against, and no
 solve uses it.
@@ -51,6 +65,7 @@ __all__ = [
     "GeometryBatch",
     "assemble_point_geometry",
     "geometry_batch",
+    "geometry_first_variation",
     "sphere_closed_form",
 ]
 
@@ -89,18 +104,29 @@ class GeometryBatch:
 
     Each row of `kappa` is ascending: the smaller frame curvature, for n > 2
     the orbit curvature n - 2 times, then the larger one.  `eta` is the
-    ascending H - kappa.  `nu_tangent` holds the normal's (e_1, e_2)
-    components; it has none along the other orbit directions.
+    ascending H - kappa.  The symmetric 2x2 fields h, P = g^{-1/2} and
+    S = P h P are kept as their (11, 12, 22) entries for
+    geometry_first_variation.
     """
 
     v: np.ndarray            # (N,)
     u: np.ndarray            # (N,)
-    nu_radial: np.ndarray    # (N,)
-    nu_tangent: np.ndarray   # (N, 2)
     H: np.ndarray            # (N,)
     kappa: np.ndarray        # (N, n)
     eta: np.ndarray          # (N, n)
     grad_norm: np.ndarray    # (N,)
+    h: tuple                 # 3 x (N,)
+    g_isqrt: tuple           # 3 x (N,)
+    S: tuple                 # 3 x (N,)
+
+
+def _congruence(p, m):
+    """P M P for symmetric 2x2 fields given as their (11, 12, 22) entries."""
+    p11, p12, p22 = p
+    m11, m12, m22 = m
+    a11, a12 = m11 * p11 + m12 * p12, m11 * p12 + m12 * p22
+    a21, a22 = m12 * p11 + m22 * p12, m12 * p12 + m22 * p22
+    return p11 * a11 + p12 * a21, p11 * a12 + p12 * a22, p12 * a12 + p22 * a22
 
 
 def _check_jet(rho, grad, hess):
@@ -146,12 +172,8 @@ def geometry_batch(rho: np.ndarray, grad: np.ndarray, hess: np.ndarray, n: int) 
     p12 = coeff * (w1 * w2) / rho
     p22 = (1.0 + coeff * (w2 * w2)) / rho
 
-    # S = P h P
-    a11, a12 = h11 * p11 + h12 * p12, h11 * p12 + h12 * p22
-    a21, a22 = h12 * p11 + h22 * p12, h12 * p12 + h22 * p22
-    s11 = p11 * a11 + p12 * a21
-    s12 = p11 * a12 + p12 * a22
-    s22 = p12 * a12 + p22 * a22
+    h, P = (h11, h12, h22), (p11, p12, p22)
+    s11, s12, s22 = _congruence(P, h)
 
     # eigenvalues of S, exact when S is diagonal; see the module docstring
     half_gap = 0.5 * (s11 - s22)
@@ -168,13 +190,56 @@ def geometry_batch(rho: np.ndarray, grad: np.ndarray, hess: np.ndarray, n: int) 
     return GeometryBatch(
         v=v,
         u=rho / v,
-        nu_radial=inv_v,
-        nu_tangent=-grad / (v * rho)[:, None],
         H=H,
         kappa=kappa,
         eta=eta,
         grad_norm=gnorm,
+        h=h,
+        g_isqrt=P,
+        S=(s11, s12, s22),
     )
+
+
+def geometry_first_variation(rho: np.ndarray, grad: np.ndarray, geo: GeometryBatch,
+                             d_eta: np.ndarray):
+    """Partials (N,), (N, 2), (N, 2, 2) over the reduced frame jets of a
+    function G of the eta spectrum, from d_eta = dG/deta in the column order of
+    geo.eta, where geo = geometry_batch(rho, grad, hess, n); see the module
+    docstring.  Where kappa_min = kappa_max, F must agree on them, as it does
+    for every symmetric G."""
+    # eta_i = H - kappa_{n-1-i}, so dG/dkappa_j = sum_i d_eta_i - d_eta_{n-1-j}
+    F = (d_eta.sum(axis=1)[:, None] - d_eta)[:, ::-1]
+    f_min, f_max, f_orbit = F[:, 0], F[:, -1], F[:, 1:-1].sum(axis=1)
+    k_min, k_max = geo.kappa[:, 0], geo.kappa[:, -1]
+    s11, s12, s22 = geo.S
+    # Q diag(a, b) Q^T = (a + b)/2 I + (b - a)/2 [[c, s], [s, -c]]
+    half_gap = 0.5 * (s11 - s22)
+    radius = np.maximum(np.hypot(half_gap, s12), _TINY)
+    c, s = half_gap / radius, s12 / radius
+
+    def congruent_form(a, b, orbit):
+        mean, half = 0.5 * (a + b), 0.5 * (b - a)
+        return _congruence(geo.g_isqrt, (mean + half * c, half * s, mean - half * c + orbit))
+
+    A11, A12, A22 = congruent_form(f_min, f_max, f_orbit)
+    B11, B12, B22 = congruent_form(f_min * k_min, f_max * k_max, f_orbit * s22)
+    h11, h12, h22 = geo.h
+    v = geo.v
+    r1, r2 = grad[:, 0], grad[:, 1]
+    Ap1, Ap2 = A11 * r1 + A12 * r2, A12 * r1 + A22 * r2
+    Bp1, Bp2 = B11 * r1 + B12 * r2, B12 * r1 + B22 * r2
+    A_h = A11 * h11 + 2.0 * A12 * h12 + A22 * h22
+    grad_norm2 = r1 * r1 + r2 * r2
+    d_rho = ((A11 + A22 - (2.0 / rho**2) * (r1 * Ap1 + r2 * Ap2)) / v
+             + A_h * grad_norm2 / (rho**3 * v**2) - 2.0 * rho * (B11 + B22))
+    a_coeff, h_coeff = 4.0 / (rho * v), A_h / (rho * v) ** 2
+    d_grad = np.stack([a_coeff * Ap1 - h_coeff * r1 - 2.0 * Bp1,
+                       a_coeff * Ap2 - h_coeff * r2 - 2.0 * Bp2], axis=-1)
+    d_hess = np.empty((rho.size, 2, 2))
+    d_hess[:, 0, 0] = -A11 / v
+    d_hess[:, 0, 1] = d_hess[:, 1, 0] = -A12 / v
+    d_hess[:, 1, 1] = -A22 / v
+    return d_rho, d_grad, d_hess
 
 
 def assemble_point_geometry(jet: PointJet, n: int) -> PointGeometry:

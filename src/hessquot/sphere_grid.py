@@ -66,11 +66,17 @@ def _stencil(columns, weights: dict, count: int):
     return op
 
 
+def _flat_frame(rho, grad, hess) -> np.ndarray:
+    """Frame jets as one (N, 7) array: rho, grad_1, grad_2, then hess row-major."""
+    return np.column_stack([rho, grad, hess.reshape(-1, 4)])
+
+
 class _StencilGrid:
     """Jets and their linearization from a grid's stacked jet operator.
 
     A grid provides `node_count`, `jet_operator` (the raw partials D_1..D_A
-    stacked into an (A N, N) sparse matrix) and `frame_jets`.  Row 0 of a
+    stacked into an (A N, N) sparse matrix) and `frame_jets`, which must be
+    linear in the raw jets and act node by node.  Row 0 of a
     raw-jet array is rho itself, rows 1..A are D_a @ rho.  For output it
     provides `columns` and `angles()`, the CSV coordinate names and the
     (N, len(columns)) node coordinates, and `surface_rings(rho)`, the surface
@@ -97,6 +103,36 @@ class _StencilGrid:
         data = np.bincount(pos, weights=vals, minlength=indices.size)
         n = self.node_count
         return scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+
+    @cached_property
+    def frame_basis(self):
+        """The nonzero partials of frame_jets, as (a, c, coefficients) for raw
+        jet a and component c of the flattened frame jets (rho, grad_1,
+        grad_2, hess_11, hess_12, hess_21, hess_22).  frame_jets is linear and
+        acts node by node, so its partials over raw jet a are frame_jets of the
+        unit row a.  The map is the same for every n a grid accepts, so it is
+        taken at n = 2."""
+        count = self.jet_operator.shape[0] // self.node_count + 1
+        basis = []
+        for a in range(count):
+            unit = np.zeros((count, self.node_count))
+            unit[a] = 1.0
+            flat = _flat_frame(*self.frame_jets(unit, 2))
+            for c in np.flatnonzero(flat.any(axis=0)):
+                # a coefficient that is the same at every node is kept as a scalar
+                column = flat[:, c]
+                same = (column == column[0]).all()
+                basis.append((a, c, column[0] if same else column.copy()))
+        return basis
+
+    def frame_pullback(self, d_rho, d_grad, d_hess) -> np.ndarray:
+        """(A + 1, N) partials over the raw jets of a pointwise function of the
+        frame jets, from its partials over them, shapes (N,), (N, 2), (N, 2, 2)."""
+        d_frame = _flat_frame(d_rho, d_grad, d_hess)
+        partials = np.zeros((self.jet_operator.shape[0] // self.node_count + 1, self.node_count))
+        for a, c, coefficients in self.frame_basis:
+            partials[a] += coefficients * d_frame[:, c]
+        return partials
 
     @cached_property
     def _linear_layout(self):
@@ -292,13 +328,21 @@ class SphereGrid2D(_StencilGrid):
         if n != 2:
             raise ValueError(f"the 2-sphere grid requires n = 2, got n = {n}")
         rho, r_t, r_p, r_tt, r_tp, r_pp = jets
-        st = np.repeat(np.sin(self.theta), self.n_phi)
-        cot = np.repeat(np.cos(self.theta), self.n_phi) / st
-        grad = np.stack([r_t, r_p / st], axis=-1)
-        h12 = (r_tp - cot * r_p) / st
-        h22 = r_pp / st**2 + cot * r_t
-        hess = np.stack([np.stack([r_tt, h12], axis=-1), np.stack([h12, h22], axis=-1)], axis=-2)
+        st, cot, st_sq = self._frame_coefficients
+        grad = np.empty((rho.size, 2))
+        grad[:, 0] = r_t
+        grad[:, 1] = r_p / st
+        hess = np.empty((rho.size, 2, 2))
+        hess[:, 0, 0] = r_tt
+        hess[:, 0, 1] = hess[:, 1, 0] = (r_tp - cot * r_p) / st
+        hess[:, 1, 1] = r_pp / st_sq + cot * r_t
         return rho, grad, hess
+
+    @cached_property
+    def _frame_coefficients(self):
+        """sin t, cot t and sin^2 t at every node."""
+        st = np.repeat(np.sin(self.theta), self.n_phi)
+        return st, np.repeat(np.cos(self.theta), self.n_phi) / st, st**2
 
     def coarsened(self):
         """The grid of n_theta/2 rows and n_phi/2 columns that prolong

@@ -26,6 +26,7 @@ __all__ = [
     "ConeReport",
     "as_spectrum",
     "sigma_batch",
+    "log_quotient_grad_batch",
     "elementary_symmetric",
     "elementary_symmetric_excluding",
     "in_gamma_k",
@@ -101,6 +102,25 @@ def sigma_batch(values: np.ndarray, jmax: int) -> np.ndarray:
         for j in range(top, 0, -1):
             e[:, j] += vals[:, m] * e[:, j - 1]
     return e
+
+
+def log_quotient_grad_batch(values: np.ndarray, sig: np.ndarray, k: int, l: int) -> np.ndarray:
+    """d log(sigma_k/sigma_l) / d lam_i for a (batch, n) array, given its
+    sigma_batch(values, k); the grad_G of log G^(k-l) (solver hot path).
+
+    Entry i is sigma_{k-1}(lam|i)/sigma_k - sigma_{l-1}(lam|i)/sigma_l, with
+    sigma_{-1} = 0, where lam|i drops entry i.  Dividing prod_m (1 + lam_m x)
+    by the factor (1 + lam_i x) gives sigma_j(lam|i) = sigma_j(lam) -
+    lam_i sigma_{j-1}(lam|i), for all i at once.
+    """
+    vals = np.atleast_2d(np.asarray(values, dtype=float))
+    reduced = [np.ones_like(vals)]
+    for j in range(1, k):
+        reduced.append(sig[:, j, None] - vals * reduced[-1])
+    out = reduced[k - 1] / sig[:, k, None]
+    if l >= 1:
+        out -= reduced[l - 1] / sig[:, l, None]
+    return out
 
 
 def _sigma_scalar(values, jmax: int) -> list:

@@ -10,9 +10,15 @@ from hessquot.radial_geometry import (
     PointJet,
     assemble_point_geometry,
     geometry_batch,
+    geometry_first_variation,
     sphere_closed_form,
 )
-from hessquot.symfun import QuotientParams, elementary_symmetric
+from hessquot.symfun import (
+    QuotientParams,
+    elementary_symmetric,
+    log_quotient_grad_batch,
+    sigma_batch,
+)
 
 
 def constant_jet(r, n):
@@ -176,12 +182,13 @@ class TestClosedFormAgainstDenseOracle:
         return rho, grad, 0.5 * (h + h.transpose(0, 2, 1))
 
     @staticmethod
-    def assert_agrees(batch, i, dense):
+    def assert_agrees(batch, i, dense, rho, grad):
         scale = max(1.0, float(np.abs(dense.eta_spectrum).max()))
         tol = 1e-13 * scale
+        # the normal (1, -grad/rho)/v in the local basis, as the solver builds it
         nu = np.zeros_like(dense.nu)
-        nu[0] = batch.nu_radial[i]
-        nu[1:3] = batch.nu_tangent[i]
+        nu[0] = 1.0 / batch.v[i]
+        nu[1:3] = -grad[i] / (batch.v[i] * rho[i])
         # both sides ascending, so the order is checked too
         assert np.abs(batch.eta[i] - dense.eta_spectrum).max() <= tol
         assert np.abs(batch.kappa[i] - dense.kappa).max() <= tol
@@ -194,7 +201,7 @@ class TestClosedFormAgainstDenseOracle:
         batch = geometry_batch(rho, grad, hess, 2)
         for i in range(rho.size):
             dense = assemble_point_geometry(PointJet(rho[i], grad[i], hess[i]), 2)
-            self.assert_agrees(batch, i, dense)
+            self.assert_agrees(batch, i, dense, rho, grad)
 
     @pytest.mark.parametrize("n", [3, 4, 6, 8, 12])
     def test_zonal_jets_embedded_densely(self, n):
@@ -208,7 +215,7 @@ class TestClosedFormAgainstDenseOracle:
             dense_grad[0] = grad[i, 0]
             dense_hess = np.diag([hess[i, 0, 0]] + [hess[i, 1, 1]] * (n - 1))
             dense = assemble_point_geometry(PointJet(rho[i], dense_grad, dense_hess), n)
-            self.assert_agrees(batch, i, dense)
+            self.assert_agrees(batch, i, dense, rho, grad)
 
     def test_dense_jets_are_rejected(self):
         rho = np.ones(4)
@@ -216,3 +223,71 @@ class TestClosedFormAgainstDenseOracle:
             geometry_batch(rho, np.zeros((4, 3)), np.zeros((4, 3, 3)), 3)
         with pytest.raises(ValueError, match="reduced frame jets"):
             geometry_batch(rho, np.zeros((4, 2)), np.zeros((4, 3, 3)), 3)
+
+
+# the (n, k, l) of the benchmark's axisymmetric problems
+AXISYM_DIMS = [(3, 2, 0), (4, 3, 1), (6, 4, 2), (8, 6, 2), (12, 6, 0)]
+
+
+class TestFirstVariation:
+    """geometry_first_variation against central differences of
+    G = log sigma_k(eta) - log sigma_l(eta) through geometry_batch."""
+
+    STEP = 1e-6
+    # measured worst relative error 2.4e-9 over the cases below
+    TOL = 1e-7
+
+    @staticmethod
+    def log_quotient(rho, grad, hess, p):
+        sig = sigma_batch(geometry_batch(rho, grad, hess, p.n).eta, p.k)
+        assert sig[:, 1:].min() > 0.0
+        return np.log(sig[:, p.k]) - np.log(sig[:, p.l])
+
+    def check(self, rho, grad, hess, p, zonal):
+        geo = geometry_batch(rho, grad, hess, p.n)
+        d_eta = log_quotient_grad_batch(geo.eta, sigma_batch(geo.eta, p.k), p.k, p.l)
+        d_rho, d_grad, d_hess = geometry_first_variation(rho, grad, geo, d_eta)
+        # (closed form, bump of (rho, grad, hess)); the off-diagonal Hessian
+        # entries move together, so their partials add
+        cases = [(d_rho, (1.0, 0.0, 0.0)), (d_grad[:, 0], (0.0, (1, 0), 0.0)),
+                 (d_hess[:, 0, 0], (0.0, 0.0, ((1, 0), (0, 0)))),
+                 (d_hess[:, 1, 1], (0.0, 0.0, ((0, 0), (0, 1))))]
+        if not zonal:
+            cases += [(d_grad[:, 1], (0.0, (0, 1), 0.0)),
+                      (d_hess[:, 0, 1] + d_hess[:, 1, 0], (0.0, 0.0, ((0, 1), (1, 0))))]
+        for closed, (b_rho, b_grad, b_hess) in cases:
+            def bumped(sign):
+                h = sign * self.STEP
+                return self.log_quotient(rho + h * b_rho, grad + h * np.asarray(b_grad),
+                                         hess + h * np.asarray(b_hess), p)
+
+            fd = (bumped(1.0) - bumped(-1.0)) / (2.0 * self.STEP)
+            scale = max(1.0, float(np.abs(fd).max()))
+            assert np.abs(closed - fd).max() <= self.TOL * scale
+
+    @staticmethod
+    def near_sphere_jets(seed, count=200):
+        rng = np.random.default_rng(seed)
+        rho = rng.uniform(0.8, 1.25, size=count)
+        grad = rng.uniform(-0.3, 0.3, size=(count, 2))
+        h = rng.uniform(-0.3, 0.3, size=(count, 2, 2))
+        return rho, grad, 0.5 * (h + h.transpose(0, 2, 1))
+
+    def test_non_zonal_two_sphere_jets(self):
+        rho, grad, hess = self.near_sphere_jets(5)
+        assert np.abs(hess[:, 0, 1]).min() > 0.0 and np.abs(grad[:, 1]).min() > 0.0
+        self.check(rho, grad, hess, QuotientParams(2, 2, 0), zonal=False)
+
+    @pytest.mark.parametrize("nkl", AXISYM_DIMS)
+    def test_zonal_jets(self, nkl):
+        rho, grad, hess = self.near_sphere_jets(7 + nkl[0])
+        grad[:, 1] = 0.0
+        hess[:, 0, 1] = hess[:, 1, 0] = 0.0
+        self.check(rho, grad, hess, QuotientParams(*nkl), zonal=True)
+
+    @pytest.mark.parametrize("nkl", [(2, 2, 0)] + AXISYM_DIMS)
+    def test_exact_sphere(self, nkl):
+        # S = I / rho: every curvature coincides and the eigenvectors are free
+        rho = np.array([0.5, 1.0, 2.0])
+        grad, hess = np.zeros((3, 2)), np.zeros((3, 2, 2))
+        self.check(rho, grad, hess, QuotientParams(*nkl), zonal=nkl[0] > 2)
