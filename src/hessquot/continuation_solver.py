@@ -13,7 +13,7 @@ Jacobian is the pointwise jet partials times those operators.  The partials
 of the curvature term are closed forms, the first variation of the spectrum
 (radial_geometry.geometry_first_variation) at one geometry evaluation; log f_t
 sees the jets only through rho and its gradient, and its partials are forward
-differences along the raw jets that carry those.
+differences along those frame components.
 
 The corrector is a local iteration of full steps: it keeps one sparse LU of J
 across Newton iterations and continuation steps (chord, or Shamanskii, steps)
@@ -54,7 +54,7 @@ from .errors import (
 )
 from .estimates_monitor import BoundsSnapshot, check_c0, check_positivity, snapshot_bounds
 from .fspec import HomotopyTarget, eval_homotopy
-from .radial_geometry import geometry_batch, geometry_first_variation
+from .radial_geometry import geometry_batch, geometry_first_variation, local_normal
 from .sphere_grid import jet_arrays
 from .symfun import log_quotient_grad_batch, sigma_batch
 
@@ -115,14 +115,14 @@ class SolutionField:
 
 
 def _f_values(rho, grad, v, grid, target: HomotopyTarget, t: float):
-    """f_t at the surface points X = rho x with normals nu = (x - grad/rho)/v,
-    from frame jets and v = sqrt(1 + |grad|^2/rho^2); raises NonpositiveF
-    unless every value is positive."""
+    """f_t at the surface points X = rho x with normals nu (local_normal mapped
+    through the grid's node frames), from frame jets and
+    v = sqrt(1 + |grad|^2/rho^2); raises NonpositiveF unless every value is
+    positive."""
     positions, frames = grid.node_frames(target.p.n)
+    nu_radial, nu_tangent = local_normal(rho, grad, v)
     X = rho[:, None] * positions
-    nu = (1.0 / v)[:, None] * positions + np.einsum(
-        "nj,njd->nd", -grad / (v * rho)[:, None], frames
-    )
+    nu = nu_radial[:, None] * positions + np.einsum("nj,njd->nd", nu_tangent, frames)
     fvals = np.asarray(eval_homotopy(target, t, X, nu), dtype=float)
     if np.any(fvals <= 0.0):
         bad = int(np.argmin(fvals))
@@ -169,48 +169,56 @@ def residual_vector(rho, grid, target: HomotopyTarget, t: float):
     return res
 
 
-def _log_quotient_partials(rho, grad, hess, grid, p):
-    """Raw-jet partials (A + 1, N) of log sigma_k - log sigma_l in closed form,
-    from one geometry evaluation, and the geometry's v."""
+def _log_f_partials(rho, grad, v, grid, target: HomotopyTarget, t: float):
+    """Partials (N,), (N, 2) of log f_t over the frame jets rho and grad, by
+    forward differences with step sqrt(eps) max(1, |component|) along rho and
+    along each gradient component the grid can make nonzero; the other
+    component's partial is 0."""
+    log_f = np.log(_f_values(rho, grad, v, grid, target, t))
+
+    def slope(rho_b, grad_b, step):
+        v_b = np.sqrt(1.0 + np.einsum("nc,nc->n", grad_b, grad_b) / rho_b**2)
+        return (np.log(_f_values(rho_b, grad_b, v_b, grid, target, t)) - log_f) / step
+
+    rho_b = rho + _JET_STEP * np.maximum(1.0, np.abs(rho))
+    d_rho = slope(rho_b, grad, rho_b - rho)
+    d_grad = np.zeros_like(grad)
+    for c in grid.gradient_components:
+        grad_b = grad.copy()
+        grad_b[:, c] += _JET_STEP * np.maximum(1.0, np.abs(grad[:, c]))
+        d_grad[:, c] = slope(rho, grad_b, grad_b[:, c] - grad[:, c])
+    return d_rho, d_grad
+
+
+def _frame_partials(rho, grid, target: HomotopyTarget, t: float):
+    """Partials (N,), (N, 2), (N, 2, 2) of the residual over the frame jets:
+    log sigma_k - log sigma_l in closed form from one geometry evaluation,
+    minus the forward-differenced partials of log f_t."""
+    p = target.p
+    rho, grad, hess = grid.frame_jets(grid.raw_jets(rho), p.n)
     geo = geometry_batch(rho, grad, hess, p.n)
     d_eta = log_quotient_grad_batch(geo.eta, sigma_batch(geo.eta, p.k), p.k, p.l)
-    return grid.frame_pullback(*geometry_first_variation(rho, grad, geo, d_eta)), geo.v
-
-
-def _log_f_partials(jets, rho, grad, v, grid, target: HomotopyTarget, t: float):
-    """Raw-jet partials (A + 1, N) of log f_t, by forward differences along the
-    raw jets that move rho or grad (components 0..2 of the flattened frame
-    jets); the others are 0."""
-    log_f = np.log(_f_values(rho, grad, v, grid, target, t))
-    partials = np.zeros_like(jets)
-    for a in sorted({a for a, c, _ in grid.frame_basis if c < 3}):
-        bumped = jets.copy()
-        bumped[a] += _JET_STEP * np.maximum(1.0, np.abs(jets[a]))
-        rho_b, grad_b, _ = grid.frame_jets(bumped, target.p.n)
-        v_b = np.sqrt(1.0 + np.einsum("nc,nc->n", grad_b, grad_b) / rho_b**2)
-        f_b = _f_values(rho_b, grad_b, v_b, grid, target, t)
-        partials[a] = (np.log(f_b) - log_f) / (bumped[a] - jets[a])
-    return partials
+    d_rho, d_grad, d_hess = geometry_first_variation(rho, grad, geo, d_eta)
+    f_rho, f_grad = _log_f_partials(rho, grad, geo.v, grid, target, t)
+    return d_rho - f_rho, d_grad - f_grad, d_hess
 
 
 def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float):
     """Sparse d(residual)/d(rho) = sum_a diag(dR/dj_a) D_a over the raw jets j_a.
 
     The residual at a node depends on rho only through its raw jets j_0 = rho
-    and j_a = D_a rho, a = 1..A (the grid's stencil operators).  The partials
-    of log sigma_k - log sigma_l over the frame jets are closed forms, from one
-    geometry evaluation at rho (see radial_geometry.geometry_first_variation),
-    pulled back to the raw jets through the linear frame_jets.  log f_t depends
-    on the jets only through rho and its gradient, so its partials are one
-    forward difference, with step sqrt(eps) max(1, |j_a|), along each raw jet
-    that carries those, over all nodes at once.  The two helpers keep their
-    temporaries to themselves, so none is alive during linearize.
+    and j_a = D_a rho, a = 1..A (the grid's stencil operators), and through
+    them only via the frame jets (rho, grad, hess), which frame_jets makes
+    linearly from the raw jets.  The partials of log sigma_k - log sigma_l
+    over the frame jets are closed forms, from one geometry evaluation at rho
+    (see radial_geometry.geometry_first_variation).  log f_t depends on the
+    jets only through rho and grad, so its partials are one forward
+    difference, with step sqrt(eps) max(1, |component|), along rho and each
+    gradient component the grid has, over all nodes at once.  The sum is
+    pulled back to the raw jets once, through frame_pullback.  The helper
+    keeps the geometry to itself, so none of it is alive during linearize.
     """
-    jets = grid.raw_jets(rho)
-    rho, grad, hess = grid.frame_jets(jets, target.p.n)
-    partials, v = _log_quotient_partials(rho, grad, hess, grid, target.p)
-    partials -= _log_f_partials(jets, rho, grad, v, grid, target, t)
-    return grid.linearize(partials)
+    return grid.linearize(grid.frame_pullback(*_frame_partials(rho, grid, target, t)))
 
 
 def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig = None,

@@ -8,8 +8,8 @@ curvature-difference tensor eta = H g - h whose eigenvalues are
 lam_i = H - kappa_i.
 
 The normal nu = (1, -D rho / rho) / v is reported in the local basis (radial,
-e_1, ..., e_n); grids know their frame embeddings and map it to ambient
-coordinates when needed.
+e_1, ..., e_n), by `local_normal` on reduced frame jets; grids know their frame
+embeddings and map it to ambient coordinates when needed.
 
 Formulas (orthonormal frame, sigma_ij = delta_ij):
     v    = sqrt(1 + |D rho|^2 / rho^2)
@@ -66,6 +66,7 @@ __all__ = [
     "assemble_point_geometry",
     "geometry_batch",
     "geometry_first_variation",
+    "local_normal",
     "sphere_closed_form",
 ]
 
@@ -198,6 +199,13 @@ def geometry_batch(rho: np.ndarray, grad: np.ndarray, hess: np.ndarray, n: int) 
         g_isqrt=P,
         S=(s11, s12, s22),
     )
+
+
+def local_normal(rho: np.ndarray, grad: np.ndarray, v: np.ndarray):
+    """The outward unit normal (1, -D rho / rho) / v in the local basis, as its
+    radial (N,) and (e_1, e_2) (N, 2) components, for reduced frame jets and
+    v = sqrt(1 + |D rho|^2 / rho^2)."""
+    return 1.0 / v, -grad / (v * rho)[:, None]
 
 
 def geometry_first_variation(rho: np.ndarray, grad: np.ndarray, geo: GeometryBatch,

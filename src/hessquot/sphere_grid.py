@@ -125,6 +125,12 @@ class _StencilGrid:
                 basis.append((a, c, column[0] if same else column.copy()))
         return basis
 
+    @cached_property
+    def gradient_components(self) -> tuple:
+        """The components c of the frame gradient (0 for grad_1, 1 for grad_2)
+        that frame_jets can make nonzero; the others are 0 for every field."""
+        return tuple(sorted({c - 1 for _, c, _ in self.frame_basis if c in (1, 2)}))
+
     def frame_pullback(self, d_rho, d_grad, d_hess) -> np.ndarray:
         """(A + 1, N) partials over the raw jets of a pointwise function of the
         frame jets, from its partials over them, shapes (N,), (N, 2), (N, 2, 2)."""

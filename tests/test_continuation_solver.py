@@ -19,6 +19,7 @@ from hessquot.continuation_solver import (
 )
 from hessquot.fspec import make_homotopy, parse_f, reference_level, validate_assumptions
 from hessquot.manufactured import cosine_profile, manufactured_forcing
+from hessquot.radial_geometry import PointJet, assemble_point_geometry
 from hessquot.sphere_grid import SphereGrid2D, build_axisym_grid, build_s2_grid
 from hessquot.symfun import QuotientParams
 
@@ -66,6 +67,41 @@ class TestResidualVector:
         with pytest.raises(ConeViolation) as err:
             residual_vector(wild, grid, target, 0.0)
         assert err.value.node is not None
+
+
+    @pytest.mark.parametrize("mode", ["axisym", "s2"])
+    def test_prescription_sees_the_oracle_normal(self, mode):
+        # f_t gets X = rho x and nu in ambient coordinates: the dense oracle's
+        # local-basis normal mapped through the grid's node frames
+        if mode == "axisym":
+            p, grid = QuotientParams(4, 3, 1), build_axisym_grid(33)
+            rho = 1.0 + 0.1 * np.cos(grid.theta) + 0.05 * np.cos(2.0 * grid.theta)
+        else:
+            p, grid = QuotientParams(2, 2, 0), build_s2_grid(16, 32)
+            tt = np.repeat(grid.theta, grid.n_phi)
+            pp = np.tile(grid.phi, grid.n_theta)
+            rho = 1.0 + 0.1 * np.sin(tt) * np.cos(pp) + 0.05 * np.sin(2.0 * tt) * np.sin(pp)
+        seen = []
+
+        def base(X, nu):
+            seen.append((X, nu))
+            return np.ones(len(X))
+
+        residual_vector(rho, grid, make_homotopy(base, p, 0.5, 2.0), 1.0)
+        (X, nu), = seen
+        positions, frames = grid.node_frames(p.n)
+        frame_rho, grad, hess = grid.frame_jets(grid.raw_jets(rho), p.n)
+        assert np.abs(X - rho[:, None] * positions).max() <= 1e-15
+        if mode == "s2":
+            assert np.abs(grad[:, 1]).max() > 0.1
+        for i in range(grid.node_count):
+            dense_grad = np.zeros(p.n)
+            dense_grad[:2] = grad[i]
+            dense_hess = np.diag([hess[i, 0, 0]] + [hess[i, 1, 1]] * (p.n - 1))
+            dense_hess[0, 1] = dense_hess[1, 0] = hess[i, 0, 1]
+            dense = assemble_point_geometry(PointJet(frame_rho[i], dense_grad, dense_hess), p.n)
+            expected = dense.nu[0] * positions[i] + dense.nu[1:3] @ frames[i]
+            assert np.abs(nu[i] - expected).max() <= 1e-13
 
 
 class TestJacobian:

@@ -11,6 +11,7 @@ from hessquot.radial_geometry import (
     assemble_point_geometry,
     geometry_batch,
     geometry_first_variation,
+    local_normal,
     sphere_closed_form,
 )
 from hessquot.symfun import (
@@ -182,13 +183,13 @@ class TestClosedFormAgainstDenseOracle:
         return rho, grad, 0.5 * (h + h.transpose(0, 2, 1))
 
     @staticmethod
-    def assert_agrees(batch, i, dense, rho, grad):
+    def assert_agrees(batch, normal, i, dense):
         scale = max(1.0, float(np.abs(dense.eta_spectrum).max()))
         tol = 1e-13 * scale
-        # the normal (1, -grad/rho)/v in the local basis, as the solver builds it
+        # normal = local_normal(rho, grad, batch.v), the solver's normal
         nu = np.zeros_like(dense.nu)
-        nu[0] = 1.0 / batch.v[i]
-        nu[1:3] = -grad[i] / (batch.v[i] * rho[i])
+        nu[0] = normal[0][i]
+        nu[1:3] = normal[1][i]
         # both sides ascending, so the order is checked too
         assert np.abs(batch.eta[i] - dense.eta_spectrum).max() <= tol
         assert np.abs(batch.kappa[i] - dense.kappa).max() <= tol
@@ -199,9 +200,10 @@ class TestClosedFormAgainstDenseOracle:
         rho, grad, hess = self.random_jets(23)
         assert np.abs(hess[:, 0, 1]).min() > 0.0
         batch = geometry_batch(rho, grad, hess, 2)
+        normal = local_normal(rho, grad, batch.v)
         for i in range(rho.size):
             dense = assemble_point_geometry(PointJet(rho[i], grad[i], hess[i]), 2)
-            self.assert_agrees(batch, i, dense, rho, grad)
+            self.assert_agrees(batch, normal, i, dense)
 
     @pytest.mark.parametrize("n", [3, 4, 6, 8, 12])
     def test_zonal_jets_embedded_densely(self, n):
@@ -210,12 +212,13 @@ class TestClosedFormAgainstDenseOracle:
         hess[:, 0, 1] = hess[:, 1, 0] = 0.0
         batch = geometry_batch(rho, grad, hess, n)
         assert batch.kappa.shape == batch.eta.shape == (rho.size, n)
+        normal = local_normal(rho, grad, batch.v)
         for i in range(rho.size):
             dense_grad = np.zeros(n)
             dense_grad[0] = grad[i, 0]
             dense_hess = np.diag([hess[i, 0, 0]] + [hess[i, 1, 1]] * (n - 1))
             dense = assemble_point_geometry(PointJet(rho[i], dense_grad, dense_hess), n)
-            self.assert_agrees(batch, i, dense, rho, grad)
+            self.assert_agrees(batch, normal, i, dense)
 
     def test_dense_jets_are_rejected(self):
         rho = np.ones(4)
