@@ -8,12 +8,13 @@ residual is the log form of the curvature equation,
 which is zero exactly when the quotient matches the prescription and makes the
 Newton iteration scale-invariant; both sides are positive on admissible states
 so the logs are total.  The residual depends on rho only through the nodal
-jets, which are the grid's sparse stencil operators applied to rho, so the
-Jacobian is the pointwise jet partials times those operators.  The partials
-of the curvature term are closed forms, the first variation of the spectrum
-(radial_geometry.geometry_first_variation) at one geometry evaluation; log f_t
-sees the jets only through rho and its gradient, and its partials are forward
-differences along those frame components.
+frame jets (rho, gradient and covariant Hessian in a two-direction frame),
+which are one sparse jet operator of the grid applied to rho, so the Jacobian
+is the pointwise partials over the frame jets weighting the rows of that same
+operator.  The partials of the curvature term are closed forms, the first
+variation of the spectrum (radial_geometry.geometry_first_variation) at one
+geometry evaluation; log f_t sees the jets only through rho and its gradient,
+and its partials are forward differences along those frame components.
 
 The corrector is a local iteration of full steps: it keeps one sparse LU of J
 across Newton iterations and continuation steps (chord, or Shamanskii, steps)
@@ -195,7 +196,7 @@ def _frame_partials(rho, grid, target: HomotopyTarget, t: float):
     log sigma_k - log sigma_l in closed form from one geometry evaluation,
     minus the forward-differenced partials of log f_t."""
     p = target.p
-    rho, grad, hess = grid.frame_jets(grid.raw_jets(rho), p.n)
+    rho, grad, hess = jet_arrays(rho, grid, p.n)
     geo = geometry_batch(rho, grad, hess, p.n)
     d_eta = log_quotient_grad_batch(geo.eta, sigma_batch(geo.eta, p.k), p.k, p.l)
     d_rho, d_grad, d_hess = geometry_first_variation(rho, grad, geo, d_eta)
@@ -204,21 +205,21 @@ def _frame_partials(rho, grid, target: HomotopyTarget, t: float):
 
 
 def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float):
-    """Sparse d(residual)/d(rho) = sum_a diag(dR/dj_a) D_a over the raw jets j_a.
+    """Sparse d(residual)/d(rho) = diag(dR/drho) + sum_r diag(dR/dj_r) D_r.
 
-    The residual at a node depends on rho only through its raw jets j_0 = rho
-    and j_a = D_a rho, a = 1..A (the grid's stencil operators), and through
-    them only via the frame jets (rho, grad, hess), which frame_jets makes
-    linearly from the raw jets.  The partials of log sigma_k - log sigma_l
-    over the frame jets are closed forms, from one geometry evaluation at rho
-    (see radial_geometry.geometry_first_variation).  log f_t depends on the
-    jets only through rho and grad, so its partials are one forward
-    difference, with step sqrt(eps) max(1, |component|), along rho and each
-    gradient component the grid has, over all nodes at once.  The sum is
-    pulled back to the raw jets once, through frame_pullback.  The helper
-    keeps the geometry to itself, so none of it is alive during linearize.
+    The residual at a node depends on rho only through its frame jets rho,
+    grad and hess, and each frame row j_r the grid makes is D_r rho, a row
+    block of the grid's jet operator (see sphere_grid.jet_arrays).  The
+    partials of log sigma_k - log sigma_l over the frame jets are closed
+    forms, from one geometry evaluation at rho (see
+    radial_geometry.geometry_first_variation).  log f_t depends on the jets
+    only through rho and grad, so its partials are one forward difference,
+    with step sqrt(eps) max(1, |component|), along rho and each gradient
+    component the grid has, over all nodes at once.  grid.linearize weights
+    the operator's rows with the summed partials.  The helper keeps the
+    geometry to itself, so none of it is alive during linearize.
     """
-    return grid.linearize(grid.frame_pullback(*_frame_partials(rho, grid, target, t)))
+    return grid.linearize(*_frame_partials(rho, grid, target, t))
 
 
 def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig = None,

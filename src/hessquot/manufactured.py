@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial_geometry import geometry_batch
-from .sphere_grid import AxisymGrid
+from .sphere_grid import AxisymGrid, frame_arrays
 from .symfun import QuotientParams, sigma_batch
 
 __all__ = ["ZonalProfile", "cosine_profile", "zonal_jets_analytic", "manufactured_forcing"]
@@ -49,7 +49,8 @@ def _zonal_jets(theta, cos_t, sin_t, n: int, profile: ZonalProfile):
     near_pole = np.abs(sin_t) < 1e-9
     safe_sin = np.where(near_pole, 1.0, sin_t)
     orbit = np.where(near_pole, d2, cos_t * d1 / safe_sin)
-    return AxisymGrid.frame_jets((rho, d1, d2, orbit), n)
+    AxisymGrid.check_dimension(n)
+    return frame_arrays(rho, AxisymGrid.frame_rows, (d1, d2, orbit))
 
 
 def zonal_jets_analytic(theta: np.ndarray, n: int, profile: ZonalProfile):
@@ -57,8 +58,8 @@ def zonal_jets_analytic(theta: np.ndarray, n: int, profile: ZonalProfile):
     of colatitudes, shapes (N,), (N, 2), (N, 2, 2) for every n.
 
     The orbit term is cot(theta) rho', replaced by the limit rho'' within a
-    small window of the poles; AxisymGrid.frame_jets places the four jets in
-    the meridian-orbit frame.
+    small window of the poles; the three jets fill the axisymmetric grid's
+    frame rows of the meridian-orbit frame.
     """
     theta = np.asarray(theta, dtype=float)
     return _zonal_jets(theta, np.cos(theta), np.sin(theta), n, profile)

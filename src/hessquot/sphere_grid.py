@@ -3,14 +3,15 @@
 Two grids are provided: a 1-D colatitude grid on [0, pi] for axisymmetric
 fields in any dimension, and a full latitude-longitude grid on the 2-sphere.
 Each grid builds its 2nd-order central-difference stencils once, as sparse
-matrices stacked into one jet operator, so the raw partials of a field are a
-single product `jet_operator @ rho`; the grid's frame then combines them into
-the covariant gradient and Hessian in two frame directions (see frame_jets).
-Jets are linear in rho, so the same operator also serves the solver's
-Jacobian.  The axisymmetric grid includes the poles and closes stencils by
-even reflection (rho(-theta) = rho(theta)); the 2-D grid offsets nodes half a
-spacing off the poles and closes stencils with the antipodal rule (crossing a
-pole lands at phi + pi).
+matrices stacked into one jet operator whose rows already carry the frame's
+node-wise coefficients, so the covariant gradient and Hessian of a field in
+two frame directions are a single product `jet_operator @ rho` (see
+jet_arrays).  The stencil weights are the only place the discretization
+lives.  Jets are linear in rho, so the same operator also serves the solver's
+Jacobian (see linearize).  The axisymmetric grid includes the poles and closes
+stencils by even reflection (rho(-theta) = rho(theta)); the 2-D grid offsets
+nodes half a spacing off the poles and closes stencils with the antipodal rule
+(crossing a pole lands at phi + pi).
 
 The 2-D grid also halves: coarsened() is the grid of half the rows and half
 the columns, and prolong interpolates a field from it to 4th order, so the
@@ -38,6 +39,7 @@ __all__ = [
     "SphereGrid2D",
     "build_axisym_grid",
     "build_s2_grid",
+    "frame_arrays",
     "jet_arrays",
 ]
 
@@ -66,89 +68,72 @@ def _stencil(columns, weights: dict, count: int):
     return op
 
 
-def _flat_frame(rho, grad, hess) -> np.ndarray:
-    """Frame jets as one (N, 7) array: rho, grad_1, grad_2, then hess row-major."""
-    return np.column_stack([rho, grad, hess.reshape(-1, 4)])
+def frame_arrays(rho, rows, values):
+    """Frame jets (rho, grad, hess), shapes (N,), (N, 2), (N, 2, 2), from the
+    values (len(rows), N) of the frame rows `rows`; the other rows are 0.
+
+    Frame rows are numbered 1 grad_1, 2 grad_2, 3 hess_11, 4 hess_12 (which
+    is also hess_21) and 5 hess_22; row 0 is rho itself.
+    """
+    frame = np.zeros((6, rho.size))
+    frame[list(rows)] = values
+    return rho, frame[1:3].T.copy(), frame[[3, 4, 4, 5]].T.reshape(-1, 2, 2)
 
 
 class _StencilGrid:
-    """Jets and their linearization from a grid's stacked jet operator.
+    """Frame jets and their linearization from a grid's stacked jet operator.
 
-    A grid provides `node_count`, `jet_operator` (the raw partials D_1..D_A
-    stacked into an (A N, N) sparse matrix) and `frame_jets`, which must be
-    linear in the raw jets and act node by node.  Row 0 of a
-    raw-jet array is rho itself, rows 1..A are D_a @ rho.  For output it
-    provides `columns` and `angles()`, the CSV coordinate names and the
-    (N, len(columns)) node coordinates, and `surface_rings(rho)`, the surface
-    points X = rho x as (R, M, 3) rings from north to south plus the
-    (2, 3) north and south pole points.  `coarsened()` is the next coarser
-    grid of a sequenced solve, or None.
+    A grid provides `node_count`, `frame_rows` (the frame rows, numbered as
+    in frame_arrays, that its operator makes; the others are 0 for every
+    field), `jet_operator` (one (N, N) sparse block D_r per frame row r,
+    stacked in that order) and `check_dimension(n)`, which raises ValueError
+    unless the grid discretizes S^n.  For output it provides `columns` and
+    `angles()`, the CSV coordinate names and the (N, len(columns)) node
+    coordinates, and `surface_rings(rho)`, the surface points X = rho x as
+    (R, M, 3) rings from north to south plus the (2, 3) north and south pole
+    points.  `coarsened()` is the next coarser grid of a sequenced solve, or
+    None.
     """
 
-    def raw_jets(self, field_values) -> np.ndarray:
-        """(A + 1, N) array: the field, then each stencil partial of it."""
-        f = _check_field(field_values, self.node_count)
-        return np.vstack([f, (self.jet_operator @ f).reshape(-1, f.size)])
-
-    def linearize(self, partials: np.ndarray):
-        """CSR matrix sum_a diag(partials[a]) D_a, where D_0 is the identity.
+    def linearize(self, d_rho, d_grad, d_hess):
+        """CSR matrix of w -> d_rho w + sum_c d_grad_c grad_c(w)
+        + sum_ij d_hess_ij hess_ij(w), for node-wise partials of shapes (N,),
+        (N, 2), (N, 2, 2): diag(d_rho) plus diag(d_r) D_r over the frame rows,
+        where hess_12 and hess_21 are one row, so its partial is their sum.
 
         The values fill a pattern built once per grid, so no per-call sparse
         products or sums are formed.
         """
+        frame = (d_rho, d_grad[:, 0], d_grad[:, 1], d_hess[:, 0, 0],
+                 d_hess[:, 0, 1] + d_hess[:, 1, 0], d_hess[:, 1, 1])
+        partials = np.concatenate([frame[r] for r in self.frame_rows])
         op = self.jet_operator
         pos, indices, indptr = self._linear_layout
         rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-        vals = np.concatenate([partials[0], partials[1:].ravel()[rows] * op.data])
+        vals = np.concatenate([d_rho, partials[rows] * op.data])
         data = np.bincount(pos, weights=vals, minlength=indices.size)
         n = self.node_count
         return scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
-    @cached_property
-    def frame_basis(self):
-        """The nonzero partials of frame_jets, as (a, c, coefficients) for raw
-        jet a and component c of the flattened frame jets (rho, grad_1,
-        grad_2, hess_11, hess_12, hess_21, hess_22).  frame_jets is linear and
-        acts node by node, so its partials over raw jet a are frame_jets of the
-        unit row a.  The map is the same for every n a grid accepts, so it is
-        taken at n = 2."""
-        count = self.jet_operator.shape[0] // self.node_count + 1
-        basis = []
-        for a in range(count):
-            unit = np.zeros((count, self.node_count))
-            unit[a] = 1.0
-            flat = _flat_frame(*self.frame_jets(unit, 2))
-            for c in np.flatnonzero(flat.any(axis=0)):
-                # a coefficient that is the same at every node is kept as a scalar
-                column = flat[:, c]
-                same = (column == column[0]).all()
-                basis.append((a, c, column[0] if same else column.copy()))
-        return basis
-
-    @cached_property
+    @property
     def gradient_components(self) -> tuple:
         """The components c of the frame gradient (0 for grad_1, 1 for grad_2)
-        that frame_jets can make nonzero; the others are 0 for every field."""
-        return tuple(sorted({c - 1 for _, c, _ in self.frame_basis if c in (1, 2)}))
-
-    def frame_pullback(self, d_rho, d_grad, d_hess) -> np.ndarray:
-        """(A + 1, N) partials over the raw jets of a pointwise function of the
-        frame jets, from its partials over them, shapes (N,), (N, 2), (N, 2, 2)."""
-        d_frame = _flat_frame(d_rho, d_grad, d_hess)
-        partials = np.zeros((self.jet_operator.shape[0] // self.node_count + 1, self.node_count))
-        for a, c, coefficients in self.frame_basis:
-            partials[a] += coefficients * d_frame[:, c]
-        return partials
+        that the operator makes; the others are 0 for every field."""
+        return tuple(r - 1 for r in self.frame_rows if r <= 2)
 
     @cached_property
     def _linear_layout(self):
         """(pos, indices, indptr): the CSR pattern of the identity plus every
-        D_a, and the position in it of each identity and jet-operator entry."""
+        D_r, and the position in it of each identity and jet-operator entry."""
         n = self.node_count
         op = self.jet_operator.tocoo()
         node = np.concatenate([np.arange(n), op.row % n])
         col = np.concatenate([np.arange(n), op.col])
-        keys, pos = np.unique(node * n + col, return_inverse=True)
+        entries = node * n + col
+        # not np.unique: it hashes integer keys, about 3x slower here than a sort
+        keys = np.sort(entries)
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        pos = np.searchsorted(keys, entries)
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         return pos.astype(np.int32), (keys % n).astype(np.int32), indptr.astype(np.int32)
 
@@ -162,6 +147,7 @@ class AxisymGrid(_StencilGrid):
     spacing: float
     _frame_cache: dict = field(default_factory=dict, repr=False, compare=False)
     columns = ("theta",)
+    frame_rows = (1, 3, 5)
 
     def angles(self) -> np.ndarray:
         return self.theta[:, None]
@@ -177,10 +163,16 @@ class AxisymGrid(_StencilGrid):
         rings = np.stack([axial, radial * np.cos(phi), radial * np.sin(phi)], axis=-1)
         return rings, np.array([[rho[0], 0.0, 0.0], [-rho[-1], 0.0, 0.0]])
 
+    @staticmethod
+    def check_dimension(n: int):
+        if n < 2:
+            raise ValueError(f"dimension n must be >= 2, got {n}")
+
     def node_frames(self, n: int):
         """Meridian points (cos t, sin t, 0, ...) of S^n in R^{n+1}, shape (N, n+1),
-        and the two frame rows of frame_jets, shape (N, 2, n+1): d/dtheta and
-        one orbit direction; the normal has no component along the others."""
+        and the two frame directions, shape (N, 2, n+1): d/dtheta and one orbit
+        direction; the normal has no component along the others."""
+        self.check_dimension(n)
         if n not in self._frame_cache:
             N = self.node_count
             pos = np.zeros((N, n + 1))
@@ -195,6 +187,7 @@ class AxisymGrid(_StencilGrid):
 
     def quadrature_weights(self, n: int) -> np.ndarray:
         # area of S^{n-1} times the colatitude measure; trapezoidal ends
+        self.check_dimension(n)
         area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
         w = np.sin(self.theta) ** (n - 1) * self.spacing * area
         w[0] *= 0.5
@@ -203,8 +196,15 @@ class AxisymGrid(_StencilGrid):
 
     @cached_property
     def jet_operator(self):
-        """d/dtheta, d^2/dtheta^2 and the orbit term cot(theta) d/dtheta, whose
-        pole rows take its limit d^2/dtheta^2, under even reflection."""
+        """Frame rows grad_1 = d/dtheta, hess_11 = d^2/dtheta^2 and hess_22,
+        the orbit term cot(theta) d/dtheta, whose pole rows take its limit
+        d^2/dtheta^2, under even reflection.
+
+        Frame: e_1 is the meridian direction and e_2 stands for each of the
+        n - 1 orbit directions, where the gradient vanishes and the covariant
+        Hessian is the orbit term with no cross terms, so the rows do not
+        depend on n.
+        """
         N, dt = self.node_count, self.spacing
 
         def columns(offset):
@@ -220,26 +220,6 @@ class AxisymGrid(_StencilGrid):
         orbit = scipy.sparse.diags(cot) @ d1 + scipy.sparse.diags(poles) @ d2
         orbit.eliminate_zeros()
         return scipy.sparse.vstack([d1, d2, orbit], format="csr")
-
-    @staticmethod
-    def frame_jets(jets: np.ndarray, n: int):
-        """Reduced frame jets (rho, grad, hess), shapes (N,), (N, 2), (N, 2, 2),
-        of a zonal field from its raw jets (rho, d1, d2, orbit).
-
-        Frame: e_1 is the meridian direction and e_2 stands for each of the
-        n - 1 orbit directions, where the gradient vanishes and the covariant
-        Hessian is the orbit term with no cross terms; the shapes do not
-        depend on n.  It reads no grid state, so analytic zonal jets use it too.
-        """
-        if n < 2:
-            raise ValueError(f"dimension n must be >= 2, got {n}")
-        rho, d1, d2, orbit = jets
-        grad = np.zeros((rho.size, 2))
-        grad[:, 0] = d1
-        hess = np.zeros((rho.size, 2, 2))
-        hess[:, 0, 0] = d2
-        hess[:, 1, 1] = orbit
-        return rho, grad, hess
 
     def coarsened(self):
         """None: the axisymmetric grid is not halved (see the module docstring)."""
@@ -257,6 +237,7 @@ class SphereGrid2D(_StencilGrid):
     dtheta: float
     dphi: float
     columns = ("theta", "phi")
+    frame_rows = (1, 2, 3, 4, 5)
 
     @property
     def node_count(self) -> int:
@@ -275,11 +256,15 @@ class SphereGrid2D(_StencilGrid):
         north, south = rho[: self.n_phi].mean(), rho[-self.n_phi:].mean()
         return rings, np.array([[north, 0.0, 0.0], [-south, 0.0, 0.0]])
 
+    @staticmethod
+    def check_dimension(n: int):
+        if n != 2:
+            raise ValueError(f"the 2-sphere grid requires n = 2, got n = {n}")
+
     def node_frames(self, n: int):
         """Node positions (N, 3) and orthonormal frames (N, 2, 3) whose rows are
         d/dtheta and (1/sin t) d/dphi."""
-        if n != 2:
-            raise ValueError(f"the 2-sphere grid requires n = 2, got n = {n}")
+        self.check_dimension(n)
         return self._node_frames
 
     @cached_property
@@ -294,12 +279,20 @@ class SphereGrid2D(_StencilGrid):
         return pos, frm
 
     def quadrature_weights(self, n: int) -> np.ndarray:
+        self.check_dimension(n)
         return np.repeat(np.sin(self.theta) * self.dtheta * self.dphi, self.n_phi)
 
     @cached_property
     def jet_operator(self):
-        """Partials r_t, r_p, r_tt, r_tp, r_pp: periodic in phi, crossing the
-        poles by the antipodal rule."""
+        """Frame rows from the partials r_t, r_p, r_tt, r_tp, r_pp (periodic in
+        phi, crossing the poles by the antipodal rule).
+
+        In the frame e_1 = d/dtheta, e_2 = (1/sin t) d/dphi the gradient and
+        covariant Hessian of a scalar are
+            grad_1 = r_t                    grad_2 = r_p / sin t
+            hess_11 = r_tt                  hess_12 = (r_tp - cot t r_p) / sin t
+            hess_22 = r_pp / sin^2 t + cot t r_t
+        """
         nt, nphi, dt, dp = self.n_theta, self.n_phi, self.dtheta, self.dphi
         i = np.repeat(np.arange(nt), nphi)
         j = np.tile(np.arange(nphi), nt)
@@ -318,37 +311,14 @@ class SphereGrid2D(_StencilGrid):
             {(-1, -1): c, (-1, 1): -c, (1, -1): -c, (1, 1): c},
             {(0, -1): dp**-2, (0, 0): -2.0 * dp**-2, (0, 1): dp**-2},
         )
-        ops = [_stencil(columns, weights, self.node_count) for weights in stencils]
-        return scipy.sparse.vstack(ops, format="csr")
-
-    def frame_jets(self, jets: np.ndarray, n: int):
-        """Frame jets (rho, grad, hess), shapes (N,), (N, 2), (N, 2, 2), from the
-        raw jets (rho, r_t, r_p, r_tt, r_tp, r_pp).
-
-        In the frame e_1 = d/dtheta, e_2 = (1/sin t) d/dphi the covariant
-        Hessian of a scalar is
-            hess_11 = r_tt
-            hess_12 = (r_tp - cot t r_p) / sin t
-            hess_22 = r_pp / sin^2 t + cot t r_t
-        """
-        if n != 2:
-            raise ValueError(f"the 2-sphere grid requires n = 2, got n = {n}")
-        rho, r_t, r_p, r_tt, r_tp, r_pp = jets
-        st, cot, st_sq = self._frame_coefficients
-        grad = np.empty((rho.size, 2))
-        grad[:, 0] = r_t
-        grad[:, 1] = r_p / st
-        hess = np.empty((rho.size, 2, 2))
-        hess[:, 0, 0] = r_tt
-        hess[:, 0, 1] = hess[:, 1, 0] = (r_tp - cot * r_p) / st
-        hess[:, 1, 1] = r_pp / st_sq + cot * r_t
-        return rho, grad, hess
-
-    @cached_property
-    def _frame_coefficients(self):
-        """sin t, cot t and sin^2 t at every node."""
-        st = np.repeat(np.sin(self.theta), self.n_phi)
-        return st, np.repeat(np.cos(self.theta), self.n_phi) / st, st**2
+        r_t, r_p, r_tt, r_tp, r_pp = (
+            _stencil(columns, weights, self.node_count) for weights in stencils)
+        st = np.repeat(np.sin(self.theta), nphi)
+        cot = scipy.sparse.diags(np.repeat(np.cos(self.theta), nphi) / st)
+        inv_st = scipy.sparse.diags(1.0 / st)
+        rows = (r_t, inv_st @ r_p, r_tt, inv_st @ (r_tp - cot @ r_p),
+                scipy.sparse.diags(st**-2) @ r_pp + cot @ r_t)
+        return scipy.sparse.vstack(rows, format="csr")
 
     def coarsened(self):
         """The grid of n_theta/2 rows and n_phi/2 columns that prolong
@@ -411,6 +381,8 @@ def build_s2_grid(n_theta: int, n_phi: int) -> SphereGrid2D:
 
 
 def jet_arrays(field_values, grid, n: int):
-    """Reduced frame jets (rho, grad, hess) of a nodal field, shapes (N,), (N, 2)
-    and (N, 2, 2) on either grid; see the grids' frame_jets."""
-    return grid.frame_jets(grid.raw_jets(field_values), n)
+    """Frame jets (rho, grad, hess) of a nodal field on S^n, shapes (N,), (N, 2)
+    and (N, 2, 2) on either grid: the grid's jet operator applied to it."""
+    grid.check_dimension(n)
+    rho = _check_field(field_values, grid.node_count)
+    return frame_arrays(rho, grid.frame_rows, (grid.jet_operator @ rho).reshape(-1, rho.size))

@@ -20,7 +20,13 @@ from hessquot.continuation_solver import (
 from hessquot.fspec import make_homotopy, parse_f, reference_level, validate_assumptions
 from hessquot.manufactured import cosine_profile, manufactured_forcing
 from hessquot.radial_geometry import PointJet, assemble_point_geometry
-from hessquot.sphere_grid import SphereGrid2D, build_axisym_grid, build_s2_grid
+from hessquot.sphere_grid import (
+    SphereGrid2D,
+    build_axisym_grid,
+    build_s2_grid,
+    frame_arrays,
+    jet_arrays,
+)
 from hessquot.symfun import QuotientParams
 
 
@@ -90,7 +96,7 @@ class TestResidualVector:
         residual_vector(rho, grid, make_homotopy(base, p, 0.5, 2.0), 1.0)
         (X, nu), = seen
         positions, frames = grid.node_frames(p.n)
-        frame_rho, grad, hess = grid.frame_jets(grid.raw_jets(rho), p.n)
+        frame_rho, grad, hess = jet_arrays(rho, grid, p.n)
         assert np.abs(X - rho[:, None] * positions).max() <= 1e-15
         if mode == "s2":
             assert np.abs(grad[:, 1]).max() > 0.1
@@ -198,21 +204,25 @@ class TestJacobian:
 
 def bumped_jacobian(rho, grid, target, t):
     """The Jacobian assemble_jacobian used to build, kept as an oracle: one
-    forward difference of the whole pointwise residual per raw jet, with step
-    sqrt(eps) max(1, |j_a|)."""
-    jets = grid.raw_jets(rho)
+    forward difference of the whole pointwise residual per row of the grid's
+    jet operator and along rho, with step sqrt(eps) max(1, |j_r|)."""
+    frame_rho, grad, hess = jet_arrays(rho, grid, target.p.n)
+    jets = np.vstack([frame_rho, grad.T, hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]])
 
     def residual(j):
         return continuation_solver._pointwise_residual(
-            *grid.frame_jets(j, target.p.n), grid, target, t)[0]
+            *frame_arrays(j[0], range(1, 6), j[1:]), grid, target, t)[0]
 
     base = residual(jets)
-    partials = np.empty_like(jets)
-    for a in range(jets.shape[0]):
+    partials = np.zeros_like(jets)
+    for r in (0, *grid.frame_rows):
         bumped = jets.copy()
-        bumped[a] += math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(jets[a]))
-        partials[a] = (residual(bumped) - base) / (bumped[a] - jets[a])
-    return grid.linearize(partials)
+        bumped[r] += math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(jets[r]))
+        partials[r] = (residual(bumped) - base) / (bumped[r] - jets[r])
+    d_rho, d_grad, d_hess = frame_arrays(partials[0], range(1, 6), partials[1:])
+    # the bump of row 4 moved hess_12 and hess_21 at once
+    d_hess[:, 1, 0] = 0.0
+    return grid.linearize(d_rho, d_grad, d_hess)
 
 
 # the (n, k, l) of the benchmark's axisymmetric problems

@@ -237,6 +237,38 @@ class TestCoarsening:
             build_s2_grid(32, 64).prolong(np.ones(2048))
 
 
+class TestGridInterface:
+    """The dimension rule and the Jacobian assembly that both grids share."""
+
+    @staticmethod
+    def grid_and_wrong_n(mode):
+        return (build_axisym_grid(33), 1) if mode == "axisym" else (build_s2_grid(16, 32), 3)
+
+    @pytest.mark.parametrize("call", ["jet_arrays", "node_frames", "quadrature_weights"])
+    @pytest.mark.parametrize("mode", ["axisym", "s2"])
+    def test_wrong_dimension_raises(self, mode, call):
+        grid, n = self.grid_and_wrong_n(mode)
+        with pytest.raises(ValueError, match=f"got (n = )?{n}$"):
+            if call == "jet_arrays":
+                jet_arrays(np.ones(grid.node_count), grid, n)
+            else:
+                getattr(grid, call)(n)
+
+    @pytest.mark.parametrize("mode", ["axisym", "s2"])
+    def test_linearize_pairs_partials_with_jets(self, mode):
+        # an asymmetric d_hess, so that a dropped hess_21 or a wrong row shows
+        grid, _ = self.grid_and_wrong_n(mode)
+        N = grid.node_count
+        rng = np.random.default_rng(13)
+        d_rho, d_grad, d_hess = rng.normal(size=N), rng.normal(size=(N, 2)), rng.normal(size=(N, 2, 2))
+        w = rng.normal(size=N)
+        w_rho, w_grad, w_hess = jet_arrays(w, grid, 2)
+        expected = (d_rho * w_rho + np.einsum("nc,nc->n", d_grad, w_grad)
+                    + np.einsum("nij,nij->n", d_hess, w_hess))
+        got = grid.linearize(d_rho, d_grad, d_hess) @ w
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 class TestFieldNorms:
     """The quadrature L2 norm of the unit field, sqrt(sum of the weights), is
     the square root of the sphere's area."""
