@@ -8,13 +8,14 @@ residual is the log form of the curvature equation,
 which is zero exactly when the quotient matches the prescription and makes the
 Newton iteration scale-invariant; both sides are positive on admissible states
 so the logs are total.  The residual depends on rho only through the nodal
-frame jets (rho, gradient and covariant Hessian in a two-direction frame),
-which are one sparse jet operator of the grid applied to rho, so the Jacobian
-is the pointwise partials over the frame jets weighting the rows of that same
-operator.  The partials of the curvature term are closed forms, the first
-variation of the spectrum (radial_geometry.geometry_first_variation) at one
-geometry evaluation; log f_t sees the jets only through rho and its gradient,
-and its partials are forward differences along those frame components.
+frame jets (rho, gradient and covariant Hessian in a two-direction frame, one
+(6, N) array indexed by frame row), which are one sparse jet operator of the
+grid applied to rho, so the Jacobian is the pointwise partials over the frame
+jets, the same (6, N) array, weighting the rows of that same operator.  The
+partials of the curvature term are closed forms, the first variation of the
+spectrum (radial_geometry.geometry_first_variation) at one geometry
+evaluation; log f_t sees the jets only through rho and its gradient, and its
+partials are forward differences along those frame rows.
 
 The corrector is a local iteration of full steps: it keeps one sparse LU of J
 across Newton iterations and continuation steps (chord, or Shamanskii, steps)
@@ -115,14 +116,14 @@ class SolutionField:
     trace: list[SolveStep]
 
 
-def _f_values(rho, grad, v, grid, target: HomotopyTarget, t: float):
+def _f_values(jets, v, grid, target: HomotopyTarget, t: float):
     """f_t at the surface points X = rho x with normals nu (local_normal mapped
-    through the grid's node frames), from frame jets and
+    through the grid's node frames), from (6, N) frame jets and
     v = sqrt(1 + |grad|^2/rho^2); raises NonpositiveF unless every value is
     positive."""
     positions, frames = grid.node_frames(target.p.n)
-    nu_radial, nu_tangent = local_normal(rho, grad, v)
-    X = rho[:, None] * positions
+    nu_radial, nu_tangent = local_normal(jets, v)
+    X = jets[0][:, None] * positions
     nu = nu_radial[:, None] * positions + np.einsum("nj,njd->nd", nu_tangent, frames)
     fvals = np.asarray(eval_homotopy(target, t, X, nu), dtype=float)
     if np.any(fvals <= 0.0):
@@ -131,15 +132,16 @@ def _f_values(rho, grad, v, grid, target: HomotopyTarget, t: float):
     return fvals
 
 
-def _pointwise_residual(rho, grad, hess, grid, target: HomotopyTarget, t: float):
-    """Residual vector of nodal jets, plus the worst cone margin over the nodes.
+def _pointwise_residual(jets, grid, target: HomotopyTarget, t: float):
+    """Residual vector of (6, N) nodal frame jets.
 
     This is the one admissibility test of the solver: it raises ConeViolation
-    unless the worst margin is >= _CONE_MARGIN (a NaN margin fails too), and
-    geometry_batch raises DegenerateJet for rho <= 0 or non-finite jets.
+    unless the worst cone margin over the nodes is >= _CONE_MARGIN (a NaN
+    margin fails too), and geometry_batch raises DegenerateJet for rho <= 0
+    or non-finite jets.
     """
     p = target.p
-    geo = geometry_batch(rho, grad, hess, p.n)
+    geo = geometry_batch(jets, p.n)
     sig = sigma_batch(geo.eta, p.k)
     margins = sig[:, 1:].min(axis=1)
     worst = int(np.argmin(margins))
@@ -150,76 +152,68 @@ def _pointwise_residual(rho, grad, hess, grid, target: HomotopyTarget, t: float)
             node=worst,
             margin=float(margins[worst]),
         )
-    fvals = _f_values(rho, grad, geo.v, grid, target, t)
-    res = np.log(sig[:, p.k]) - np.log(sig[:, p.l]) - np.log(fvals)
-    return res, float(margins[worst])
+    fvals = _f_values(jets, geo.v, grid, target, t)
+    return np.log(sig[:, p.k]) - np.log(sig[:, p.l]) - np.log(fvals)
 
 
 def _residual_and_margin(rho, grid, target: HomotopyTarget, t: float):
-    """Residual vector plus the worst cone margin over the nodes.
+    """Residual vector of a nodal field.
 
-    Callers use only the residual; the name and return value stay because the
-    benchmark's tracer counts residual evaluations on this binding.
+    It returns the residual only; the name stays because the benchmark's
+    tracer counts residual evaluations on this binding.
     """
-    return _pointwise_residual(*jet_arrays(rho, grid, target.p.n), grid, target, t)
+    return _pointwise_residual(jet_arrays(rho, grid, target.p.n), grid, target, t)
 
 
 def residual_vector(rho, grid, target: HomotopyTarget, t: float):
     """Per-node log residual of the discrete equation at homotopy time t."""
-    res, _ = _residual_and_margin(np.asarray(rho, dtype=float), grid, target, t)
-    return res
+    return _residual_and_margin(np.asarray(rho, dtype=float), grid, target, t)
 
 
-def _log_f_partials(rho, grad, v, grid, target: HomotopyTarget, t: float):
-    """Partials (N,), (N, 2) of log f_t over the frame jets rho and grad, by
-    forward differences with step sqrt(eps) max(1, |component|) along rho and
-    along each gradient component the grid can make nonzero; the other
-    component's partial is 0."""
-    log_f = np.log(_f_values(rho, grad, v, grid, target, t))
-
-    def slope(rho_b, grad_b, step):
-        v_b = np.sqrt(1.0 + np.einsum("nc,nc->n", grad_b, grad_b) / rho_b**2)
-        return (np.log(_f_values(rho_b, grad_b, v_b, grid, target, t)) - log_f) / step
-
-    rho_b = rho + _JET_STEP * np.maximum(1.0, np.abs(rho))
-    d_rho = slope(rho_b, grad, rho_b - rho)
-    d_grad = np.zeros_like(grad)
-    for c in grid.gradient_components:
-        grad_b = grad.copy()
-        grad_b[:, c] += _JET_STEP * np.maximum(1.0, np.abs(grad[:, c]))
-        d_grad[:, c] = slope(rho, grad_b, grad_b[:, c] - grad[:, c])
-    return d_rho, d_grad
+def _log_f_partials(jets, v, grid, target: HomotopyTarget, t: float):
+    """Partials (3, N) of log f_t over frame rows 0-2, rho and grad, by
+    forward differences with step sqrt(eps) max(1, |j_r|) along rho and along
+    each gradient row the grid makes; the other row's partial is 0."""
+    log_f = np.log(_f_values(jets, v, grid, target, t))
+    partials = np.zeros((3, v.size))
+    for r in (0,) + grid.gradient_rows:
+        bumped = jets.copy()
+        bumped[r] += _JET_STEP * np.maximum(1.0, np.abs(jets[r]))
+        v_b = np.sqrt(1.0 + np.einsum("cn,cn->n", bumped[1:3], bumped[1:3]) / bumped[0]**2)
+        partials[r] = (np.log(_f_values(bumped, v_b, grid, target, t)) - log_f) / (
+            bumped[r] - jets[r])
+    return partials
 
 
 def _frame_partials(rho, grid, target: HomotopyTarget, t: float):
-    """Partials (N,), (N, 2), (N, 2, 2) of the residual over the frame jets:
-    log sigma_k - log sigma_l in closed form from one geometry evaluation,
-    minus the forward-differenced partials of log f_t."""
+    """Partials (6, N) of the residual over the frame jets: log sigma_k -
+    log sigma_l in closed form from one geometry evaluation, minus the
+    forward-differenced partials of log f_t."""
     p = target.p
-    rho, grad, hess = jet_arrays(rho, grid, p.n)
-    geo = geometry_batch(rho, grad, hess, p.n)
+    jets = jet_arrays(rho, grid, p.n)
+    geo = geometry_batch(jets, p.n)
     d_eta = log_quotient_grad_batch(geo.eta, sigma_batch(geo.eta, p.k), p.k, p.l)
-    d_rho, d_grad, d_hess = geometry_first_variation(rho, grad, geo, d_eta)
-    f_rho, f_grad = _log_f_partials(rho, grad, geo.v, grid, target, t)
-    return d_rho - f_rho, d_grad - f_grad, d_hess
+    partials = geometry_first_variation(jets, geo, d_eta)
+    partials[:3] -= _log_f_partials(jets, geo.v, grid, target, t)
+    return partials
 
 
 def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float):
-    """Sparse d(residual)/d(rho) = diag(dR/drho) + sum_r diag(dR/dj_r) D_r.
+    """Sparse d(residual)/d(rho) = sum_r diag(dR/dj_r) D_r.
 
-    The residual at a node depends on rho only through its frame jets rho,
-    grad and hess, and each frame row j_r the grid makes is D_r rho, a row
-    block of the grid's jet operator (see sphere_grid.jet_arrays).  The
+    The residual at a node depends on rho only through its frame jets, and
+    each frame row j_r the grid makes is D_r rho, a row block of the grid's
+    jet operator (D_0 the identity; see sphere_grid.jet_arrays).  The
     partials of log sigma_k - log sigma_l over the frame jets are closed
     forms, from one geometry evaluation at rho (see
     radial_geometry.geometry_first_variation).  log f_t depends on the jets
     only through rho and grad, so its partials are one forward difference,
-    with step sqrt(eps) max(1, |component|), along rho and each gradient
-    component the grid has, over all nodes at once.  grid.linearize weights
+    with step sqrt(eps) max(1, |j_r|), along rho and each gradient row the
+    grid makes, over all nodes at once.  grid.linearize weights
     the operator's rows with the summed partials.  The helper keeps the
     geometry to itself, so none of it is alive during linearize.
     """
-    return grid.linearize(*_frame_partials(rho, grid, target, t))
+    return grid.linearize(_frame_partials(rho, grid, target, t))
 
 
 def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig = None,
@@ -244,7 +238,7 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
     """
     cfg = cfg if cfg is not None else SolverConfig()
     rho = np.asarray(rho0, dtype=float).copy()
-    res, _ = _residual_and_margin(rho, grid, target, t)
+    res = _residual_and_margin(rho, grid, target, t)
     res_sup = float(np.abs(res).max())
     iters = factorizations = 0
 
@@ -253,7 +247,7 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
         cuts the residual sup by `contraction`, else None."""
         trial = rho + delta
         try:
-            trial_res, _ = _residual_and_margin(trial, grid, target, t)
+            trial_res = _residual_and_margin(trial, grid, target, t)
         except _INADMISSIBLE:
             return None
         trial_sup = float(np.abs(trial_res).max())
@@ -312,7 +306,7 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
     # factors anew: at most one LU is alive at a time.
     carried = {}
 
-    res, _ = _residual_and_margin(rho, grid, target, 0.0)
+    res = _residual_and_margin(rho, grid, target, 0.0)
     accept(grid, 0.0, 0, float(np.abs(res).max()), rho)
 
     t = 0.0

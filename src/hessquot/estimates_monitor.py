@@ -39,12 +39,12 @@ class CheckResult:
 
 def snapshot_bounds(rho, grid, p: QuotientParams) -> BoundsSnapshot:
     """Scan all nodes of a field state and collect the monitored extrema."""
-    rho_arr, grad, hess = jet_arrays(rho, grid, p.n)
-    geo = geometry_batch(rho_arr, grad, hess, p.n)
+    jets = jet_arrays(rho, grid, p.n)
+    geo = geometry_batch(jets, p.n)
     margins = gamma_margins(geo.eta, p.k)
     return BoundsSnapshot(
-        rho_min=float(rho_arr.min()),
-        rho_max=float(rho_arr.max()),
+        rho_min=float(jets[0].min()),
+        rho_max=float(jets[0].max()),
         u_min=float(geo.u.min()),
         grad_sup=float(geo.grad_norm.max()),
         kappa_sup=float(np.abs(geo.kappa).max()),

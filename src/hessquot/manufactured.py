@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial_geometry import geometry_batch
-from .sphere_grid import AxisymGrid, frame_arrays
+from .sphere_grid import AxisymGrid
 from .symfun import QuotientParams, sigma_batch
 
 __all__ = ["ZonalProfile", "cosine_profile", "zonal_jets_analytic", "manufactured_forcing"]
@@ -50,16 +50,18 @@ def _zonal_jets(theta, cos_t, sin_t, n: int, profile: ZonalProfile):
     safe_sin = np.where(near_pole, 1.0, sin_t)
     orbit = np.where(near_pole, d2, cos_t * d1 / safe_sin)
     AxisymGrid.check_dimension(n)
-    return frame_arrays(rho, AxisymGrid.frame_rows, (d1, d2, orbit))
+    zero = np.zeros_like(rho)
+    return np.stack([rho, d1, zero, d2, zero, orbit])
 
 
 def zonal_jets_analytic(theta: np.ndarray, n: int, profile: ZonalProfile):
-    """Exact reduced frame jets (rho, grad, hess) of a zonal field at an array
-    of colatitudes, shapes (N,), (N, 2), (N, 2, 2) for every n.
+    """Exact frame jets (6, N) of a zonal field at an array of colatitudes,
+    indexed by frame row as sphere_grid.jet_arrays returns them, for every n.
 
     The orbit term is cot(theta) rho', replaced by the limit rho'' within a
-    small window of the poles; the three jets fill the axisymmetric grid's
-    frame rows of the meridian-orbit frame.
+    small window of the poles; rho, rho', rho'' and the orbit term fill the
+    axisymmetric grid's frame rows (0, 1, 3, 5) of the meridian-orbit frame,
+    and the other rows are 0.
     """
     theta = np.asarray(theta, dtype=float)
     return _zonal_jets(theta, np.cos(theta), np.sin(theta), n, profile)
@@ -90,11 +92,11 @@ def manufactured_forcing(p: QuotientParams, profile: ZonalProfile = None, extra_
         off_axis = np.sqrt(np.einsum("ij,ij->i", X[:, 1:], X[:, 1:]))
         r = np.hypot(axial, off_axis)
         theta = np.arctan2(off_axis, axial)
-        rho, grad, hess = _zonal_jets(theta, axial / r, off_axis / r, p.n, profile)
-        geo = geometry_batch(rho, grad, hess, p.n)
+        jets = _zonal_jets(theta, axial / r, off_axis / r, p.n, profile)
+        geo = geometry_batch(jets, p.n)
         sig = sigma_batch(geo.eta, p.k)
         value = sig[:, p.k] / sig[:, p.l]
-        out = value * (r / rho) ** exponent
+        out = value * (r / jets[0]) ** exponent
         return out if out.size > 1 else float(out[0])
 
     return forcing

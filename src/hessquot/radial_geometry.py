@@ -8,7 +8,7 @@ curvature-difference tensor eta = H g - h whose eigenvalues are
 lam_i = H - kappa_i.
 
 The normal nu = (1, -D rho / rho) / v is reported in the local basis (radial,
-e_1, ..., e_n), by `local_normal` on reduced frame jets; grids know their frame
+e_1, ..., e_n), by `local_normal` on frame jets; grids know their frame
 embeddings and map it to ambient coordinates when needed.
 
 Formulas (orthonormal frame, sigma_ij = delta_ij):
@@ -19,11 +19,12 @@ Formulas (orthonormal frame, sigma_ij = delta_ij):
 Principal curvatures are the eigenvalues of g^{-1} h, computed from the
 symmetric similar matrix S = g^{-1/2} h g^{-1/2} so they stay real.
 
-Both grids hand the solver *reduced* frame jets: rho (N,), D rho (N, 2) and
-D^2 rho (N, 2, 2) in a frame (e_1, e_2).  On the 2-sphere that is the whole
-jet.  On the axisymmetric grid e_1 is the meridian and e_2 stands for all n-1
-orbit directions, which are orthogonal to D rho, carry no cross terms and
-share one Hessian entry, so each has the principal curvature s_22.
+Both grids hand the solver frame jets in a frame (e_1, e_2) as one (6, N)
+array indexed by frame row: 0 rho, 1 D_1 rho, 2 D_2 rho, 3 D_11 rho,
+4 D_12 rho = D_21 rho, 5 D_22 rho (see sphere_grid).  On the 2-sphere that is
+the whole jet.  On the axisymmetric grid e_1 is the meridian and e_2 stands
+for all n-1 orbit directions, which are orthogonal to D rho, carry no cross
+terms and share one Hessian entry, so each has the principal curvature s_22.
 
 `geometry_batch` is the closed form on that frame, with no matrix products
 and no eigen-decomposition: g^{-1/2} = (I + (1/v - 1) what what^T)/rho with
@@ -41,7 +42,7 @@ pencil (h, g), dkappa_j = e_j^T (dh - kappa_j dg) e_j with e_j = P q_j
     dG = <A, dh> - <B, dg>,  A = P M P,  B = P K P,
     M = Q diag(F) Q^T,  K = Q diag(F kappa) Q^T,
 where each orbit copy adds its F (times s_22 in K) at E_22.  Then
-    dG/dhess  = -A / v
+    dG/dhess  = -A / v, so the partial over row 4, D_12 = D_21, is -2 A_12 / v
     dG/drho   = (tr A - (2/rho^2) Drho.A.Drho)/v + <A, h> |Drho|^2/(rho^3 v^2) - 2 rho tr B
     dG/dDrho  = (4/(rho v)) A Drho - <A, h> Drho/(rho^2 v^2) - 2 B Drho.
 
@@ -101,7 +102,7 @@ class PointGeometry:
 
 @dataclass
 class GeometryBatch:
-    """Vectorized geometry over a batch of reduced frame jets (solver hot path).
+    """Vectorized geometry over a batch of frame jets (solver hot path).
 
     Each row of `kappa` is ascending: the smaller frame curvature, for n > 2
     the orbit curvature n - 2 times, then the larger one.  `eta` is the
@@ -130,26 +131,24 @@ def _congruence(p, m):
     return p11 * a11 + p12 * a21, p11 * a12 + p12 * a22, p12 * a12 + p22 * a22
 
 
-def _check_jet(rho, grad, hess):
+def _check_jet(rho, *derivatives):
     if not (rho.min() > 0.0 and rho.max() < np.inf):
         bad = int(np.argmin(np.where(np.isfinite(rho), rho, -np.inf)))
         raise DegenerateJet(f"rho must be positive and finite (node {bad})")
-    if not (np.isfinite(grad).all() and np.isfinite(hess).all()):
+    if not all(np.isfinite(d).all() for d in derivatives):
         raise DegenerateJet("jet entries must be finite")
 
 
-def geometry_batch(rho: np.ndarray, grad: np.ndarray, hess: np.ndarray, n: int) -> GeometryBatch:
-    """Closed-form geometry in dimension n for (N,), (N, 2), (N, 2, 2) reduced
-    frame jets; see the module docstring.  For n > 2 the jets must be zonal,
-    grad_2 = hess_12 = 0, as the axisymmetric grid's are."""
-    rho = np.asarray(rho, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    if grad.shape[1:] != (2,) or hess.shape[1:] != (2, 2):
-        raise ValueError("reduced frame jets must have shapes (N, 2) and (N, 2, 2)")
-    _check_jet(rho, grad, hess)
+def geometry_batch(jets: np.ndarray, n: int) -> GeometryBatch:
+    """Closed-form geometry in dimension n for (6, N) frame jets; see the
+    module docstring.  For n > 2 the jets must be zonal, grad_2 = hess_12 = 0,
+    as the axisymmetric grid's are."""
+    jets = np.asarray(jets, dtype=float)
+    if jets.ndim != 2 or jets.shape[0] != 6:
+        raise ValueError(f"frame jets must have shape (6, N), got {jets.shape}")
+    rho, r1, r2, hess11, hess12, hess22 = jets
+    _check_jet(rho, jets[1:])
 
-    r1, r2 = grad[:, 0], grad[:, 1]
     r11, r12, r22 = r1 * r1, r1 * r2, r2 * r2
     grad_norm2 = r11 + r22
     v = np.sqrt(1.0 + grad_norm2 / rho**2)
@@ -159,9 +158,9 @@ def geometry_batch(rho: np.ndarray, grad: np.ndarray, hess: np.ndarray, n: int) 
 
     # h = (-hess + rho I + (2/rho) grad grad^T) / v
     two_over_rho = 2.0 / rho
-    h11 = (rho - hess[:, 0, 0] + two_over_rho * r11) / v
-    h12 = (two_over_rho * r12 - hess[:, 0, 1]) / v
-    h22 = (rho - hess[:, 1, 1] + two_over_rho * r22) / v
+    h11 = (rho - hess11 + two_over_rho * r11) / v
+    h12 = (two_over_rho * r12 - hess12) / v
+    h22 = (rho - hess22 + two_over_rho * r22) / v
 
     # P = g^{-1/2} = (I + (1/v - 1) what what^T) / rho, what = grad / |grad|;
     # where grad vanishes, what = 0 and 1/v - 1 is exactly 0
@@ -201,20 +200,19 @@ def geometry_batch(rho: np.ndarray, grad: np.ndarray, hess: np.ndarray, n: int) 
     )
 
 
-def local_normal(rho: np.ndarray, grad: np.ndarray, v: np.ndarray):
+def local_normal(jets: np.ndarray, v: np.ndarray):
     """The outward unit normal (1, -D rho / rho) / v in the local basis, as its
-    radial (N,) and (e_1, e_2) (N, 2) components, for reduced frame jets and
+    radial (N,) and (e_1, e_2) (N, 2) components, for (6, N) frame jets and
     v = sqrt(1 + |D rho|^2 / rho^2)."""
-    return 1.0 / v, -grad / (v * rho)[:, None]
+    return 1.0 / v, (-jets[1:3] / (v * jets[0])).T
 
 
-def geometry_first_variation(rho: np.ndarray, grad: np.ndarray, geo: GeometryBatch,
-                             d_eta: np.ndarray):
-    """Partials (N,), (N, 2), (N, 2, 2) over the reduced frame jets of a
-    function G of the eta spectrum, from d_eta = dG/deta in the column order of
-    geo.eta, where geo = geometry_batch(rho, grad, hess, n); see the module
-    docstring.  Where kappa_min = kappa_max, F must agree on them, as it does
-    for every symmetric G."""
+def geometry_first_variation(jets: np.ndarray, geo: GeometryBatch, d_eta: np.ndarray):
+    """Partials (6, N) over the frame jets, by frame row, of a function G of
+    the eta spectrum, from d_eta = dG/deta in the column order of geo.eta,
+    where geo = geometry_batch(jets, n); see the module docstring.  Where
+    kappa_min = kappa_max, F must agree on them, as it does for every
+    symmetric G."""
     # eta_i = H - kappa_{n-1-i}, so dG/dkappa_j = sum_i d_eta_i - d_eta_{n-1-j}
     F = (d_eta.sum(axis=1)[:, None] - d_eta)[:, ::-1]
     f_min, f_max, f_orbit = F[:, 0], F[:, -1], F[:, 1:-1].sum(axis=1)
@@ -233,7 +231,7 @@ def geometry_first_variation(rho: np.ndarray, grad: np.ndarray, geo: GeometryBat
     B11, B12, B22 = congruent_form(f_min * k_min, f_max * k_max, f_orbit * s22)
     h11, h12, h22 = geo.h
     v = geo.v
-    r1, r2 = grad[:, 0], grad[:, 1]
+    rho, r1, r2 = jets[:3]
     Ap1, Ap2 = A11 * r1 + A12 * r2, A12 * r1 + A22 * r2
     Bp1, Bp2 = B11 * r1 + B12 * r2, B12 * r1 + B22 * r2
     A_h = A11 * h11 + 2.0 * A12 * h12 + A22 * h22
@@ -241,13 +239,9 @@ def geometry_first_variation(rho: np.ndarray, grad: np.ndarray, geo: GeometryBat
     d_rho = ((A11 + A22 - (2.0 / rho**2) * (r1 * Ap1 + r2 * Ap2)) / v
              + A_h * grad_norm2 / (rho**3 * v**2) - 2.0 * rho * (B11 + B22))
     a_coeff, h_coeff = 4.0 / (rho * v), A_h / (rho * v) ** 2
-    d_grad = np.stack([a_coeff * Ap1 - h_coeff * r1 - 2.0 * Bp1,
-                       a_coeff * Ap2 - h_coeff * r2 - 2.0 * Bp2], axis=-1)
-    d_hess = np.empty((rho.size, 2, 2))
-    d_hess[:, 0, 0] = -A11 / v
-    d_hess[:, 0, 1] = d_hess[:, 1, 0] = -A12 / v
-    d_hess[:, 1, 1] = -A22 / v
-    return d_rho, d_grad, d_hess
+    return np.stack([d_rho, a_coeff * Ap1 - h_coeff * r1 - 2.0 * Bp1,
+                     a_coeff * Ap2 - h_coeff * r2 - 2.0 * Bp2,
+                     -A11 / v, -2.0 * A12 / v, -A22 / v])
 
 
 def assemble_point_geometry(jet: PointJet, n: int) -> PointGeometry:

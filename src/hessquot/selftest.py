@@ -121,11 +121,8 @@ def check_jet_convergence():
     for N in (33, 65):
         grid = build_axisym_grid(N)
         field = profile.value(grid.theta)
-        rho, grad, hess = jet_arrays(field, grid, 3)
-        _, grad_ref, hess_ref = zonal_jets_analytic(grid.theta, 3, profile)
-        errors.append(
-            max(np.abs(grad - grad_ref).max(), np.abs(hess - hess_ref).max())
-        )
+        error = jet_arrays(field, grid, 3) - zonal_jets_analytic(grid.theta, 3, profile)
+        errors.append(np.abs(error[1:]).max())
     ratio = errors[0] / errors[1]
     ok = ratio > 3.5
 
@@ -135,16 +132,12 @@ def check_jet_convergence():
         tt = np.repeat(grid.theta, grid.n_phi)
         pp = np.tile(grid.phi, grid.n_theta)
         field = 1.0 + 0.05 * np.sin(tt) * np.cos(pp)
-        _, grad, hess = jet_arrays(field, grid, 2)
-        grad_ref = np.stack(
-            [0.05 * np.cos(tt) * np.cos(pp), -0.05 * np.sin(pp)], axis=-1
-        )
+        jets = jet_arrays(field, grid, 2)
         href = -0.05 * np.sin(tt) * np.cos(pp)
-        hess_ref = np.zeros_like(hess)
-        hess_ref[:, 0, 0] = href
-        hess_ref[:, 1, 1] = href
+        ref = np.stack([0.05 * np.cos(tt) * np.cos(pp), -0.05 * np.sin(pp),
+                        href, np.zeros_like(href), href])
         w = grid.quadrature_weights(2)
-        err = np.abs(grad - grad_ref).max(axis=(1,)) + np.abs(hess - hess_ref).max(axis=(1, 2))
+        err = np.abs(jets[1:3] - ref[:2]).max(axis=0) + np.abs(jets[3:] - ref[2:]).max(axis=0)
         s2_errors.append(math.sqrt(float(np.sum(w * err**2))))
     s2_ratio = s2_errors[0] / s2_errors[1]
     ok = ok and s2_ratio > 3.5

@@ -4,8 +4,9 @@ Two grids are provided: a 1-D colatitude grid on [0, pi] for axisymmetric
 fields in any dimension, and a full latitude-longitude grid on the 2-sphere.
 Each grid builds its 2nd-order central-difference stencils once, as sparse
 matrices stacked into one jet operator whose rows already carry the frame's
-node-wise coefficients, so the covariant gradient and Hessian of a field in
-two frame directions are a single product `jet_operator @ rho` (see
+node-wise coefficients, so the frame jets of a field, rho and its covariant
+gradient and Hessian in two frame directions, are a single product
+`jet_operator @ rho`, returned as one (6, N) array indexed by frame row (see
 jet_arrays).  The stencil weights are the only place the discretization
 lives.  Jets are linear in rho, so the same operator also serves the solver's
 Jacobian (see linearize).  The axisymmetric grid includes the poles and closes
@@ -39,7 +40,6 @@ __all__ = [
     "SphereGrid2D",
     "build_axisym_grid",
     "build_s2_grid",
-    "frame_arrays",
     "jet_arrays",
 ]
 
@@ -68,74 +68,66 @@ def _stencil(columns, weights: dict, count: int):
     return op
 
 
-def frame_arrays(rho, rows, values):
-    """Frame jets (rho, grad, hess), shapes (N,), (N, 2), (N, 2, 2), from the
-    values (len(rows), N) of the frame rows `rows`; the other rows are 0.
-
-    Frame rows are numbered 1 grad_1, 2 grad_2, 3 hess_11, 4 hess_12 (which
-    is also hess_21) and 5 hess_22; row 0 is rho itself.
-    """
-    frame = np.zeros((6, rho.size))
-    frame[list(rows)] = values
-    return rho, frame[1:3].T.copy(), frame[[3, 4, 4, 5]].T.reshape(-1, 2, 2)
-
-
 class _StencilGrid:
     """Frame jets and their linearization from a grid's stacked jet operator.
 
-    A grid provides `node_count`, `frame_rows` (the frame rows, numbered as
-    in frame_arrays, that its operator makes; the others are 0 for every
-    field), `jet_operator` (one (N, N) sparse block D_r per frame row r,
-    stacked in that order) and `check_dimension(n)`, which raises ValueError
-    unless the grid discretizes S^n.  For output it provides `columns` and
-    `angles()`, the CSV coordinate names and the (N, len(columns)) node
-    coordinates, and `surface_rings(rho)`, the surface points X = rho x as
-    (R, M, 3) rings from north to south plus the (2, 3) north and south pole
-    points.  `coarsened()` is the next coarser grid of a sequenced solve, or
-    None.
+    Frame jets are one (6, N) array indexed by frame row: 0 rho, 1 grad_1,
+    2 grad_2, 3 hess_11, 4 hess_12 (which is also hess_21) and 5 hess_22.
+    A grid provides `node_count`, `frame_rows` (the frame rows its operator
+    makes, 0 first; the others are 0 for every field), `jet_operator` (one
+    (N, N) sparse block D_r per frame row r, stacked in that order, with D_0
+    the identity) and `check_dimension(n)`, which raises ValueError unless the
+    grid discretizes S^n.  For output it provides `columns` and `angles()`,
+    the CSV coordinate names and the (N, len(columns)) node coordinates, and
+    `surface_rings(rho)`, the surface points X = rho x as (R, M, 3) rings from
+    north to south plus the (2, 3) north and south pole points.
+    `coarsened()` is the next coarser grid of a sequenced solve, or None.
     """
 
-    def linearize(self, d_rho, d_grad, d_hess):
-        """CSR matrix of w -> d_rho w + sum_c d_grad_c grad_c(w)
-        + sum_ij d_hess_ij hess_ij(w), for node-wise partials of shapes (N,),
-        (N, 2), (N, 2, 2): diag(d_rho) plus diag(d_r) D_r over the frame rows,
-        where hess_12 and hess_21 are one row, so its partial is their sum.
+    def linearize(self, partials):
+        """CSR matrix of w -> sum_r partials[r] j_r(w), for node-wise partials
+        (6, N) over the frame rows: diag(partials[r]) D_r summed over the rows
+        the grid makes.  hess_12 and hess_21 are one row, so partials[4] is
+        the partial over both together.
 
         The values fill a pattern built once per grid, so no per-call sparse
         products or sums are formed.
         """
-        frame = (d_rho, d_grad[:, 0], d_grad[:, 1], d_hess[:, 0, 0],
-                 d_hess[:, 0, 1] + d_hess[:, 1, 0], d_hess[:, 1, 1])
-        partials = np.concatenate([frame[r] for r in self.frame_rows])
         op = self.jet_operator
         pos, indices, indptr = self._linear_layout
         rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-        vals = np.concatenate([d_rho, partials[rows] * op.data])
-        data = np.bincount(pos, weights=vals, minlength=indices.size)
+        weights = partials[list(self.frame_rows)].reshape(-1)
+        data = np.bincount(pos, weights=weights[rows] * op.data, minlength=indices.size)
         n = self.node_count
         return scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
     @property
-    def gradient_components(self) -> tuple:
-        """The components c of the frame gradient (0 for grad_1, 1 for grad_2)
-        that the operator makes; the others are 0 for every field."""
-        return tuple(r - 1 for r in self.frame_rows if r <= 2)
+    def gradient_rows(self) -> tuple:
+        """The gradient rows (1 grad_1, 2 grad_2) that the operator makes; the
+        others are 0 for every field."""
+        return tuple(r for r in self.frame_rows if r in (1, 2))
 
     @cached_property
     def _linear_layout(self):
-        """(pos, indices, indptr): the CSR pattern of the identity plus every
-        D_r, and the position in it of each identity and jet-operator entry."""
+        """(pos, indices, indptr): the CSR pattern of the sum of every D_r, and
+        the position in it of each jet-operator entry."""
         n = self.node_count
         op = self.jet_operator.tocoo()
-        node = np.concatenate([np.arange(n), op.row % n])
-        col = np.concatenate([np.arange(n), op.col])
-        entries = node * n + col
+        entries = (op.row % n) * n + op.col
         # not np.unique: it hashes integer keys, about 3x slower here than a sort
         keys = np.sort(entries)
         keys = keys[np.diff(keys, prepend=-1) != 0]
         pos = np.searchsorted(keys, entries)
         indptr = np.searchsorted(keys, np.arange(n + 1) * n)
         return pos.astype(np.int32), (keys % n).astype(np.int32), indptr.astype(np.int32)
+
+
+def _identity(count: int):
+    """The (count, count) D_0 block.  CSR like the other blocks, so that vstack
+    concatenates them as they are; a block in another format makes it rebuild
+    the whole operator, reordering each row's entries and so the order of the
+    stencil sums."""
+    return scipy.sparse.identity(count, format="csr")
 
 
 @dataclass
@@ -147,7 +139,7 @@ class AxisymGrid(_StencilGrid):
     spacing: float
     _frame_cache: dict = field(default_factory=dict, repr=False, compare=False)
     columns = ("theta",)
-    frame_rows = (1, 3, 5)
+    frame_rows = (0, 1, 3, 5)
 
     def angles(self) -> np.ndarray:
         return self.theta[:, None]
@@ -196,9 +188,9 @@ class AxisymGrid(_StencilGrid):
 
     @cached_property
     def jet_operator(self):
-        """Frame rows grad_1 = d/dtheta, hess_11 = d^2/dtheta^2 and hess_22,
-        the orbit term cot(theta) d/dtheta, whose pole rows take its limit
-        d^2/dtheta^2, under even reflection.
+        """Frame rows rho, grad_1 = d/dtheta, hess_11 = d^2/dtheta^2 and
+        hess_22, the orbit term cot(theta) d/dtheta, whose pole rows take its
+        limit d^2/dtheta^2, under even reflection.
 
         Frame: e_1 is the meridian direction and e_2 stands for each of the
         n - 1 orbit directions, where the gradient vanishes and the covariant
@@ -219,7 +211,7 @@ class AxisymGrid(_StencilGrid):
         poles[[0, -1]] = 1.0
         orbit = scipy.sparse.diags(cot) @ d1 + scipy.sparse.diags(poles) @ d2
         orbit.eliminate_zeros()
-        return scipy.sparse.vstack([d1, d2, orbit], format="csr")
+        return scipy.sparse.vstack([_identity(N), d1, d2, orbit], format="csr")
 
     def coarsened(self):
         """None: the axisymmetric grid is not halved (see the module docstring)."""
@@ -237,7 +229,7 @@ class SphereGrid2D(_StencilGrid):
     dtheta: float
     dphi: float
     columns = ("theta", "phi")
-    frame_rows = (1, 2, 3, 4, 5)
+    frame_rows = (0, 1, 2, 3, 4, 5)
 
     @property
     def node_count(self) -> int:
@@ -284,8 +276,8 @@ class SphereGrid2D(_StencilGrid):
 
     @cached_property
     def jet_operator(self):
-        """Frame rows from the partials r_t, r_p, r_tt, r_tp, r_pp (periodic in
-        phi, crossing the poles by the antipodal rule).
+        """Frame rows rho and, from the partials r_t, r_p, r_tt, r_tp, r_pp
+        (periodic in phi, crossing the poles by the antipodal rule), the rest.
 
         In the frame e_1 = d/dtheta, e_2 = (1/sin t) d/dphi the gradient and
         covariant Hessian of a scalar are
@@ -316,7 +308,7 @@ class SphereGrid2D(_StencilGrid):
         st = np.repeat(np.sin(self.theta), nphi)
         cot = scipy.sparse.diags(np.repeat(np.cos(self.theta), nphi) / st)
         inv_st = scipy.sparse.diags(1.0 / st)
-        rows = (r_t, inv_st @ r_p, r_tt, inv_st @ (r_tp - cot @ r_p),
+        rows = (_identity(self.node_count), r_t, inv_st @ r_p, r_tt, inv_st @ (r_tp - cot @ r_p),
                 scipy.sparse.diags(st**-2) @ r_pp + cot @ r_t)
         return scipy.sparse.vstack(rows, format="csr")
 
@@ -381,8 +373,11 @@ def build_s2_grid(n_theta: int, n_phi: int) -> SphereGrid2D:
 
 
 def jet_arrays(field_values, grid, n: int):
-    """Frame jets (rho, grad, hess) of a nodal field on S^n, shapes (N,), (N, 2)
-    and (N, 2, 2) on either grid: the grid's jet operator applied to it."""
+    """Frame jets (6, N) of a nodal field on S^n, indexed by frame row, on
+    either grid: the grid's jet operator applied to it, with zeros in the rows
+    the grid does not make."""
     grid.check_dimension(n)
     rho = _check_field(field_values, grid.node_count)
-    return frame_arrays(rho, grid.frame_rows, (grid.jet_operator @ rho).reshape(-1, rho.size))
+    jets = np.zeros((6, rho.size))
+    jets[list(grid.frame_rows)] = (grid.jet_operator @ rho).reshape(-1, rho.size)
+    return jets

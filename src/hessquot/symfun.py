@@ -3,8 +3,8 @@
 The operator of interest is G(lam) = (sigma_k(lam)/sigma_l(lam))^(1/(k-l)),
 restricted to the cone Gamma_k = {lam : sigma_1 > 0, ..., sigma_k > 0} where
 it is positive, 1-homogeneous, elliptic and concave.  Scalar entry points take
-any 1-D sequence; `sigma_batch` is the vectorized core used in solver hot
-paths.
+any 1-D sequence; `sigma_batch` is the one sigma recurrence, vectorized for
+the solver's hot paths, and the scalar entry points call it on one row.
 
 Conventions fixed here and relied on everywhere else:
   sigma_0 = 1,  sigma_j = 0 for j < 0 or j > len(lam).
@@ -123,21 +123,12 @@ def log_quotient_grad_batch(values: np.ndarray, sig: np.ndarray, k: int, l: int)
     return out
 
 
-def _sigma_scalar(values, jmax: int) -> list:
-    e = [0.0] * (jmax + 1)
-    e[0] = 1.0
-    for m, x in enumerate(values):
-        for j in range(min(jmax, m + 1), 0, -1):
-            e[j] += x * e[j - 1]
-    return e
-
-
 def elementary_symmetric(values, j: int) -> float:
     """sigma_j(lam); 1 for j = 0, 0 for j < 0 or j > len(lam)."""
     lam = as_spectrum(values)
     if j < 0 or j > lam.size:
         return 0.0
-    return _sigma_scalar(lam.tolist(), j)[j]
+    return float(sigma_batch(lam[None], j)[0, j])
 
 
 def elementary_symmetric_excluding(values, j: int, excluded) -> float:
@@ -157,7 +148,7 @@ def elementary_symmetric_excluding(values, j: int, excluded) -> float:
     reduced = np.delete(lam, idx)
     if j < 0 or j > reduced.size:
         return 0.0
-    return _sigma_scalar(reduced.tolist(), j)[j]
+    return float(sigma_batch(reduced[None], j)[0, j])
 
 
 def in_gamma_k(values, k: int) -> ConeReport:
@@ -165,7 +156,7 @@ def in_gamma_k(values, k: int) -> ConeReport:
     lam = as_spectrum(values)
     if not 1 <= k <= lam.size:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={lam.size}")
-    sig = _sigma_scalar(lam.tolist(), k)[1:]
+    sig = sigma_batch(lam[None], k)[0, 1:].tolist()
     margin = min(sig)
     return ConeReport(sigmas=tuple(sig), member=margin > 0.0, margin=margin)
 
@@ -194,20 +185,6 @@ def quotient_G(values, p: QuotientParams) -> float:
     return (sig[p.k] / sig[p.l]) ** (1.0 / p.gap)
 
 
-def _grad_values(lam: np.ndarray, p: QuotientParams) -> np.ndarray:
-    sig = _sigma_scalar(lam.tolist(), p.k)
-    sk, sl = sig[p.k], sig[p.l]
-    pref = (1.0 / p.gap) * (sk / sl) ** (1.0 / p.gap - 1.0)
-    out = np.empty(lam.size)
-    for i in range(lam.size):
-        reduced = np.delete(lam, i).tolist()
-        red = _sigma_scalar(reduced, p.k - 1)
-        sk1 = red[p.k - 1] if 0 <= p.k - 1 <= len(reduced) else 0.0
-        sl1 = red[p.l - 1] if 0 <= p.l - 1 <= len(reduced) else 0.0
-        out[i] = pref * (sk1 * sl - sk * sl1) / sl**2
-    return out
-
-
 def grad_G(values, p: QuotientParams) -> np.ndarray:
     """Diagonal first derivatives of G at diag(lam); strictly positive on Gamma_k.
 
@@ -216,7 +193,10 @@ def grad_G(values, p: QuotientParams) -> np.ndarray:
     """
     lam = as_spectrum(values)
     _require_cone(lam, p.k)
-    return _grad_values(lam, p)
+    # dG = G/(k-l) d log(sigma_k/sigma_l)
+    sig = sigma_batch(lam[None], p.k)
+    G = (sig[0, p.k] / sig[0, p.l]) ** (1.0 / p.gap)
+    return G / p.gap * log_quotient_grad_batch(lam[None], sig, p.k, p.l)[0]
 
 
 def offdiag_second_G(values, p: QuotientParams, i: int) -> float:
@@ -230,13 +210,13 @@ def offdiag_second_G(values, p: QuotientParams, i: int) -> float:
     if not 1 <= i < lam.size:
         raise IndexError(f"pair index must satisfy 1 <= i < n, got {i}")
     _require_cone(lam, p.k)
-    sig = _sigma_scalar(lam.tolist(), p.k)
+    sig = sigma_batch(lam[None], p.k)[0].tolist()
     sk, sl = sig[p.k], sig[p.l]
     pref = (1.0 / p.gap) * (sk / sl) ** (1.0 / p.gap - 1.0)
-    reduced = np.delete(lam, [0, i]).tolist()
-    red = _sigma_scalar(reduced, max(p.k - 2, 0))
-    sk2 = red[p.k - 2] if 0 <= p.k - 2 <= len(reduced) else 0.0
-    sl2 = red[p.l - 2] if 0 <= p.l - 2 <= len(reduced) else 0.0
+    reduced = np.delete(lam, [0, i])
+    red = sigma_batch(reduced[None], max(p.k - 2, 0))[0].tolist()
+    sk2 = red[p.k - 2] if 0 <= p.k - 2 <= reduced.size else 0.0
+    sl2 = red[p.l - 2] if 0 <= p.l - 2 <= reduced.size else 0.0
     return -pref * (sk2 * sl - sl2 * sk) / sl**2
 
 
@@ -258,7 +238,7 @@ def newton_maclaurin_slack(values, p: QuotientParams) -> tuple:
     n, k, l = p.n, p.k, p.l
     if lam.size != n:
         raise ValueError(f"spectrum length {lam.size} does not match n={n}")
-    sig = _sigma_scalar(lam.tolist(), k)
+    sig = sigma_batch(lam[None], k)[0].tolist()
     s_lm1 = sig[l - 1] if l >= 1 else 0.0
     lhs1 = k * (n - l + 1) * s_lm1 * sig[k]
     rhs1 = l * (n - k + 1) * sig[l] * sig[k - 1]

@@ -24,7 +24,6 @@ from hessquot.sphere_grid import (
     SphereGrid2D,
     build_axisym_grid,
     build_s2_grid,
-    frame_arrays,
     jet_arrays,
 )
 from hessquot.symfun import QuotientParams
@@ -96,16 +95,17 @@ class TestResidualVector:
         residual_vector(rho, grid, make_homotopy(base, p, 0.5, 2.0), 1.0)
         (X, nu), = seen
         positions, frames = grid.node_frames(p.n)
-        frame_rho, grad, hess = jet_arrays(rho, grid, p.n)
+        jets = jet_arrays(rho, grid, p.n)
         assert np.abs(X - rho[:, None] * positions).max() <= 1e-15
         if mode == "s2":
-            assert np.abs(grad[:, 1]).max() > 0.1
+            assert np.abs(jets[2]).max() > 0.1
         for i in range(grid.node_count):
+            frame_rho, g1, g2, h11, h12, h22 = jets[:, i]
             dense_grad = np.zeros(p.n)
-            dense_grad[:2] = grad[i]
-            dense_hess = np.diag([hess[i, 0, 0]] + [hess[i, 1, 1]] * (p.n - 1))
-            dense_hess[0, 1] = dense_hess[1, 0] = hess[i, 0, 1]
-            dense = assemble_point_geometry(PointJet(frame_rho[i], dense_grad, dense_hess), p.n)
+            dense_grad[:2] = g1, g2
+            dense_hess = np.diag([h11] + [h22] * (p.n - 1))
+            dense_hess[0, 1] = dense_hess[1, 0] = h12
+            dense = assemble_point_geometry(PointJet(frame_rho, dense_grad, dense_hess), p.n)
             expected = dense.nu[0] * positions[i] + dense.nu[1:3] @ frames[i]
             assert np.abs(nu[i] - expected).max() <= 1e-13
 
@@ -204,25 +204,17 @@ class TestJacobian:
 
 def bumped_jacobian(rho, grid, target, t):
     """The Jacobian assemble_jacobian used to build, kept as an oracle: one
-    forward difference of the whole pointwise residual per row of the grid's
-    jet operator and along rho, with step sqrt(eps) max(1, |j_r|)."""
-    frame_rho, grad, hess = jet_arrays(rho, grid, target.p.n)
-    jets = np.vstack([frame_rho, grad.T, hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]])
-
-    def residual(j):
-        return continuation_solver._pointwise_residual(
-            *frame_arrays(j[0], range(1, 6), j[1:]), grid, target, t)[0]
-
-    base = residual(jets)
+    forward difference of the whole pointwise residual per frame row of the
+    grid's jet operator, with step sqrt(eps) max(1, |j_r|)."""
+    jets = jet_arrays(rho, grid, target.p.n)
+    base = continuation_solver._pointwise_residual(jets, grid, target, t)
     partials = np.zeros_like(jets)
-    for r in (0, *grid.frame_rows):
+    for r in grid.frame_rows:
         bumped = jets.copy()
         bumped[r] += math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(jets[r]))
-        partials[r] = (residual(bumped) - base) / (bumped[r] - jets[r])
-    d_rho, d_grad, d_hess = frame_arrays(partials[0], range(1, 6), partials[1:])
-    # the bump of row 4 moved hess_12 and hess_21 at once
-    d_hess[:, 1, 0] = 0.0
-    return grid.linearize(d_rho, d_grad, d_hess)
+        residual = continuation_solver._pointwise_residual(bumped, grid, target, t)
+        partials[r] = (residual - base) / (bumped[r] - jets[r])
+    return grid.linearize(partials)
 
 
 # the (n, k, l) of the benchmark's axisymmetric problems

@@ -26,6 +26,22 @@ def constant_jet(r, n):
     return PointJet(rho=r, grad=np.zeros(n), hess=np.zeros((n, n)))
 
 
+def frame_stack(rho, grad, hess):
+    """(6, N) frame jets from (N,), (N, 2) and symmetric (N, 2, 2) arrays."""
+    return np.stack([rho, grad[:, 0], grad[:, 1], hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]])
+
+
+def dense_jet(column, n):
+    """The full n-dimensional PointJet of one node's frame jets, the orbit
+    entry repeated along the n - 1 directions past e_1."""
+    rho, g1, g2, h11, h12, h22 = column
+    grad = np.zeros(n)
+    grad[:2] = g1, g2
+    hess = np.diag([h11] + [h22] * (n - 1))
+    hess[0, 1] = hess[1, 0] = h12
+    return PointJet(rho, grad, hess)
+
+
 def profile_curvatures(rho, d1, d2, theta):
     """Principal curvatures of the surface of revolution of a polar profile.
 
@@ -170,7 +186,7 @@ class TestAssembly:
 
 
 class TestClosedFormAgainstDenseOracle:
-    """geometry_batch on reduced frame jets against dense diagonalization."""
+    """geometry_batch on (6, N) frame jets against dense diagonalization."""
 
     @staticmethod
     def random_jets(seed, count=2000):
@@ -180,13 +196,13 @@ class TestClosedFormAgainstDenseOracle:
         size = rng.uniform(0.0, 2.0, size=count)
         grad = np.stack([size * np.cos(angle), size * np.sin(angle)], axis=-1)
         h = rng.uniform(-1.0, 1.0, size=(count, 2, 2))
-        return rho, grad, 0.5 * (h + h.transpose(0, 2, 1))
+        return frame_stack(rho, grad, 0.5 * (h + h.transpose(0, 2, 1)))
 
     @staticmethod
     def assert_agrees(batch, normal, i, dense):
         scale = max(1.0, float(np.abs(dense.eta_spectrum).max()))
         tol = 1e-13 * scale
-        # normal = local_normal(rho, grad, batch.v), the solver's normal
+        # normal = local_normal(jets, batch.v), the solver's normal
         nu = np.zeros_like(dense.nu)
         nu[0] = normal[0][i]
         nu[1:3] = normal[1][i]
@@ -197,35 +213,29 @@ class TestClosedFormAgainstDenseOracle:
         assert np.abs(nu - dense.nu).max() <= tol
 
     def test_non_zonal_two_sphere_jets(self):
-        rho, grad, hess = self.random_jets(23)
-        assert np.abs(hess[:, 0, 1]).min() > 0.0
-        batch = geometry_batch(rho, grad, hess, 2)
-        normal = local_normal(rho, grad, batch.v)
-        for i in range(rho.size):
-            dense = assemble_point_geometry(PointJet(rho[i], grad[i], hess[i]), 2)
+        jets = self.random_jets(23)
+        assert np.abs(jets[4]).min() > 0.0
+        batch = geometry_batch(jets, 2)
+        normal = local_normal(jets, batch.v)
+        for i in range(jets.shape[1]):
+            dense = assemble_point_geometry(dense_jet(jets[:, i], 2), 2)
             self.assert_agrees(batch, normal, i, dense)
 
     @pytest.mark.parametrize("n", [3, 4, 6, 8, 12])
     def test_zonal_jets_embedded_densely(self, n):
-        rho, grad, hess = self.random_jets(29 + n)
-        grad[:, 1] = 0.0
-        hess[:, 0, 1] = hess[:, 1, 0] = 0.0
-        batch = geometry_batch(rho, grad, hess, n)
-        assert batch.kappa.shape == batch.eta.shape == (rho.size, n)
-        normal = local_normal(rho, grad, batch.v)
-        for i in range(rho.size):
-            dense_grad = np.zeros(n)
-            dense_grad[0] = grad[i, 0]
-            dense_hess = np.diag([hess[i, 0, 0]] + [hess[i, 1, 1]] * (n - 1))
-            dense = assemble_point_geometry(PointJet(rho[i], dense_grad, dense_hess), n)
+        jets = self.random_jets(29 + n)
+        jets[[2, 4]] = 0.0
+        batch = geometry_batch(jets, n)
+        assert batch.kappa.shape == batch.eta.shape == (jets.shape[1], n)
+        normal = local_normal(jets, batch.v)
+        for i in range(jets.shape[1]):
+            dense = assemble_point_geometry(dense_jet(jets[:, i], n), n)
             self.assert_agrees(batch, normal, i, dense)
 
     def test_dense_jets_are_rejected(self):
-        rho = np.ones(4)
-        with pytest.raises(ValueError, match="reduced frame jets"):
-            geometry_batch(rho, np.zeros((4, 3)), np.zeros((4, 3, 3)), 3)
-        with pytest.raises(ValueError, match="reduced frame jets"):
-            geometry_batch(rho, np.zeros((4, 2)), np.zeros((4, 3, 3)), 3)
+        for shape in [(4,), (5, 4), (7, 4), (4, 6), (6, 4, 1), (6, 3, 3)]:
+            with pytest.raises(ValueError, match=r"frame jets must have shape \(6, N\)"):
+                geometry_batch(np.ones(shape), 3)
 
 
 # the (n, k, l) of the benchmark's axisymmetric problems
@@ -241,32 +251,25 @@ class TestFirstVariation:
     TOL = 1e-7
 
     @staticmethod
-    def log_quotient(rho, grad, hess, p):
-        sig = sigma_batch(geometry_batch(rho, grad, hess, p.n).eta, p.k)
+    def log_quotient(jets, p):
+        sig = sigma_batch(geometry_batch(jets, p.n).eta, p.k)
         assert sig[:, 1:].min() > 0.0
         return np.log(sig[:, p.k]) - np.log(sig[:, p.l])
 
-    def check(self, rho, grad, hess, p, zonal):
-        geo = geometry_batch(rho, grad, hess, p.n)
+    def check(self, jets, p, zonal):
+        geo = geometry_batch(jets, p.n)
         d_eta = log_quotient_grad_batch(geo.eta, sigma_batch(geo.eta, p.k), p.k, p.l)
-        d_rho, d_grad, d_hess = geometry_first_variation(rho, grad, geo, d_eta)
-        # (closed form, bump of (rho, grad, hess)); the off-diagonal Hessian
-        # entries move together, so their partials add
-        cases = [(d_rho, (1.0, 0.0, 0.0)), (d_grad[:, 0], (0.0, (1, 0), 0.0)),
-                 (d_hess[:, 0, 0], (0.0, 0.0, ((1, 0), (0, 0)))),
-                 (d_hess[:, 1, 1], (0.0, 0.0, ((0, 0), (0, 1))))]
-        if not zonal:
-            cases += [(d_grad[:, 1], (0.0, (0, 1), 0.0)),
-                      (d_hess[:, 0, 1] + d_hess[:, 1, 0], (0.0, 0.0, ((0, 1), (1, 0))))]
-        for closed, (b_rho, b_grad, b_hess) in cases:
+        partials = geometry_first_variation(jets, geo, d_eta)
+        # a bump of row 4 moves hess_12 and hess_21 together
+        for r in (0, 1, 3, 5) if zonal else range(6):
             def bumped(sign):
-                h = sign * self.STEP
-                return self.log_quotient(rho + h * b_rho, grad + h * np.asarray(b_grad),
-                                         hess + h * np.asarray(b_hess), p)
+                moved = jets.copy()
+                moved[r] += sign * self.STEP
+                return self.log_quotient(moved, p)
 
             fd = (bumped(1.0) - bumped(-1.0)) / (2.0 * self.STEP)
             scale = max(1.0, float(np.abs(fd).max()))
-            assert np.abs(closed - fd).max() <= self.TOL * scale
+            assert np.abs(partials[r] - fd).max() <= self.TOL * scale
 
     @staticmethod
     def near_sphere_jets(seed, count=200):
@@ -274,23 +277,22 @@ class TestFirstVariation:
         rho = rng.uniform(0.8, 1.25, size=count)
         grad = rng.uniform(-0.3, 0.3, size=(count, 2))
         h = rng.uniform(-0.3, 0.3, size=(count, 2, 2))
-        return rho, grad, 0.5 * (h + h.transpose(0, 2, 1))
+        return frame_stack(rho, grad, 0.5 * (h + h.transpose(0, 2, 1)))
 
     def test_non_zonal_two_sphere_jets(self):
-        rho, grad, hess = self.near_sphere_jets(5)
-        assert np.abs(hess[:, 0, 1]).min() > 0.0 and np.abs(grad[:, 1]).min() > 0.0
-        self.check(rho, grad, hess, QuotientParams(2, 2, 0), zonal=False)
+        jets = self.near_sphere_jets(5)
+        assert np.abs(jets[4]).min() > 0.0 and np.abs(jets[2]).min() > 0.0
+        self.check(jets, QuotientParams(2, 2, 0), zonal=False)
 
     @pytest.mark.parametrize("nkl", AXISYM_DIMS)
     def test_zonal_jets(self, nkl):
-        rho, grad, hess = self.near_sphere_jets(7 + nkl[0])
-        grad[:, 1] = 0.0
-        hess[:, 0, 1] = hess[:, 1, 0] = 0.0
-        self.check(rho, grad, hess, QuotientParams(*nkl), zonal=True)
+        jets = self.near_sphere_jets(7 + nkl[0])
+        jets[[2, 4]] = 0.0
+        self.check(jets, QuotientParams(*nkl), zonal=True)
 
     @pytest.mark.parametrize("nkl", [(2, 2, 0)] + AXISYM_DIMS)
     def test_exact_sphere(self, nkl):
         # S = I / rho: every curvature coincides and the eigenvectors are free
-        rho = np.array([0.5, 1.0, 2.0])
-        grad, hess = np.zeros((3, 2)), np.zeros((3, 2, 2))
-        self.check(rho, grad, hess, QuotientParams(*nkl), zonal=nkl[0] > 2)
+        jets = np.zeros((6, 3))
+        jets[0] = 0.5, 1.0, 2.0
+        self.check(jets, QuotientParams(*nkl), zonal=nkl[0] > 2)

@@ -53,37 +53,36 @@ class TestAxisymJets:
     def test_constant_field(self):
         grid = build_axisym_grid(33)
         for n in (3, 12):
-            rho, grad, hess = jet_arrays(np.full(33, 1.7), grid, n)
-            # reduced frame jets for every n, never (N, n, n)
-            assert grad.shape == (33, 2) and hess.shape == (33, 2, 2)
-            assert rho == pytest.approx(np.full(33, 1.7))
-            assert np.abs(grad).max() == 0.0
-            assert np.abs(hess).max() == 0.0
+            jets = jet_arrays(np.full(33, 1.7), grid, n)
+            # (6, N) frame jets for every n, never (N, n, n)
+            assert jets.shape == (6, 33)
+            assert jets[0] == pytest.approx(np.full(33, 1.7))
+            assert np.abs(jets[1:]).max() == 0.0
 
     def test_zonal_cosine_at_equator(self):
         delta = 0.05
         N = 17  # odd so theta = pi/2 is a node
         grid = build_axisym_grid(N)
         field = 1.0 + delta * np.cos(grid.theta)
-        rho, grad, hess = jet_arrays(field, grid, 3)
+        jets = jet_arrays(field, grid, 3)
         m = N // 2
         h2 = grid.spacing**2
-        assert grad[m, 0] == pytest.approx(-delta, abs=delta * h2)
-        assert hess[m, 0, 0] == pytest.approx(0.0, abs=delta * h2)
-        assert hess[m, 1, 1] == pytest.approx(0.0, abs=delta * h2)
+        assert jets[1, m] == pytest.approx(-delta, abs=delta * h2)
+        assert jets[3, m] == pytest.approx(0.0, abs=delta * h2)
+        assert jets[5, m] == pytest.approx(0.0, abs=delta * h2)
 
     def test_pole_limit(self):
         delta = 0.05
         grid = build_axisym_grid(65)
         field = 1.0 + delta * np.cos(grid.theta)
-        _, grad, hess = jet_arrays(field, grid, 4)
+        jets = jet_arrays(field, grid, 4)
         # at theta = 0 the orbit entry takes the limit rho''(0) = -delta
-        assert grad[0, 0] == 0.0
-        for j in range(2):
-            assert hess[0, j, j] == pytest.approx(-delta, abs=10 * delta * grid.spacing**2)
+        assert jets[1, 0] == 0.0
+        for r in (3, 5):
+            assert jets[r, 0] == pytest.approx(-delta, abs=10 * delta * grid.spacing**2)
         # at theta = pi, rho''(pi) = -delta * cos(pi)'' limit is -delta * cos(pi) = +delta
-        for j in range(2):
-            assert hess[-1, j, j] == pytest.approx(delta, abs=10 * delta * grid.spacing**2)
+        for r in (3, 5):
+            assert jets[r, -1] == pytest.approx(delta, abs=10 * delta * grid.spacing**2)
 
     def test_interior_accuracy_second_order(self):
         delta = 0.05
@@ -91,7 +90,7 @@ class TestAxisymJets:
         for N in (33, 65):
             grid = build_axisym_grid(N)
             field = 1.0 + delta * np.cos(2.0 * grid.theta)
-            _, grad, hess = jet_arrays(field, grid, 3)
+            jets = jet_arrays(field, grid, 3)
             d1 = -2.0 * delta * np.sin(2.0 * grid.theta)
             d2 = -4.0 * delta * np.cos(2.0 * grid.theta)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -101,9 +100,9 @@ class TestAxisymJets:
                     np.cos(grid.theta) * d1 / np.sin(grid.theta),
                 )
             err = max(
-                np.abs(grad[:, 0] - d1).max(),
-                np.abs(hess[:, 0, 0] - d2).max(),
-                np.abs(hess[:, 1, 1] - tang).max(),
+                np.abs(jets[1] - d1).max(),
+                np.abs(jets[3] - d2).max(),
+                np.abs(jets[5] - tang).max(),
             )
             errors.append(err)
         assert errors[0] / errors[1] >= 3.5
@@ -111,9 +110,9 @@ class TestAxisymJets:
     def test_reflection_symmetry(self):
         grid = build_axisym_grid(33)
         field = 1.0 + 0.1 * np.cos(2.0 * grid.theta)  # symmetric about pi/2
-        _, grad, hess = jet_arrays(field, grid, 2)
-        assert grad[:, 0] == pytest.approx(-grad[::-1, 0], abs=1e-12)
-        assert hess[:, 0, 0] == pytest.approx(hess[::-1, 0, 0], abs=1e-12)
+        jets = jet_arrays(field, grid, 2)
+        assert jets[1] == pytest.approx(-jets[1, ::-1], abs=1e-12)
+        assert jets[3] == pytest.approx(jets[3, ::-1], abs=1e-12)
 
     def test_size_mismatch(self):
         grid = build_axisym_grid(17)
@@ -124,25 +123,24 @@ class TestAxisymJets:
 class TestS2Jets:
     def test_constant_field(self):
         grid = build_s2_grid(16, 32)
-        _, grad, hess = jet_arrays(np.full(grid.node_count, 2.0), grid, 2)
-        assert np.abs(grad[::37]).max() == 0.0
-        assert np.abs(hess[::37]).max() == 0.0
+        jets = jet_arrays(np.full(grid.node_count, 2.0), grid, 2)
+        assert np.abs(jets[1:, ::37]).max() == 0.0
 
     def test_zonal_matches_analytic(self):
         delta = 0.05
         grid = build_s2_grid(32, 64)
         tt, _ = s2_angles(grid)
         field = 1.0 + delta * np.cos(tt)
-        _, grad, hess = jet_arrays(field, grid, 2)
+        jets = jet_arrays(field, grid, 2)
         d1 = -delta * np.sin(tt)
         d2 = -delta * np.cos(tt)
         tang = np.cos(tt) * d1 / np.sin(tt)
         tol = 10 * delta * grid.dtheta**2
-        assert np.abs(grad[:, 0] - d1).max() < tol
-        assert np.abs(grad[:, 1]).max() == 0.0
-        assert np.abs(hess[:, 0, 0] - d2).max() < tol
-        assert np.abs(hess[:, 0, 1]).max() < tol
-        assert np.abs(hess[:, 1, 1] - tang).max() < tol
+        assert np.abs(jets[1] - d1).max() < tol
+        assert np.abs(jets[2]).max() == 0.0
+        assert np.abs(jets[3] - d2).max() < tol
+        assert np.abs(jets[4]).max() < tol
+        assert np.abs(jets[5] - tang).max() < tol
 
     def test_tesseral_matches_analytic_interior(self):
         # rho = 1 + delta sin(t) cos(p): covariant hessian is -delta sin(t) cos(p) I
@@ -150,17 +148,17 @@ class TestS2Jets:
         grid = build_s2_grid(32, 64)
         tt, pp = s2_angles(grid)
         field = 1.0 + delta * np.sin(tt) * np.cos(pp)
-        _, grad, hess = jet_arrays(field, grid, 2)
-        gref = np.stack([delta * np.cos(tt) * np.cos(pp), -delta * np.sin(pp)], axis=-1)
+        jets = jet_arrays(field, grid, 2)
+        gref = np.stack([delta * np.cos(tt) * np.cos(pp), -delta * np.sin(pp)])
         href = -delta * np.sin(tt) * np.cos(pp)
         interior = (tt > 0.4) & (tt < math.pi - 0.4)
         tol = 20 * delta * grid.dtheta**2
-        assert np.abs(grad - gref)[interior].max() < tol
-        assert np.abs(hess[:, 0, 0] - href)[interior].max() < tol
-        assert np.abs(hess[:, 0, 1])[interior].max() < tol
-        assert np.abs(hess[:, 1, 1] - href)[interior].max() < tol
+        assert np.abs(jets[1:3] - gref)[:, interior].max() < tol
+        assert np.abs(jets[3] - href)[interior].max() < tol
+        assert np.abs(jets[4])[interior].max() < tol
+        assert np.abs(jets[5] - href)[interior].max() < tol
         # pole rows remain bounded by a first-order envelope
-        assert np.abs(hess[:, 1, 1] - href).max() < delta * grid.dtheta
+        assert np.abs(jets[5] - href).max() < delta * grid.dtheta
 
     def test_convergence_order_weighted(self):
         delta = 0.05
@@ -169,15 +167,11 @@ class TestS2Jets:
             grid = build_s2_grid(nt, nphi)
             tt, pp = s2_angles(grid)
             field = 1.0 + delta * np.sin(tt) * np.cos(pp)
-            _, grad, hess = jet_arrays(field, grid, 2)
-            gref = np.stack(
-                [delta * np.cos(tt) * np.cos(pp), -delta * np.sin(pp)], axis=-1
-            )
+            jets = jet_arrays(field, grid, 2)
+            gref = np.stack([delta * np.cos(tt) * np.cos(pp), -delta * np.sin(pp)])
             href = -delta * np.sin(tt) * np.cos(pp)
-            hij = np.zeros_like(hess)
-            hij[:, 0, 0] = href
-            hij[:, 1, 1] = href
-            err = np.abs(grad - gref).max(axis=1) + np.abs(hess - hij).max(axis=(1, 2))
+            hij = np.stack([href, np.zeros_like(href), href])
+            err = np.abs(jets[1:3] - gref).max(axis=0) + np.abs(jets[3:] - hij).max(axis=0)
             errors.append(weighted_l2(err, grid))
         assert errors[0] / errors[1] >= 3.5
         assert errors[1] / errors[2] >= 3.5
@@ -255,18 +249,37 @@ class TestGridInterface:
                 getattr(grid, call)(n)
 
     @pytest.mark.parametrize("mode", ["axisym", "s2"])
+    def test_row_0_is_the_field_and_constants_have_zero_derivatives(self, mode):
+        # exact, so that a reordering of the stencil sums shows
+        grid, _ = self.grid_and_wrong_n(mode)
+        field = np.random.default_rng(11).uniform(0.5, 2.0, size=grid.node_count)
+        assert np.array_equal(jet_arrays(field, grid, 2)[0], field)
+        jets = jet_arrays(np.full(grid.node_count, 1.7), grid, 2)
+        assert np.all(jets[0] == 1.7)
+        assert np.all(jets[1:] == 0.0)
+
+    @pytest.mark.parametrize("mode", ["axisym", "s2"])
     def test_linearize_pairs_partials_with_jets(self, mode):
-        # an asymmetric d_hess, so that a dropped hess_21 or a wrong row shows
         grid, _ = self.grid_and_wrong_n(mode)
         N = grid.node_count
         rng = np.random.default_rng(13)
-        d_rho, d_grad, d_hess = rng.normal(size=N), rng.normal(size=(N, 2)), rng.normal(size=(N, 2, 2))
+        partials = rng.normal(size=(6, N))
         w = rng.normal(size=N)
-        w_rho, w_grad, w_hess = jet_arrays(w, grid, 2)
-        expected = (d_rho * w_rho + np.einsum("nc,nc->n", d_grad, w_grad)
-                    + np.einsum("nij,nij->n", d_hess, w_hess))
-        got = grid.linearize(d_rho, d_grad, d_hess) @ w
+        expected = np.einsum("rn,rn->n", partials, jet_arrays(w, grid, 2))
+        got = grid.linearize(partials) @ w
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_axisym_linearize_skips_the_rows_it_does_not_make(self):
+        # grad_2 and hess_12 are 0 for every zonal field, so their partials
+        # must not enter the Jacobian
+        grid = build_axisym_grid(33)
+        rng = np.random.default_rng(17)
+        partials = rng.normal(size=(6, grid.node_count))
+        other = partials.copy()
+        other[[2, 4]] = rng.normal(size=(2, grid.node_count))
+        a, b = grid.linearize(partials), grid.linearize(other)
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data, b.data)
 
 
 class TestFieldNorms:
