@@ -113,7 +113,8 @@ class _StencilGrid:
         the position in it of each jet-operator entry."""
         n = self.node_count
         op = self.jet_operator.tocoo()
-        entries = (op.row % n) * n + op.col
+        # int64 keys: scipy's int32 indices would wrap once n * n >= 2**31
+        entries = (op.row % n).astype(np.int64) * n + op.col
         # not np.unique: it hashes integer keys, about 3x slower here than a sort
         keys = np.sort(entries)
         keys = keys[np.diff(keys, prepend=-1) != 0]

@@ -192,9 +192,9 @@ def grad_G(values, p: QuotientParams) -> np.ndarray:
     a reverse-sorted gradient.
     """
     lam = as_spectrum(values)
-    _require_cone(lam, p.k)
+    report = _require_cone(lam, p.k)
     # dG = G/(k-l) d log(sigma_k/sigma_l)
-    sig = sigma_batch(lam[None], p.k)
+    sig = np.array([(1.0,) + report.sigmas])
     G = (sig[0, p.k] / sig[0, p.l]) ** (1.0 / p.gap)
     return G / p.gap * log_quotient_grad_batch(lam[None], sig, p.k, p.l)[0]
 

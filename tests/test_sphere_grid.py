@@ -269,6 +269,18 @@ class TestGridInterface:
         got = grid.linearize(partials) @ w
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
+    def test_linearize_on_a_grid_past_int32_keys(self):
+        # N * N >= 2**31, where the Jacobian pattern's row * N + col keys no
+        # longer fit the operator's int32 indices
+        N = 50_000
+        grid = build_axisym_grid(N)
+        rng = np.random.default_rng(19)
+        partials = rng.normal(size=(6, N))
+        w = rng.normal(size=N)
+        expected = np.einsum("rn,rn->n", partials, jet_arrays(w, grid, 2))
+        got = grid.linearize(partials) @ w
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
     def test_axisym_linearize_skips_the_rows_it_does_not_make(self):
         # grad_2 and hess_12 are 0 for every zonal field, so their partials
         # must not enter the Jacobian

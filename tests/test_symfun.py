@@ -169,13 +169,18 @@ class TestGradient:
 
     @pytest.mark.parametrize("nkl", [(2, 2, 0), (4, 3, 1), (6, 4, 2), (8, 6, 2), (12, 6, 0)])
     def test_batched_log_gradient(self, nkl):
-        # log G^(k-l) has the gradient (k - l) grad_G / G; measured worst
-        # relative gap 1.9e-14
+        # against the sigmas of lam with entry i removed, independent of the
+        # division recurrence; measured worst relative gap 1.9e-14
         p = QuotientParams(*nkl)
         samples = sample_gamma_k(p, seed=17, count=200)
         got = log_quotient_grad_batch(samples, symfun.sigma_batch(samples, p.k), p.k, p.l)
         for lam, row in zip(samples, got):
-            want = p.gap * grad_G(lam, p) / quotient_G(lam, p)
+            sk, sl = elementary_symmetric(lam, p.k), elementary_symmetric(lam, p.l)
+            want = np.array([
+                elementary_symmetric_excluding(lam, p.k - 1, {i}) / sk
+                - elementary_symmetric_excluding(lam, p.l - 1, {i}) / sl
+                for i in range(p.n)
+            ])
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_reverse_ordering(self):
