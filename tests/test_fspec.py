@@ -21,6 +21,7 @@ from hessquot.fspec import (
     to_source,
     validate_assumptions,
 )
+from hessquot.manufactured import cosine_profile, manufactured_forcing
 from hessquot.symfun import QuotientParams
 
 
@@ -255,18 +256,34 @@ class TestValidateAssumptions:
         assert not report.radial_monotone.passed  # rho^2 * 3 is increasing
 
     def test_equality_case_margin_near_zero(self):
+        # rho^(k-l) f is constant along rays, as in the two dilation cases
+        p320 = QuotientParams(3, 2, 0)
+        cases = [
+            (p320, parse_f("12 * rho^(-2)")),
+            (QuotientParams(6, 4, 2), parse_f("25*rho^(-2)*(1+0.1*x1/rho)")),
+            (p320, manufactured_forcing(p320, cosine_profile(0.05, 2), extra_decay=0)),
+        ]
+        for p, base in cases:
+            report = validate_assumptions(base, p, 0.5, 2.0)
+            assert report.radial_monotone.passed
+            assert report.radial_monotone.worst_margin == pytest.approx(0.0, abs=1e-5)
+
+    def test_steep_rise_between_radii_fails_monotone(self):
+        # rho^2 f rises 30 % across rho ~ 0.55, between the ladder's first two radii
         p = QuotientParams(3, 2, 0)
-        report = validate_assumptions(parse_f("12 * rho^(-2)"), p, 0.5, 2.0)
-        assert report.radial_monotone.passed
-        assert report.radial_monotone.worst_margin == pytest.approx(0.0, abs=1e-5)
+        f = parse_f("12*rho^(-3)*(1 + 0.3/(1 + exp(-(rho - 0.55)/0.005)))")
+        report = validate_assumptions(f, p, 0.5, 2.0)
+        assert report.outer_bound.passed
+        assert report.inner_bound.passed
+        assert not report.radial_monotone.passed
 
     def test_infinite_outer_radius(self):
         with pytest.raises(BadAnnulus):
             validate_assumptions(parse_f("12 * rho^(-3)"), QuotientParams(3, 2, 0), 0.5,
                                  float("inf"))
 
-    def test_callable_base_is_evaluated_in_four_batches(self):
-        # outer bound, inner bound, and the radial probe at r + h and r - h
+    def test_callable_base_is_evaluated_in_three_batches(self):
+        # outer bound, inner bound, and the radial ladder of 64 x 8 rays x 17 radii
         calls = []
 
         def base(X, nu):
@@ -275,7 +292,7 @@ class TestValidateAssumptions:
 
         report = validate_assumptions(base, QuotientParams(3, 2, 0), 0.5, 2.0)
         assert report.all_passed
-        assert len(calls) == 4
+        assert calls == [400, 400, 64 * 8 * 17]
 
 
 class TestDirections:
