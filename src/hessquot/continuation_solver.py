@@ -93,6 +93,8 @@ _INADMISSIBLE = (ConeViolation, DegenerateJet, NonpositiveF, EvalError)
 
 @dataclass
 class SolverConfig:
+    """newton_tol defaults to the axisym mode's 1e-10.  s2 callers pass 1e-8,
+    as `hessquot solve` does: from 64x128 on, s2 round-off lies above 1e-10."""
     newton_tol: float = 1e-10
 
     def __post_init__(self):
@@ -116,19 +118,20 @@ class SolutionField:
     trace: list[SolveStep]
 
 
-def _f_values(jets, v, grid, target: HomotopyTarget, t: float):
+def _f_values(jets, grid, target: HomotopyTarget, t: float):
     """f_t at the surface points X = rho x with normals nu (local_normal mapped
-    through the grid's node frames), from (6, N) frame jets and
-    v = sqrt(1 + |grad|^2/rho^2); raises NonpositiveF unless every value is
-    positive."""
+    through the grid's node frames), from (6, N) frame jets; raises
+    NonpositiveF, naming the first bad node, unless every value is positive
+    and finite (a NaN would pass a test for f_t <= 0)."""
     positions, frames = grid.node_frames(target.p.n)
-    nu_radial, nu_tangent = local_normal(jets, v)
+    nu_radial, nu_tangent = local_normal(jets)
     X = jets[0][:, None] * positions
     nu = nu_radial[:, None] * positions + np.einsum("nj,njd->nd", nu_tangent, frames)
     fvals = np.asarray(eval_homotopy(target, t, X, nu), dtype=float)
-    if np.any(fvals <= 0.0):
-        bad = int(np.argmin(fvals))
-        raise NonpositiveF(f"f_t nonpositive at node {bad} (value {fvals[bad]:.3e})")
+    good = np.isfinite(fvals) & (fvals > 0.0)
+    if not good.all():
+        bad = int(np.argmin(good))
+        raise NonpositiveF(f"f_t not positive and finite at node {bad} (value {fvals[bad]:.3e})")
     return fvals
 
 
@@ -152,7 +155,7 @@ def _pointwise_residual(jets, grid, target: HomotopyTarget, t: float):
             node=worst,
             margin=float(margins[worst]),
         )
-    fvals = _f_values(jets, geo.v, grid, target, t)
+    fvals = _f_values(jets, grid, target, t)
     return np.log(sig[:, p.k]) - np.log(sig[:, p.l]) - np.log(fvals)
 
 
@@ -170,17 +173,16 @@ def residual_vector(rho, grid, target: HomotopyTarget, t: float):
     return _residual_and_margin(np.asarray(rho, dtype=float), grid, target, t)
 
 
-def _log_f_partials(jets, v, grid, target: HomotopyTarget, t: float):
+def _log_f_partials(jets, grid, target: HomotopyTarget, t: float):
     """Partials (3, N) of log f_t over frame rows 0-2, rho and grad, by
     forward differences with step sqrt(eps) max(1, |j_r|) along rho and along
-    each gradient row the grid makes; the other row's partial is 0."""
-    log_f = np.log(_f_values(jets, v, grid, target, t))
-    partials = np.zeros((3, v.size))
+    each gradient row with a non-empty block; the other row's partial is 0."""
+    log_f = np.log(_f_values(jets, grid, target, t))
+    partials = np.zeros((3, jets.shape[1]))
     for r in (0,) + grid.gradient_rows:
         bumped = jets.copy()
         bumped[r] += _JET_STEP * np.maximum(1.0, np.abs(jets[r]))
-        v_b = np.sqrt(1.0 + np.einsum("cn,cn->n", bumped[1:3], bumped[1:3]) / bumped[0]**2)
-        partials[r] = (np.log(_f_values(bumped, v_b, grid, target, t)) - log_f) / (
+        partials[r] = (np.log(_f_values(bumped, grid, target, t)) - log_f) / (
             bumped[r] - jets[r])
     return partials
 
@@ -194,7 +196,7 @@ def _frame_partials(rho, grid, target: HomotopyTarget, t: float):
     geo = geometry_batch(jets, p.n)
     d_eta = log_quotient_grad_batch(geo.eta, sigma_batch(geo.eta, p.k), p.k, p.l)
     partials = geometry_first_variation(jets, geo, d_eta)
-    partials[:3] -= _log_f_partials(jets, geo.v, grid, target, t)
+    partials[:3] -= _log_f_partials(jets, grid, target, t)
     return partials
 
 
@@ -202,15 +204,15 @@ def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float):
     """Sparse d(residual)/d(rho) = sum_r diag(dR/dj_r) D_r.
 
     The residual at a node depends on rho only through its frame jets, and
-    each frame row j_r the grid makes is D_r rho, a row block of the grid's
-    jet operator (D_0 the identity; see sphere_grid.jet_arrays).  The
+    each frame row j_r is D_r rho, a row block of the grid's jet operator
+    (D_0 the identity; see sphere_grid.jet_arrays).  The
     partials of log sigma_k - log sigma_l over the frame jets are closed
     forms, from one geometry evaluation at rho (see
     radial_geometry.geometry_first_variation).  log f_t depends on the jets
     only through rho and grad, so its partials are one forward difference,
-    with step sqrt(eps) max(1, |j_r|), along rho and each gradient row the
-    grid makes, over all nodes at once.  grid.linearize weights
-    the operator's rows with the summed partials.  The helper keeps the
+    with step sqrt(eps) max(1, |j_r|), along rho and each gradient row with
+    a non-empty block, over all nodes at once.  grid.linearize weights the
+    operator's rows with the summed partials.  The helper keeps the
     geometry to itself, so none of it is alive during linearize.
     """
     return grid.linearize(_frame_partials(rho, grid, target, t))

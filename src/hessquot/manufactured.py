@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial_geometry import geometry_batch
-from .sphere_grid import AxisymGrid
 from .symfun import QuotientParams, sigma_batch
 
 __all__ = ["ZonalProfile", "cosine_profile", "zonal_jets_analytic", "manufactured_forcing"]
@@ -43,28 +42,27 @@ def cosine_profile(amplitude: float = 0.05, mode: int = 2) -> ZonalProfile:
     return ZonalProfile(jets)
 
 
-def _zonal_jets(theta, cos_t, sin_t, n: int, profile: ZonalProfile):
+def _zonal_jets(theta, cos_t, sin_t, profile: ZonalProfile):
     """zonal_jets_analytic, given cos(theta) and sin(theta)."""
     rho, d1, d2 = profile.jets(theta)
     near_pole = np.abs(sin_t) < 1e-9
     safe_sin = np.where(near_pole, 1.0, sin_t)
     orbit = np.where(near_pole, d2, cos_t * d1 / safe_sin)
-    AxisymGrid.check_dimension(n)
     zero = np.zeros_like(rho)
     return np.stack([rho, d1, zero, d2, zero, orbit])
 
 
-def zonal_jets_analytic(theta: np.ndarray, n: int, profile: ZonalProfile):
+def zonal_jets_analytic(theta: np.ndarray, profile: ZonalProfile):
     """Exact frame jets (6, N) of a zonal field at an array of colatitudes,
     indexed by frame row as sphere_grid.jet_arrays returns them, for every n.
 
     The orbit term is cot(theta) rho', replaced by the limit rho'' within a
-    small window of the poles; rho, rho', rho'' and the orbit term fill the
-    axisymmetric grid's frame rows (0, 1, 3, 5) of the meridian-orbit frame,
-    and the other rows are 0.
+    small window of the poles; rho, rho', rho'' and the orbit term are the
+    frame rows rho, grad_1, hess_11 and hess_22 of the meridian-orbit frame,
+    and grad_2 and hess_12 are 0.
     """
     theta = np.asarray(theta, dtype=float)
-    return _zonal_jets(theta, np.cos(theta), np.sin(theta), n, profile)
+    return _zonal_jets(theta, np.cos(theta), np.sin(theta), profile)
 
 
 def manufactured_forcing(p: QuotientParams, profile: ZonalProfile = None, extra_decay: int = 1):
@@ -92,7 +90,7 @@ def manufactured_forcing(p: QuotientParams, profile: ZonalProfile = None, extra_
         off_axis = np.sqrt(np.einsum("ij,ij->i", X[:, 1:], X[:, 1:]))
         r = np.hypot(axial, off_axis)
         theta = np.arctan2(off_axis, axial)
-        jets = _zonal_jets(theta, axial / r, off_axis / r, p.n, profile)
+        jets = _zonal_jets(theta, axial / r, off_axis / r, profile)
         geo = geometry_batch(jets, p.n)
         sig = sigma_batch(geo.eta, p.k)
         value = sig[:, p.k] / sig[:, p.l]

@@ -200,10 +200,11 @@ def geometry_batch(jets: np.ndarray, n: int) -> GeometryBatch:
     )
 
 
-def local_normal(jets: np.ndarray, v: np.ndarray):
+def local_normal(jets: np.ndarray):
     """The outward unit normal (1, -D rho / rho) / v in the local basis, as its
-    radial (N,) and (e_1, e_2) (N, 2) components, for (6, N) frame jets and
-    v = sqrt(1 + |D rho|^2 / rho^2)."""
+    radial (N,) and (e_1, e_2) (N, 2) components, for (6, N) frame jets; v is
+    formed as geometry_batch forms it, so the two agree bit for bit."""
+    v = np.sqrt(1.0 + (jets[1] * jets[1] + jets[2] * jets[2]) / jets[0]**2)
     return 1.0 / v, (-jets[1:3] / (v * jets[0])).T
 
 

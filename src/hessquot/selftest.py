@@ -121,7 +121,7 @@ def check_jet_convergence():
     for N in (33, 65):
         grid = build_axisym_grid(N)
         field = profile.value(grid.theta)
-        error = jet_arrays(field, grid, 3) - zonal_jets_analytic(grid.theta, 3, profile)
+        error = jet_arrays(field, grid, 3) - zonal_jets_analytic(grid.theta, profile)
         errors.append(np.abs(error[1:]).max())
     ratio = errors[0] / errors[1]
     ok = ratio > 3.5

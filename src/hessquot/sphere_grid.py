@@ -3,10 +3,11 @@
 Two grids are provided: a 1-D colatitude grid on [0, pi] for axisymmetric
 fields in any dimension, and a full latitude-longitude grid on the 2-sphere.
 Each grid builds its 2nd-order central-difference stencils once, as sparse
-matrices stacked into one jet operator whose rows already carry the frame's
-node-wise coefficients, so the frame jets of a field, rho and its covariant
-gradient and Hessian in two frame directions, are a single product
-`jet_operator @ rho`, returned as one (6, N) array indexed by frame row (see
+matrices stacked into one (6N, N) jet operator, a block per frame row (empty
+for grad_2 and hess_12 on the axisymmetric grid), whose rows already carry
+the frame's node-wise coefficients, so the frame jets of a field, rho and its
+covariant gradient and Hessian in two frame directions, are a single product
+`jet_operator @ rho`, one (6, N) array indexed by frame row (see
 jet_arrays).  The stencil weights are the only place the discretization
 lives.  Jets are linear in rho, so the same operator also serves the solver's
 Jacobian (see linearize).  The axisymmetric grid includes the poles and closes
@@ -73,11 +74,11 @@ class _StencilGrid:
 
     Frame jets are one (6, N) array indexed by frame row: 0 rho, 1 grad_1,
     2 grad_2, 3 hess_11, 4 hess_12 (which is also hess_21) and 5 hess_22.
-    A grid provides `node_count`, `frame_rows` (the frame rows its operator
-    makes, 0 first; the others are 0 for every field), `jet_operator` (one
-    (N, N) sparse block D_r per frame row r, stacked in that order, with D_0
-    the identity) and `check_dimension(n)`, which raises ValueError unless the
-    grid discretizes S^n.  For output it provides `columns` and `angles()`,
+    A grid provides `node_count`, `jet_operator` (the (6N, N) stack of one
+    (N, N) CSR block D_r per frame row r, in row order, with D_0 the identity
+    and an empty block for a row that is 0 for every field) and
+    `check_dimension(n)`, which raises ValueError unless the grid discretizes
+    S^n.  For output it provides `columns` and `angles()`,
     the CSV coordinate names and the (N, len(columns)) node coordinates, and
     `surface_rings(rho)`, the surface points X = rho x as (R, M, 3) rings from
     north to south plus the (2, 3) north and south pole points.
@@ -86,26 +87,26 @@ class _StencilGrid:
 
     def linearize(self, partials):
         """CSR matrix of w -> sum_r partials[r] j_r(w), for node-wise partials
-        (6, N) over the frame rows: diag(partials[r]) D_r summed over the rows
-        the grid makes.  hess_12 and hess_21 are one row, so partials[4] is
-        the partial over both together.
+        (6, N) over the frame rows: diag(partials[r]) D_r summed over the
+        rows.  hess_12 and hess_21 are one row, so partials[4] is the partial
+        over both together.
 
         The values fill a pattern built once per grid, so no per-call sparse
         products or sums are formed.
         """
         op = self.jet_operator
         pos, indices, indptr = self._linear_layout
-        rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-        weights = partials[list(self.frame_rows)].reshape(-1)
-        data = np.bincount(pos, weights=weights[rows] * op.data, minlength=indices.size)
+        weights = np.repeat(partials.reshape(-1), np.diff(op.indptr))
+        data = np.bincount(pos, weights=weights * op.data, minlength=indices.size)
         n = self.node_count
         return scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
     @property
     def gradient_rows(self) -> tuple:
-        """The gradient rows (1 grad_1, 2 grad_2) that the operator makes; the
-        others are 0 for every field."""
-        return tuple(r for r in self.frame_rows if r in (1, 2))
+        """The gradient rows (1 grad_1, 2 grad_2) whose operator block is not
+        empty; the others are 0 for every field."""
+        block_sizes = np.diff(self.jet_operator.indptr[::self.node_count])
+        return tuple(r for r in (1, 2) if block_sizes[r])
 
     @cached_property
     def _linear_layout(self):
@@ -124,10 +125,10 @@ class _StencilGrid:
 
 
 def _identity(count: int):
-    """The (count, count) D_0 block.  CSR like the other blocks, so that vstack
-    concatenates them as they are; a block in another format makes it rebuild
-    the whole operator, reordering each row's entries and so the order of the
-    stencil sums."""
+    """The (count, count) D_0 block.  CSR like the other blocks, empty ones too,
+    so that vstack concatenates them as they are; another format, or sorting
+    the indices, reorders each row's entries and so the stencil sums: on s2
+    the jets of a constant field are then not exactly 0."""
     return scipy.sparse.identity(count, format="csr")
 
 
@@ -138,9 +139,8 @@ class AxisymGrid(_StencilGrid):
     node_count: int
     theta: np.ndarray
     spacing: float
-    _frame_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _frame_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     columns = ("theta",)
-    frame_rows = (0, 1, 3, 5)
 
     def angles(self) -> np.ndarray:
         return self.theta[:, None]
@@ -212,7 +212,8 @@ class AxisymGrid(_StencilGrid):
         poles[[0, -1]] = 1.0
         orbit = scipy.sparse.diags(cot) @ d1 + scipy.sparse.diags(poles) @ d2
         orbit.eliminate_zeros()
-        return scipy.sparse.vstack([_identity(N), d1, d2, orbit], format="csr")
+        empty = scipy.sparse.csr_matrix((N, N))
+        return scipy.sparse.vstack([_identity(N), d1, empty, d2, empty, orbit], format="csr")
 
     def coarsened(self):
         """None: the axisymmetric grid is not halved (see the module docstring)."""
@@ -230,7 +231,6 @@ class SphereGrid2D(_StencilGrid):
     dtheta: float
     dphi: float
     columns = ("theta", "phi")
-    frame_rows = (0, 1, 2, 3, 4, 5)
 
     @property
     def node_count(self) -> int:
@@ -375,10 +375,7 @@ def build_s2_grid(n_theta: int, n_phi: int) -> SphereGrid2D:
 
 def jet_arrays(field_values, grid, n: int):
     """Frame jets (6, N) of a nodal field on S^n, indexed by frame row, on
-    either grid: the grid's jet operator applied to it, with zeros in the rows
-    the grid does not make."""
+    either grid: the grid's jet operator applied to it."""
     grid.check_dimension(n)
     rho = _check_field(field_values, grid.node_count)
-    jets = np.zeros((6, rho.size))
-    jets[list(grid.frame_rows)] = (grid.jet_operator @ rho).reshape(-1, rho.size)
-    return jets
+    return (grid.jet_operator @ rho).reshape(6, rho.size)

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from hessquot import continuation_solver
+from hessquot import cli, continuation_solver
 from hessquot.continuation_solver import SolverConfig
 from hessquot.errors import ConfigError
 from hessquot.cli import (
@@ -308,6 +308,102 @@ class TestSolveCommand:
         config.write_text("[problem]\nn = 3\n")
         assert main(["solve", str(config)]) == 2
         assert main(["solve", str(tmp_path / "missing.ini")]) == 2
+
+
+# anisotropic.ini's f, times a factor that is NaN only within 1.38 degrees of
+# the pole: 0 * exp(...) overflows there, and no validation sample lands on it
+NAN_NEAR_POLE = "12 * rho^(-3) * (1 + 0 * exp(1000000 * (x1 / rho - 0.999)))"
+
+
+def anisotropic_65(tmp_path, monkeypatch, replace):
+    """configs/anisotropic.ini at axisym 65, written to tmp_path with its
+    output sent to tmp_path / "out"; `replace` maps old lines to new ones."""
+    text = (CONFIGS / "anisotropic.ini").read_text().replace(
+        "resolution = 129", "resolution = 65")
+    for old, new in replace.items():
+        assert old in text
+        text = text.replace(old, new)
+    config = tmp_path / "run.ini"
+    config.write_text(text)
+    monkeypatch.setenv("HESSQUOT_OUTDIR", str(tmp_path / "out"))
+    return config, tmp_path / "out"
+
+
+class TestExitPaths:
+    """Every exit code of `hessquot solve` that a normal run does not reach."""
+
+    def assert_artifacts(self, outdir, status):
+        for name in ("rho.csv", "trace.csv", "summary.txt"):
+            assert (outdir / name).exists()
+        summary = (outdir / "summary.txt").read_text()
+        assert f"status = {status}" in summary
+        return summary
+
+    def test_nan_prescription_at_one_node_stalls(self, tmp_path, monkeypatch, capsys):
+        # a NaN f_t is not positive: the corrector fails at every trial t and
+        # the run stalls at t = 0 instead of reporting the sphere as solved
+        config, outdir = anisotropic_65(tmp_path, monkeypatch, {
+            "f = 12 * rho^(-3) * (1 + 0.2 * x1 / rho)": f"f = {NAN_NEAR_POLE}"})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["solve", str(config)]) == EXIT_STALLED
+        out = capsys.readouterr().out
+        assert "radial_monotone: PASS" in out
+        assert "NonpositiveF" in out and "at node 0 (value nan)" in out
+        summary = self.assert_artifacts(outdir, "stalled")
+        assert "final_t = 0\n" in summary
+
+    def test_monitor_violation_exits_5(self, tmp_path, monkeypatch):
+        # a validation that passes for an annulus the solution leaves: the
+        # radial monitor aborts on the first accepted state outside it
+        config, outdir = anisotropic_65(
+            tmp_path, monkeypatch, {"r1 = 0.5": "r1 = 0.9", "r2 = 2.0": "r2 = 1.02"})
+        real = cli.validate_assumptions
+        monkeypatch.setattr(cli, "validate_assumptions",
+                            lambda base, p, r1, r2: real(base, p, 0.5, 2.0))
+        assert main(["solve", str(config)]) == EXIT_STALLED
+        summary = self.assert_artifacts(outdir, "monitor_violation")
+        assert "final_t = 0.25\n" in summary
+        assert "check_c0 = FAIL" in summary
+
+    def test_library_error_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "log.ini"
+        config.write_text(RADIAL_SOLVE.format(outdir=tmp_path / "out").replace(
+            "f = 12 * rho^(-3)", "f = log(x1)"))
+        assert main(["solve", str(config)]) == 1
+        assert "log of a nonpositive value" in capsys.readouterr().out
+
+    def test_output_below_a_file_exits_6(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        config = tmp_path / "run.ini"
+        config.write_text(RADIAL_SOLVE.format(outdir=blocker / "out"))
+        assert main(["solve", str(config)]) == EXIT_IO
+        assert "I/O error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (MINIMAL + "\n[widgets]\n", "key 'widgets', line 10"),
+            (MINIMAL + "\njust words\n", "line 10"),
+            ("n = 3\n" + MINIMAL, "line 1"),
+            (MINIMAL + "\n[solver]\nallow_unvalidated = maybe\n",
+             "key 'solver.allow_unvalidated', line 11"),
+            ("[grid]\nmode = axisym\n", "[problem]"),
+            (MINIMAL + "\n[grid]\nmode = cube\n", "key 'grid.mode'"),
+            (MINIMAL + "\n[output]\nformats = csv,png\n", "key 'output.formats'"),
+            (MINIMAL + "\n[grid]\nresolution = 65x2\n", "key 'grid.resolution'"),
+        ],
+        ids=["unknown-section", "no-equals", "key-before-section", "bad-bool",
+             "no-problem", "unknown-mode", "unknown-format", "resolution-parts"],
+    )
+    def test_config_error_exits_2(self, tmp_path, capsys, text, named):
+        config = tmp_path / "bad.ini"
+        config.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(str(config))
+        assert named in str(err.value)
+        assert main(["solve", str(config)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().out
 
 
 class TestValidateCommand:

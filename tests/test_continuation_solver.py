@@ -9,7 +9,13 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from hessquot import cli, continuation_solver
-from hessquot.errors import ConeViolation, ContinuationStalled, MonitorViolation, NoConvergence
+from hessquot.errors import (
+    ConeViolation,
+    ContinuationStalled,
+    MonitorViolation,
+    NoConvergence,
+    NonpositiveF,
+)
 from hessquot.continuation_solver import (
     SolverConfig,
     assemble_jacobian,
@@ -209,7 +215,7 @@ def bumped_jacobian(rho, grid, target, t):
     jets = jet_arrays(rho, grid, target.p.n)
     base = continuation_solver._pointwise_residual(jets, grid, target, t)
     partials = np.zeros_like(jets)
-    for r in grid.frame_rows:
+    for r in range(6):
         bumped = jets.copy()
         bumped[r] += math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(jets[r]))
         residual = continuation_solver._pointwise_residual(bumped, grid, target, t)
@@ -450,6 +456,20 @@ class TestContinuation:
         # the stall names the last corrector failure and chains it as the cause
         assert "NoConvergence" in str(err.value)
         assert isinstance(err.value.__cause__, NoConvergence)
+
+    def test_nan_prescription_stalls_with_nonpositive_cause(self):
+        # f is NaN only at the pole node, where 0 * exp(...) overflows; a NaN
+        # residual must not pass the convergence test as converged
+        p = QuotientParams(3, 2, 0)
+        base = parse_f("12 * rho^(-3) * (1 + 0 * exp(1000000 * (x1 / rho - 0.999)))")
+        target = make_homotopy(base, p, 0.5, 2.0)
+        assert validate_assumptions(base, p, 0.5, 2.0).all_passed
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContinuationStalled) as err:
+                continuation_solve(target, build_axisym_grid(65), SolverConfig(), validated=True)
+        assert err.value.last_t == 0.0
+        assert isinstance(err.value.__cause__, NonpositiveF)
+        assert "at node 0 (value nan)" in str(err.value)
 
     def test_monitor_abort_on_false_attestation(self):
         # claiming a tight annulus is validated must abort, not continue

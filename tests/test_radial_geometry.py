@@ -202,7 +202,7 @@ class TestClosedFormAgainstDenseOracle:
     def assert_agrees(batch, normal, i, dense):
         scale = max(1.0, float(np.abs(dense.eta_spectrum).max()))
         tol = 1e-13 * scale
-        # normal = local_normal(jets, batch.v), the solver's normal
+        # normal = local_normal(jets), the solver's normal
         nu = np.zeros_like(dense.nu)
         nu[0] = normal[0][i]
         nu[1:3] = normal[1][i]
@@ -216,7 +216,7 @@ class TestClosedFormAgainstDenseOracle:
         jets = self.random_jets(23)
         assert np.abs(jets[4]).min() > 0.0
         batch = geometry_batch(jets, 2)
-        normal = local_normal(jets, batch.v)
+        normal = local_normal(jets)
         for i in range(jets.shape[1]):
             dense = assemble_point_geometry(dense_jet(jets[:, i], 2), 2)
             self.assert_agrees(batch, normal, i, dense)
@@ -227,7 +227,7 @@ class TestClosedFormAgainstDenseOracle:
         jets[[2, 4]] = 0.0
         batch = geometry_batch(jets, n)
         assert batch.kappa.shape == batch.eta.shape == (jets.shape[1], n)
-        normal = local_normal(jets, batch.v)
+        normal = local_normal(jets)
         for i in range(jets.shape[1]):
             dense = assemble_point_geometry(dense_jet(jets[:, i], n), n)
             self.assert_agrees(batch, normal, i, dense)

@@ -258,6 +258,19 @@ class TestGridInterface:
         assert np.all(jets[0] == 1.7)
         assert np.all(jets[1:] == 0.0)
 
+    @pytest.mark.parametrize("mode, empty, gradient_rows",
+                             [("axisym", (2, 4), (1,)), ("s2", (), (1, 2))], ids=["axisym", "s2"])
+    def test_operator_has_one_block_per_frame_row(self, mode, empty, gradient_rows):
+        # both grids make all six frame rows; a row that is 0 for every field
+        # (grad_2 and hess_12 of a zonal field) is an empty CSR block
+        grid, _ = self.grid_and_wrong_n(mode)
+        N = grid.node_count
+        op = grid.jet_operator
+        assert op.format == "csr" and op.shape == (6 * N, N)
+        block_sizes = np.diff(op.indptr[::N])
+        assert tuple(r for r in range(6) if block_sizes[r] == 0) == empty
+        assert grid.gradient_rows == gradient_rows
+
     @pytest.mark.parametrize("mode", ["axisym", "s2"])
     def test_linearize_pairs_partials_with_jets(self, mode):
         grid, _ = self.grid_and_wrong_n(mode)
