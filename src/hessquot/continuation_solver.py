@@ -25,7 +25,11 @@ structurally symmetric (central stencils, symmetric pole closures), so the
 factorization orders the columns by minimum degree on the pattern of J^T + J.
 
 The path starts from the exactly-known state rho = 1 at t = 0 and follows an
-adaptive step in t to the target problem at t = 1.  Every trial iterate is
+adaptive step in t to the target problem at t = 1, as a predictor-corrector
+path (Allgower & Georg 1990, ch. 2-3): each corrector starts from the secant
+prediction through the last two accepted states, and a corrector short of
+t = 1 stops at sqrt(newton_tol), since it only has to leave the next one
+inside its basin; t = 1 is held to newton_tol.  Every trial iterate is
 guarded: nodes must keep rho > 0 and the eta spectrum inside Gamma_k with a
 margin of at least _CONE_MARGIN.  The step in t is the only globalization: a
 freshly factored step that is inadmissible or does not decrease the residual
@@ -292,13 +296,18 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
 
     The unit sphere solves f_0 exactly, so t = 0 is recorded, not corrected:
     its trace row holds zero Newton iterations and the residual sup measured
-    at rho = 1, and the first corrector runs at t = _DT_INIT with no LU.  Step
+    at rho = 1, and the first corrector runs at t = _DT_INIT from rho = 1
+    with no LU.  Each later corrector at t_try starts from the secant
+    prediction rho + (t_try - t)/(t - t_prev) (rho - rho_prev) through the
+    last two accepted states (t = 0 among them), and from the LU the previous
+    accepted one ended with; an inadmissible prediction is a failed attempt.
+    Correctors at t_try < 1 stop at sqrt(cfg.newton_tol), the one at t = 1 at
+    cfg.newton_tol, so only the t = 1 trace row meets newton_tol.  Step
     control halves dt on corrector failure, which includes a trial t where
     f_t, the prescription expression or the jets cannot be evaluated, and
     grows it after a corrector that factored at most once; chord steps raise
     the iteration count without costing a Jacobian, so the factorizations
-    measure the work.  Each corrector starts from the LU the previous accepted
-    one ended with.  Every accepted state goes through accept(grid, t, iters,
+    measure the work.  Every accepted state goes through accept(grid, t, iters,
     residual sup, rho); a stall raises ContinuationStalled with `trace`, and
     carries the last corrector failure as its cause.  Returns rho at t = 1.
     """
@@ -311,13 +320,16 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
     res = _residual_and_margin(rho, grid, target, 0.0)
     accept(grid, 0.0, 0, float(np.abs(res).max()), rho)
 
+    path_cfg = SolverConfig(newton_tol=math.sqrt(cfg.newton_tol))
     t = 0.0
     dt = _DT_INIT
     while t < 1.0:
         t_try = min(t + dt, 1.0)
+        rho0 = rho if t == 0.0 else rho + (t_try - t) / (t - t_prev) * (rho - rho_prev)
         try:
             rho_new, iters, factorizations, res_sup, carried["lu"] = newton_solve(
-                rho, t_try, target, grid, cfg, carried.pop("lu", None))
+                rho0, t_try, target, grid, cfg if t_try == 1.0 else path_cfg,
+                carried.pop("lu", None))
         except (NoConvergence, *_INADMISSIBLE) as exc:
             dt *= 0.5
             if dt < _DT_MIN:
@@ -327,8 +339,7 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
                     last_t=t, field=rho, trace=trace,
                 ) from exc
             continue
-        rho = rho_new
-        t = t_try
+        t_prev, rho_prev, t, rho = t, rho, t_try, rho_new
         accept(grid, t, iters, res_sup, rho)
         if factorizations <= 1:
             dt = min(dt * _DT_GROWTH, _DT_MAX)

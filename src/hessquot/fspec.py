@@ -283,16 +283,20 @@ def _eval_node(node: Expr, rho, X, nu):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _row_norm(A):
+    """Euclidean norm over the last axis, without np.linalg.norm's overhead."""
+    return np.sqrt(np.einsum("...i,...i->...", A, A))
+
+
 def eval_f(expr: Expr, X, nu):
     """Evaluate at position X and unit normal nu; both (d,) or (N, d) arrays."""
     X = np.asarray(X, dtype=float)
     nu = np.asarray(nu, dtype=float)
     scalar = X.ndim == 1
-    rho = np.linalg.norm(X, axis=-1)
+    rho = _row_norm(X)
     if np.any(rho == 0.0):
         raise ValueError("X must be nonzero")
-    nu_norm = np.linalg.norm(nu, axis=-1)
-    if np.any(np.abs(nu_norm - 1.0) > 1e-8):
+    if np.any(np.abs(_row_norm(nu) - 1.0) > 1e-8):
         raise ValueError("nu must be a unit vector (within 1e-8)")
     out = np.asarray(_eval_node(expr, rho, X, nu), dtype=float)
     if scalar:
@@ -344,7 +348,7 @@ def eval_homotopy(target: HomotopyTarget, t: float, X, nu):
         raise ValueError(f"t must lie in [0, 1], got {t}")
     X = np.asarray(X, dtype=float)
     m = target.p.gap
-    rho_m = np.linalg.norm(X, axis=-1) ** (-float(m))
+    rho_m = _row_norm(X) ** (-float(m))
     bracket = rho_m + target.epsilon * (rho_m - 1.0)
     radial = reference_level(target.p) * bracket
     if t == 0.0:
@@ -422,11 +426,14 @@ def validate_assumptions(base, p: QuotientParams, r1: float, r2: float) -> Assum
     """Check the three conditions on f at samples, each up to a rounding bound:
     the bounds at VALIDATE_SAMPLES directions on |X| = r2 and r1, monotonicity
     on 64 directions x 8 normals over 17 radii from r1 to r2, where the margin is
-    the least -Delta(rho^(k-l) f)/Delta rho between neighbouring radii."""
+    the least -Delta(rho^(k-l) f)/Delta rho between neighbouring radii.  Both
+    direction sets also hold the polar axis +-e1, a node of every axisym grid,
+    which no quasi-uniform direction lands on."""
     check_annulus(r1, r2)
     dim = p.n + 1
     m = p.gap
-    dirs = quasi_uniform_directions(VALIDATE_SAMPLES, dim)
+    poles = np.array([[1.0], [-1.0]]) * np.eye(dim)[0]
+    dirs = np.vstack([quasi_uniform_directions(VALIDATE_SAMPLES, dim), poles])
 
     level = p.binomial_ratio * ((p.n - 1) / r2) ** m
     f_outer = np.asarray(base(r2 * dirs, dirs), dtype=float)
@@ -438,8 +445,8 @@ def validate_assumptions(base, p: QuotientParams, r1: float, r2: float) -> Assum
 
     # g = rho^(k-l) f on a ladder of radii from r1 to r2 along each (direction,
     # normal) pair, direction-major; a segment's margin is -dg/drho across it
-    n_dir, n_nu, n_rho = 64, 8, 17
-    xdirs = quasi_uniform_directions(n_dir, dim)
+    xdirs = np.vstack([quasi_uniform_directions(64, dim), poles])
+    n_dir, n_nu, n_rho = len(xdirs), 8, 17
     nus = quasi_uniform_directions(n_nu, dim)
     rhos = np.linspace(r1, r2, n_rho)
     d = np.repeat(xdirs, n_nu * n_rho, axis=0)

@@ -311,7 +311,8 @@ class TestSolveCommand:
 
 
 # anisotropic.ini's f, times a factor that is NaN only within 1.38 degrees of
-# the pole: 0 * exp(...) overflows there, and no validation sample lands on it
+# the pole: 0 * exp(...) overflows there; only the validator's +-e1 samples
+# land on it
 NAN_NEAR_POLE = "12 * rho^(-3) * (1 + 0 * exp(1000000 * (x1 / rho - 0.999)))"
 
 
@@ -339,15 +340,27 @@ class TestExitPaths:
         assert f"status = {status}" in summary
         return summary
 
-    def test_nan_prescription_at_one_node_stalls(self, tmp_path, monkeypatch, capsys):
-        # a NaN f_t is not positive: the corrector fails at every trial t and
-        # the run stalls at t = 0 instead of reporting the sphere as solved
+    def test_nan_at_the_pole_fails_validation(self, tmp_path, monkeypatch, capsys):
         config, outdir = anisotropic_65(tmp_path, monkeypatch, {
             "f = 12 * rho^(-3) * (1 + 0.2 * x1 / rho)": f"f = {NAN_NEAR_POLE}"})
         with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["solve", str(config)]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        for check in ("outer_bound", "inner_bound", "radial_monotone"):
+            assert f"{check}: FAIL (worst margin nan)" in out
+        assert not outdir.exists()
+
+    def test_nan_prescription_at_one_node_stalls(self, tmp_path, monkeypatch, capsys):
+        # a NaN f_t is not positive: the corrector fails at every trial t and
+        # the run stalls at t = 0 instead of reporting the sphere as solved;
+        # the override takes the run past the validator, which rejects this f
+        config, outdir = anisotropic_65(tmp_path, monkeypatch, {
+            "f = 12 * rho^(-3) * (1 + 0.2 * x1 / rho)": f"f = {NAN_NEAR_POLE}",
+            "[grid]": "[solver]\nallow_unvalidated = true\n\n[grid]"})
+        with np.errstate(over="ignore", invalid="ignore"):
             assert main(["solve", str(config)]) == EXIT_STALLED
         out = capsys.readouterr().out
-        assert "radial_monotone: PASS" in out
+        assert "radial_monotone: FAIL" in out
         assert "NonpositiveF" in out and "at node 0 (value nan)" in out
         summary = self.assert_artifacts(outdir, "stalled")
         assert "final_t = 0\n" in summary

@@ -159,6 +159,29 @@ class TestEval:
         with pytest.raises(ValueError):
             eval_f(parse_f("rho"), np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))
 
+    def test_batched_radius_and_unit_check_against_linalg_norm(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(200, 4))
+        nu = X / np.linalg.norm(X, axis=-1, keepdims=True)
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(eval_f(parse_f("rho"), X, nu),
+                                   np.linalg.norm(X, axis=-1), rtol=4 * eps, atol=0)
+        p = QuotientParams(3, 2, 0)
+        target = make_homotopy(parse_f("1"), p, 0.5, 2.0)
+        rho_m = np.linalg.norm(X, axis=-1) ** -2.0
+        np.testing.assert_allclose(
+            eval_homotopy(target, 0.0, X, nu),
+            reference_level(p) * (rho_m + target.epsilon * (rho_m - 1.0)), rtol=16 * eps)
+        # the unit check holds row by row, to within 1e-8
+        X[17] = 0.0
+        with pytest.raises(ValueError, match="X must be nonzero"):
+            eval_f(parse_f("rho"), X, nu)
+        X[17] = nu[17]
+        eval_f(parse_f("rho"), X, nu * (1.0 + 1e-9))
+        nu[17] *= 1.0 + 1e-7
+        with pytest.raises(ValueError, match="unit vector"):
+            eval_f(parse_f("rho"), X, nu)
+
 
 class TestHomotopy:
     def test_epsilon_worked_example(self):
@@ -277,13 +300,25 @@ class TestValidateAssumptions:
         assert report.inner_bound.passed
         assert not report.radial_monotone.passed
 
+    def test_nan_at_the_pole_fails_every_check(self):
+        # NaN only within 1.38 degrees of +e1, between the quasi-uniform samples
+        p = QuotientParams(3, 2, 0)
+        f = parse_f("12 * rho^(-3) * (1 + 0 * exp(1000000 * (x1 / rho - 0.999)))")
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = validate_assumptions(f, p, 0.5, 2.0)
+        for check in (report.outer_bound, report.inner_bound, report.radial_monotone):
+            assert not check.passed
+            assert np.isnan(check.worst_margin)
+            assert check.worst_point[0] > 0.0 and not check.worst_point[1:].any()
+
     def test_infinite_outer_radius(self):
         with pytest.raises(BadAnnulus):
             validate_assumptions(parse_f("12 * rho^(-3)"), QuotientParams(3, 2, 0), 0.5,
                                  float("inf"))
 
     def test_callable_base_is_evaluated_in_three_batches(self):
-        # outer bound, inner bound, and the radial ladder of 64 x 8 rays x 17 radii
+        # outer bound, inner bound, and the radial ladder of 66 x 8 rays x 17
+        # radii; each direction set is quasi-uniform plus +-e1
         calls = []
 
         def base(X, nu):
@@ -292,7 +327,7 @@ class TestValidateAssumptions:
 
         report = validate_assumptions(base, QuotientParams(3, 2, 0), 0.5, 2.0)
         assert report.all_passed
-        assert calls == [400, 400, 64 * 8 * 17]
+        assert calls == [402, 402, 66 * 8 * 17]
 
 
 class TestDirections:
