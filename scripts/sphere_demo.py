@@ -6,7 +6,7 @@ import argparse
 import time
 
 from hessquot.cli import export_mesh_obj
-from hessquot.continuation_solver import SolverConfig, continuation_solve
+from hessquot.continuation_solver import continuation_solve
 from hessquot.fspec import make_homotopy, parse_f, validate_assumptions
 from hessquot.sphere_grid import build_s2_grid
 from hessquot.symfun import QuotientParams
@@ -28,9 +28,7 @@ def main():
     target = make_homotopy(base, p, 0.5, 2.0)
 
     started = time.perf_counter()
-    sol = continuation_solve(
-        target, grid, SolverConfig(newton_tol=1e-8), validated=report.all_passed
-    )
+    sol = continuation_solve(target, grid, validated=report.all_passed)
     # a finer grid's corrector adds a t = 1 row right after a t = 1 row
     rungs = sum(a.t == b.t == 1.0 for a, b in zip(sol.trace, sol.trace[1:]))
     print(

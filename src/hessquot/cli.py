@@ -54,10 +54,10 @@ EXIT_STALLED = 5
 EXIT_IO = 6
 
 OUTDIR_ENV = "HESSQUOT_OUTDIR"
-# grid mode -> (grid builder, default resolution, default newton_tol)
+# grid mode -> (grid builder, default resolution); the grid owns its newton_tol
 GRID_MODES = {
-    "axisym": (build_axisym_grid, "129", 1e-10),
-    "s2": (build_s2_grid, "32x64", 1e-8),
+    "axisym": (build_axisym_grid, "129"),
+    "s2": (build_s2_grid, "32x64"),
 }
 
 
@@ -182,8 +182,7 @@ def parse_config_text(text: str) -> RunConfig:
         )
     if grid.mode == "s2" and problem.n != 2:
         raise ConfigError("grid mode s2 requires n = 2", key="grid.mode")
-    _, default_resolution, default_tol = GRID_MODES[grid.mode]
-    grid.resolution = grid_keys.get("resolution", default_resolution)
+    grid.resolution = grid_keys.get("resolution", GRID_MODES[grid.mode][1])
     _parse_resolution(grid)  # fail early on malformed values
 
     output = OutputConfig(**sections.get("output", {}))
@@ -191,7 +190,7 @@ def parse_config_text(text: str) -> RunConfig:
         if fmt not in {"csv", "obj"}:
             raise ConfigError(f"unknown output format {fmt!r}", key="output.formats")
     try:
-        solver = SolverSection(**{"newton_tol": default_tol, **sections.get("solver", {})})
+        solver = SolverSection(**sections.get("solver", {}))
     except ValueError as exc:
         raise ConfigError(str(exc), key="solver") from None
     return RunConfig(problem=problem, grid=grid, solver=solver, output=output)
@@ -261,30 +260,26 @@ def _write_trace_csv(path, trace: list[SolveStep]):
         handle.write(header + _csv_rows(np.reshape(rows, (-1, columns))))
 
 
-def _summary_lines(status, trace, target, r1, r2, validation_note):
-    lines = [f"status = {status}"]
-    if trace:
-        last = trace[-1]
-        b = last.bounds
-        radial = check_c0(b, r1, r2)
-        positive = check_positivity(b)
-        lines.extend(
-            [
-                f"steps_accepted = {len(trace)}",
-                f"final_t = {_fmt(last.t)}",
-                f"final_residual_sup = {_fmt(last.residual_sup)}",
-                f"epsilon = {_fmt(target.epsilon)}",
-                f"c0 = {_fmt(target.c0)}",
-            ]
-        )
-        for f in fields(b):
-            lines.append(f"{f.name} = {_fmt(getattr(b, f.name))}")
-        lines.append(
-            "check_c0 = %s (lower=%s, upper=%s)"
-            % ("PASS" if radial.passed else "FAIL",
-               _fmt(radial.margins["lower"]), _fmt(radial.margins["upper"]))
-        )
-        lines.append("check_positivity = %s" % ("PASS" if positive.passed else "FAIL"))
+def _summary_lines(status, solution, target, r1, r2, validation_note):
+    last, b = solution.trace[-1], solution.bounds
+    radial = check_c0(b, r1, r2)
+    positive = check_positivity(b)
+    lines = [
+        f"status = {status}",
+        f"steps_accepted = {len(solution.trace)}",
+        f"final_t = {_fmt(last.t)}",
+        f"final_residual_sup = {_fmt(last.residual_sup)}",
+        f"epsilon = {_fmt(target.epsilon)}",
+        f"c0 = {_fmt(target.c0)}",
+    ]
+    for f in fields(b):
+        lines.append(f"{f.name} = {_fmt(getattr(b, f.name))}")
+    lines.append(
+        "check_c0 = %s (lower=%s, upper=%s)"
+        % ("PASS" if radial.passed else "FAIL",
+           _fmt(radial.margins["lower"]), _fmt(radial.margins["upper"]))
+    )
+    lines.append("check_positivity = %s" % ("PASS" if positive.passed else "FAIL"))
     lines.append(f"validation = {validation_note}")
     return lines
 
@@ -329,29 +324,26 @@ def run_solve(cfg: RunConfig) -> int:
     summary_path = os.path.join(out_dir, "summary.txt")
 
     status = "ok"
-    exit_code = EXIT_OK
     try:
         solution = continuation_solve(target, grid, cfg.solver, validated=report.all_passed)
-        rho, trace = solution.rho, solution.trace
     except ContinuationStalled as exc:
         print(f"continuation stalled: {exc}")
-        status, exit_code = "stalled", EXIT_STALLED
-        rho, trace = exc.field, exc.trace
+        status, solution = "stalled", exc.solution
     except MonitorViolation as exc:
         print(f"bounds monitor abort: {exc}")
-        status, exit_code = "monitor_violation", EXIT_STALLED
-        rho, trace = exc.field, exc.trace
+        status, solution = "monitor_violation", exc.solution
 
-    _write_rho_csv(rho_path, rho, grid)
-    _write_trace_csv(trace_path, trace)
-    lines = _summary_lines(status, trace, target, cfg.problem.r1, cfg.problem.r2, validation_note)
+    _write_rho_csv(rho_path, solution.rho, grid)
+    _write_trace_csv(trace_path, solution.trace)
+    lines = _summary_lines(status, solution, target, cfg.problem.r1, cfg.problem.r2,
+                           validation_note)
     _write_summary(summary_path, lines)
     if "obj" in cfg.output.formats:
-        export_mesh_obj(rho, grid, os.path.join(out_dir, "mesh.obj"))
+        export_mesh_obj(solution.rho, grid, os.path.join(out_dir, "mesh.obj"))
     for line in lines:
         print(line)
     print(f"artifacts written to {out_dir}")
-    return exit_code
+    return EXIT_OK if status == "ok" else EXIT_STALLED
 
 
 def export_mesh_obj(rho, grid, path):

@@ -97,12 +97,12 @@ _INADMISSIBLE = (ConeViolation, DegenerateJet, NonpositiveF, EvalError)
 
 @dataclass
 class SolverConfig:
-    """newton_tol defaults to the axisym mode's 1e-10.  s2 callers pass 1e-8,
-    as `hessquot solve` does: from 64x128 on, s2 round-off lies above 1e-10."""
-    newton_tol: float = 1e-10
+    """newton_tol None, the default, takes the grid's `newton_tol`, the
+    tolerance its round-off floor allows (see _newton_tol)."""
+    newton_tol: float = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+        if not (self.newton_tol is None or math.isfinite(self.newton_tol) and self.newton_tol > 0):
             raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol}")
 
 
@@ -117,9 +117,19 @@ class SolveStep:
 
 @dataclass
 class SolutionField:
+    """The last accepted state's field and the trace up to it, whose last row
+    holds that state's bounds; stalls and monitor aborts carry one too."""
     rho: np.ndarray
-    bounds: BoundsSnapshot
     trace: list[SolveStep]
+
+    @property
+    def bounds(self) -> BoundsSnapshot:
+        return self.trace[-1].bounds
+
+
+def _newton_tol(cfg: SolverConfig, grid) -> float:
+    """cfg.newton_tol, or the grid's when cfg or its newton_tol is None."""
+    return grid.newton_tol if cfg is None or cfg.newton_tol is None else cfg.newton_tol
 
 
 def _f_values(jets, grid, target: HomotopyTarget, t: float):
@@ -238,11 +248,11 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
     one test, raises none of _INADMISSIBLE: rho stays positive and finite, the
     spectrum inside the cone with margin >= _CONE_MARGIN, and f_t positive and
     evaluable; an inadmissible start raises that error.  The iteration stops on
-    the true residual sup <= cfg.newton_tol, or raises NoConvergence after
-    _MAX_NEWTON steps.  Returns (field, iterations, factorizations, residual
-    sup, LU held at the end).
+    the true residual sup <= newton_tol (see _newton_tol), or raises
+    NoConvergence after _MAX_NEWTON steps.  Returns (field, iterations,
+    factorizations, residual sup, LU held at the end).
     """
-    cfg = cfg if cfg is not None else SolverConfig()
+    tol = _newton_tol(cfg, grid)
     rho = np.asarray(rho0, dtype=float).copy()
     res = _residual_and_margin(rho, grid, target, t)
     res_sup = float(np.abs(res).max())
@@ -262,7 +272,7 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
             return None
         return trial, trial_res, trial_sup
 
-    while res_sup > cfg.newton_tol:
+    while res_sup > tol:
         if iters >= _MAX_NEWTON:
             raise NoConvergence(
                 f"no convergence in {_MAX_NEWTON} Newton steps at t={t} "
@@ -301,15 +311,16 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
     prediction rho + (t_try - t)/(t - t_prev) (rho - rho_prev) through the
     last two accepted states (t = 0 among them), and from the LU the previous
     accepted one ended with; an inadmissible prediction is a failed attempt.
-    Correctors at t_try < 1 stop at sqrt(cfg.newton_tol), the one at t = 1 at
-    cfg.newton_tol, so only the t = 1 trace row meets newton_tol.  Step
+    Correctors at t_try < 1 stop at sqrt(newton_tol), the one at t = 1 at
+    newton_tol (see _newton_tol), so only the t = 1 trace row meets it.  Step
     control halves dt on corrector failure, which includes a trial t where
     f_t, the prescription expression or the jets cannot be evaluated, and
     grows it after a corrector that factored at most once; chord steps raise
     the iteration count without costing a Jacobian, so the factorizations
     measure the work.  Every accepted state goes through accept(grid, t, iters,
-    residual sup, rho); a stall raises ContinuationStalled with `trace`, and
-    carries the last corrector failure as its cause.  Returns rho at t = 1.
+    residual sup, rho); a stall raises ContinuationStalled with the last
+    accepted state, and the last corrector failure as its cause.  Returns rho
+    at t = 1.
     """
     rho = np.ones(grid.node_count)
     # The LU carried from one corrector to the next.  It is handed over with
@@ -320,7 +331,7 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
     res = _residual_and_margin(rho, grid, target, 0.0)
     accept(grid, 0.0, 0, float(np.abs(res).max()), rho)
 
-    path_cfg = SolverConfig(newton_tol=math.sqrt(cfg.newton_tol))
+    path_cfg = SolverConfig(newton_tol=math.sqrt(_newton_tol(cfg, grid)))
     t = 0.0
     dt = _DT_INIT
     while t < 1.0:
@@ -336,8 +347,7 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
                 raise ContinuationStalled(
                     f"step size underflow at t={t} (dt={dt:.3e} < {_DT_MIN:.1e}); "
                     f"last corrector failure: {type(exc).__name__}: {exc}",
-                    last_t=t, field=rho, trace=trace,
-                ) from exc
+                    SolutionField(rho, trace)) from exc
             continue
         t_prev, rho_prev, t, rho = t, rho, t_try, rho_new
         accept(grid, t, iters, res_sup, rho)
@@ -366,7 +376,6 @@ def continuation_solve(
     positivity monitors, checked on every accepted state, into hard
     invariants: a violation aborts with MonitorViolation.
     """
-    cfg = cfg if cfg is not None else SolverConfig()
     trace = []
 
     def accept(on_grid, t, iters, res_sup, rho_now):
@@ -379,9 +388,7 @@ def continuation_solve(
             if not (radial.passed and positive.passed):
                 raise MonitorViolation(
                     f"bounds monitor failed at t={t}: radial margins {radial.margins}, "
-                    f"positivity {positive.margins}",
-                    t=t, snapshot=snap, field=rho_now, trace=trace,
-                )
+                    f"positivity {positive.margins}", SolutionField(rho_now, trace))
 
     ladder = [grid]
     while (coarser := ladder[-1].coarsened()) is not None:
@@ -393,8 +400,8 @@ def continuation_solve(
                 rho, iters, _, res_sup, _ = newton_solve(
                     finer.prolong(rho), 1.0, target, finer, cfg, lu=None)
                 accept(finer, 1.0, iters, res_sup, rho)
-            return SolutionField(rho=rho, bounds=trace[-1].bounds, trace=trace)
+            return SolutionField(rho, trace)
         except (ContinuationStalled, MonitorViolation, NoConvergence, *_INADMISSIBLE):
             pass  # follow the path on the target grid instead
     rho = _follow_path(target, grid, cfg, accept, trace)
-    return SolutionField(rho=rho, bounds=trace[-1].bounds, trace=trace)
+    return SolutionField(rho, trace)

@@ -69,25 +69,21 @@ class NoConvergence(HessquotError):
     not decrease the residual, or the iteration budget ran out."""
 
 
-class ContinuationStalled(HessquotError):
+class _SolveEnded(HessquotError):
+    """A solve that ended short of its target; `solution` is the SolutionField
+    of the last accepted state, on the target grid, with the trace up to it."""
+
+    def __init__(self, message, solution):
+        super().__init__(message)
+        self.solution = solution
+
+
+class ContinuationStalled(_SolveEnded):
     """Continuation step size underflowed before reaching t = 1."""
 
-    def __init__(self, message, last_t, field, trace):
-        super().__init__(message)
-        self.last_t = last_t
-        self.field = field
-        self.trace = trace
 
-
-class MonitorViolation(HessquotError):
-    """An accepted state broke a bound the validated problem guarantees."""
-
-    def __init__(self, message, t, snapshot, field, trace):
-        super().__init__(message)
-        self.t = t
-        self.snapshot = snapshot
-        self.field = field
-        self.trace = trace
+class MonitorViolation(_SolveEnded):
+    """An accepted state, the solution's last, broke a bound the validated problem guarantees."""
 
 
 class ConfigError(HessquotError):

@@ -82,7 +82,8 @@ class _StencilGrid:
     the CSV coordinate names and the (N, len(columns)) node coordinates, and
     `surface_rings(rho)`, the surface points X = rho x as (R, M, 3) rings from
     north to south plus the (2, 3) north and south pole points.
-    `coarsened()` is the next coarser grid of a sequenced solve, or None.
+    `coarsened()` is the next coarser grid of a sequenced solve, or None, and
+    `newton_tol` the default Newton tolerance, which its round-off floor allows.
     """
 
     def linearize(self, partials):
@@ -134,13 +135,15 @@ def _identity(count: int):
 
 @dataclass
 class AxisymGrid(_StencilGrid):
-    """Uniform colatitude nodes theta_m = m pi/(N-1), m = 0..N-1, poles included."""
+    """Uniform colatitude nodes theta_m = m pi/(N-1), m = 0..N-1, poles included;
+    newton_tol 1e-10 is above the residual's round-off floor (~ h^-2) up to N = 1025."""
 
     node_count: int
     theta: np.ndarray
     spacing: float
     _frame_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     columns = ("theta",)
+    newton_tol = 1e-10
 
     def angles(self) -> np.ndarray:
         return self.theta[:, None]
@@ -222,7 +225,9 @@ class AxisymGrid(_StencilGrid):
 
 @dataclass
 class SphereGrid2D(_StencilGrid):
-    """Pole-offset latitude-longitude grid: theta_i = (i + 1/2) pi / n_theta."""
+    """Pole-offset latitude-longitude grid: theta_i = (i + 1/2) pi / n_theta;
+    newton_tol is 1e-8: the round-off floor, ~ h^-4 at the pole rows (hess_22 weighs r_pp
+    by 1/sin^2 theta), is above 1e-10 from 64x128 on and below 1e-8 up to 128x256."""
 
     n_theta: int
     n_phi: int
@@ -231,6 +236,7 @@ class SphereGrid2D(_StencilGrid):
     dtheta: float
     dphi: float
     columns = ("theta", "phi")
+    newton_tol = 1e-8
 
     @property
     def node_count(self) -> int:

@@ -213,10 +213,7 @@ def offdiag_second_G(values, p: QuotientParams, i: int) -> float:
     sig = sigma_batch(lam[None], p.k)[0].tolist()
     sk, sl = sig[p.k], sig[p.l]
     pref = (1.0 / p.gap) * (sk / sl) ** (1.0 / p.gap - 1.0)
-    reduced = np.delete(lam, [0, i])
-    red = sigma_batch(reduced[None], max(p.k - 2, 0))[0].tolist()
-    sk2 = red[p.k - 2] if 0 <= p.k - 2 <= reduced.size else 0.0
-    sl2 = red[p.l - 2] if 0 <= p.l - 2 <= reduced.size else 0.0
+    sk2, sl2 = (elementary_symmetric_excluding(lam, j - 2, {0, i}) for j in (p.k, p.l))
     return -pref * (sk2 * sl - sl2 * sk) / sl**2
 
 

@@ -78,7 +78,8 @@ class TestConfigParsing:
         cfg = parse_config_text(MINIMAL)
         assert cfg.grid.mode == "axisym"
         assert cfg.grid.resolution == "129"
-        assert cfg.solver.newton_tol == 1e-10
+        assert cfg.solver.newton_tol is None
+        assert cli._build_grid(cfg.grid).newton_tol == 1e-10
         assert cfg.solver.allow_unvalidated is False
         assert cfg.output.directory == "out"
 
@@ -192,12 +193,14 @@ class TestConfigParsing:
     )
     def test_shipped_configs(self, name, newton_tol):
         cfg = load_config(str(CONFIGS / f"{name}.ini"))
-        assert cfg.solver.newton_tol == newton_tol
+        assert cfg.solver.newton_tol is None
+        assert cli._build_grid(cfg.grid).newton_tol == newton_tol
 
     def test_s2_defaults(self):
         cfg = parse_config_text(MINIMAL.replace("n = 3", "n = 2") + "\n[grid]\nmode = s2\n")
         assert cfg.grid.resolution == "32x64"
-        assert cfg.solver.newton_tol == 1e-8
+        assert cfg.solver.newton_tol is None
+        assert cli._build_grid(cfg.grid).newton_tol == 1e-8
 
     def test_empty_resolution_is_config_error(self):
         with pytest.raises(ConfigError):

@@ -23,6 +23,7 @@ from hessquot.continuation_solver import (
     newton_solve,
     residual_vector,
 )
+from hessquot.estimates_monitor import check_c0, check_positivity, snapshot_bounds
 from hessquot.fspec import make_homotopy, parse_f, reference_level, validate_assumptions
 from hessquot.manufactured import cosine_profile, manufactured_forcing
 from hessquot.radial_geometry import PointJet, assemble_point_geometry
@@ -33,6 +34,10 @@ from hessquot.sphere_grid import (
     jet_arrays,
 )
 from hessquot.symfun import QuotientParams
+
+
+# the prescription of configs/gauss_s2.ini
+GAUSS_F = "rho^(-3) * (1 + 0.15 * x1 / rho)"
 
 
 def radial_target(p, r1=0.5, r2=2.0):
@@ -311,10 +316,10 @@ class TestNewton:
         reused = newton_solve(np.ones(65), 0.3, target, grid, cfg, lu=identity)
         # the rejected chord trial costs no iteration, so the two runs coincide
         assert reused[1:3] == fresh[1:3]
-        assert reused[3] <= cfg.newton_tol
+        assert reused[3] <= grid.newton_tol
         assert reused[3] == pytest.approx(
             np.abs(residual_vector(reused[0], grid, target, 0.3)).max(), abs=1e-15)
-        assert np.abs(reused[0] - fresh[0]).max() <= cfg.newton_tol
+        assert np.abs(reused[0] - fresh[0]).max() <= grid.newton_tol
 
     def test_inadmissible_start_raises(self):
         p = QuotientParams(3, 2, 0)
@@ -385,7 +390,7 @@ class TestContinuation:
         ts = [s.t for s in sol.trace]
         assert ts == sorted(ts) and ts[-1] == 1.0
         for step in sol.trace:
-            assert step.residual_sup <= SolverConfig().newton_tol
+            assert step.residual_sup <= grid.newton_tol
             assert step.bounds.cone_margin_min > 0.0
             # the curvature and gradient suprema stay finite along the path;
             # no numeric threshold exists for them, only boundedness
@@ -421,10 +426,11 @@ class TestContinuation:
         p = QuotientParams(3, 2, 0)
         target = make_homotopy(parse_f("12 * rho^(-3) * (1 + 0.2 * x1 / rho)"), p, 0.5, 2.0)
         monkeypatch.setattr(continuation_solver, "residual_vector", no_residual)
-        sol = continuation_solve(target, build_axisym_grid(33), SolverConfig())
+        grid = build_axisym_grid(33)
+        sol = continuation_solve(target, grid, SolverConfig())
         assert sol.trace[-1].t == 1.0
         # correctors short of t = 1 stop at sqrt(newton_tol), the t = 1 one at newton_tol
-        tol = SolverConfig().newton_tol
+        tol = grid.newton_tol
         for s in sol.trace:
             assert s.residual_sup <= (tol if s.t == 1.0 else math.sqrt(tol))
 
@@ -482,9 +488,9 @@ class TestContinuation:
         monkeypatch.setattr(continuation_solver, "_DT_MIN", 0.09)
         with pytest.raises(ContinuationStalled) as err:
             continuation_solve(target, grid, SolverConfig(), validated=False)
-        assert err.value.trace  # the t = 0 step is still recorded
-        assert err.value.last_t == 0.0
-        assert err.value.field.shape == (65,)
+        assert err.value.solution.trace  # the t = 0 step is still recorded
+        assert err.value.solution.trace[-1].t == 0.0
+        assert err.value.solution.rho.shape == (65,)
         # the stall names the last corrector failure and chains it as the cause
         assert "NoConvergence" in str(err.value)
         assert isinstance(err.value.__cause__, NoConvergence)
@@ -500,7 +506,7 @@ class TestContinuation:
             assert not validate_assumptions(base, p, 0.5, 2.0).all_passed
             with pytest.raises(ContinuationStalled) as err:
                 continuation_solve(target, build_axisym_grid(65), SolverConfig(), validated=False)
-        assert err.value.last_t == 0.0
+        assert err.value.solution.trace[-1].t == 0.0
         assert isinstance(err.value.__cause__, NonpositiveF)
         assert "at node 0 (value nan)" in str(err.value)
 
@@ -512,7 +518,50 @@ class TestContinuation:
         grid = build_axisym_grid(65)
         with pytest.raises(MonitorViolation) as err:
             continuation_solve(target, grid, SolverConfig(), validated=True)
-        assert err.value.snapshot.rho_max >= 1.02 or err.value.snapshot.rho_min <= 0.9
+        bounds = err.value.solution.bounds
+        assert bounds.rho_max >= 1.02 or bounds.rho_min <= 0.9
+
+    def test_failed_ladder_stalls_on_target_grid(self, monkeypatch):
+        # every t = 1 corrector on the 32x64 target fails, the ladder's fine
+        # rung and then the fallback path's: the stall carries the target
+        # grid's field, not the coarse rung's
+        newton = continuation_solver.newton_solve
+
+        def refused_on_target(rho0, t, target, grid, *args, **kwargs):
+            if t == 1.0 and grid.node_count == 2048:
+                raise NoConvergence("t = 1 refused on the target grid")
+            return newton(rho0, t, target, grid, *args, **kwargs)
+
+        target = make_homotopy(parse_f(GAUSS_F), QuotientParams(2, 2, 0), 0.5, 2.0)
+        monkeypatch.setattr(continuation_solver, "newton_solve", refused_on_target)
+        with pytest.raises(ContinuationStalled) as err:
+            continuation_solve(target, build_s2_grid(32, 64))
+        solution = err.value.solution
+        assert solution.trace[0].nodes == 512  # the ladder was tried first
+        assert solution.rho.size == solution.trace[-1].nodes == 2048
+
+    def test_failed_ladder_monitor_abort_on_target_grid(self):
+        grid = build_s2_grid(32, 64)
+        target = make_homotopy(parse_f(GAUSS_F), QuotientParams(2, 2, 0), 0.9, 1.02)
+        with pytest.raises(MonitorViolation) as err:
+            continuation_solve(target, grid, validated=True)
+        solution = err.value.solution
+        assert solution.trace[0].nodes == 512  # the ladder was tried first
+        assert solution.rho.size == solution.trace[-1].nodes == 2048
+        # the bounds are the violating row's, the snapshot of the field carried
+        bounds = solution.bounds
+        assert bounds is solution.trace[-1].bounds
+        assert bounds == snapshot_bounds(solution.rho, grid, target.p)
+        assert not (check_c0(bounds, 0.9, 1.02).passed and check_positivity(bounds).passed)
+
+    @pytest.mark.parametrize("cfg", [None, SolverConfig()], ids=["none", "unset"])
+    def test_default_tolerance_is_the_grids_on_s2(self, cfg):
+        # 1e-10, the axisym tolerance, lies below the s2 round-off floor at
+        # 64x128, where a t = 1 corrector held to it stalls the path
+        target = make_homotopy(parse_f(GAUSS_F), QuotientParams(2, 2, 0), 0.5, 2.0)
+        sol = continuation_solve(target, build_s2_grid(64, 128), cfg)
+        assert sol.trace[-1].t == 1.0 and sol.trace[-1].nodes == 8192
+        assert sol.trace[-1].residual_sup <= 1e-8
 
     def test_zonal_s2_solution_is_zonal(self):
         p = QuotientParams(2, 2, 0)
