@@ -26,15 +26,15 @@ factorization orders the columns by minimum degree on the pattern of J^T + J.
 
 The path starts from the exactly-known state rho = 1 at t = 0 and follows an
 adaptive step in t to the target problem at t = 1, as a predictor-corrector
-path (Allgower & Georg 1990, ch. 2-3): each corrector starts from the secant
-prediction through the last two accepted states, and a corrector short of
-t = 1 stops at sqrt(newton_tol), since it only has to leave the next one
-inside its basin; t = 1 is held to newton_tol.  Every trial iterate is
-guarded: nodes must keep rho > 0 and the eta spectrum inside Gamma_k with a
-margin of at least _CONE_MARGIN.  The step in t is the only globalization: a
-freshly factored step that is inadmissible or does not decrease the residual
-ends the corrector at once, and the continuation retries with half the step.
-The step policy is fixed by the module constants below.
+path (Allgower & Georg 1990, ch. 2-3): the first corrector tries t = 1 at
+once, each later one starts from the secant prediction through the last two
+accepted states, and a corrector short of t = 1 stops at sqrt(newton_tol),
+since it only has to leave the next one inside its basin; t = 1 is held to
+newton_tol.  Every trial iterate is guarded: nodes must keep rho > 0 and the
+eta spectrum inside Gamma_k with a margin of at least _CONE_MARGIN.  The step
+in t is the only globalization: a freshly factored step that is inadmissible
+or does not decrease the residual ends the corrector at once, and the
+continuation retries with half the step it took.
 
 On a grid that halves (see sphere_grid) the path is followed on the coarsest
 halving only, and each finer grid takes one corrector at t = 1 from the
@@ -84,12 +84,10 @@ _CHORD_CONTRACTION = 0.25
 _MAX_NEWTON = 30
 # smallest admissible cone margin, the least sigma_j(eta) over 1 <= j <= k
 _CONE_MARGIN = 1e-12
-# continuation: the first step in t is _DT_INIT; dt grows by _DT_GROWTH, up to
-# _DT_MAX, after a corrector that factored at most once, and halves after a
-# failed one; the path stalls when dt falls below _DT_MIN
-_DT_INIT = 0.1
+# continuation: the first step in t is the whole path, to t = 1; dt grows by
+# _DT_GROWTH after a corrector that factored at most once, and is half the
+# step taken after a failed one; the path stalls when dt falls below _DT_MIN
 _DT_GROWTH = 1.5
-_DT_MAX = 0.25
 _DT_MIN = 1e-4
 # errors that make a trial iterate or a trial t inadmissible
 _INADMISSIBLE = (ConeViolation, DegenerateJet, NonpositiveF, EvalError)
@@ -306,18 +304,19 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
 
     The unit sphere solves f_0 exactly, so t = 0 is recorded, not corrected:
     its trace row holds zero Newton iterations and the residual sup measured
-    at rho = 1, and the first corrector runs at t = _DT_INIT from rho = 1
-    with no LU.  Each later corrector at t_try starts from the secant
-    prediction rho + (t_try - t)/(t - t_prev) (rho - rho_prev) through the
-    last two accepted states (t = 0 among them), and from the LU the previous
-    accepted one ended with; an inadmissible prediction is a failed attempt.
+    at rho = 1, and the first corrector runs at t = 1 from rho = 1 with no
+    LU.  Each later corrector at t_try starts from the secant prediction
+    rho + (t_try - t)/(t - t_prev) (rho - rho_prev) through the last two
+    accepted states (t = 0 among them), and from the LU the previous accepted
+    one ended with; an inadmissible prediction is a failed attempt.
     Correctors at t_try < 1 stop at sqrt(newton_tol), the one at t = 1 at
-    newton_tol (see _newton_tol), so only the t = 1 trace row meets it.  Step
-    control halves dt on corrector failure, which includes a trial t where
-    f_t, the prescription expression or the jets cannot be evaluated, and
-    grows it after a corrector that factored at most once; chord steps raise
-    the iteration count without costing a Jacobian, so the factorizations
-    measure the work.  Every accepted state goes through accept(grid, t, iters,
+    newton_tol (see _newton_tol), so only the t = 1 trace row meets it.  A
+    corrector failure, which includes a trial t where f_t, the prescription
+    or the jets cannot be evaluated, sets dt to half the step t_try - t it
+    took, so no refused t_try is retried from the same state; dt grows after
+    a corrector that factored at most once; chord steps raise the iteration
+    count without costing a Jacobian, so the factorizations measure the
+    work.  Every accepted state goes through accept(grid, t, iters,
     residual sup, rho); a stall raises ContinuationStalled with the last
     accepted state, and the last corrector failure as its cause.  Returns rho
     at t = 1.
@@ -333,7 +332,7 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
 
     path_cfg = SolverConfig(newton_tol=math.sqrt(_newton_tol(cfg, grid)))
     t = 0.0
-    dt = _DT_INIT
+    dt = 1.0
     while t < 1.0:
         t_try = min(t + dt, 1.0)
         rho0 = rho if t == 0.0 else rho + (t_try - t) / (t - t_prev) * (rho - rho_prev)
@@ -342,7 +341,7 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
                 rho0, t_try, target, grid, cfg if t_try == 1.0 else path_cfg,
                 carried.pop("lu", None))
         except (NoConvergence, *_INADMISSIBLE) as exc:
-            dt *= 0.5
+            dt = 0.5 * (t_try - t)
             if dt < _DT_MIN:
                 raise ContinuationStalled(
                     f"step size underflow at t={t} (dt={dt:.3e} < {_DT_MIN:.1e}); "
@@ -352,7 +351,7 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
         t_prev, rho_prev, t, rho = t, rho, t_try, rho_new
         accept(grid, t, iters, res_sup, rho)
         if factorizations <= 1:
-            dt = min(dt * _DT_GROWTH, _DT_MAX)
+            dt *= _DT_GROWTH
     return rho
 
 

@@ -46,6 +46,23 @@ def radial_target(p, r1=0.5, r2=2.0):
     return make_homotopy(parse_f(f"{level} * rho^(-{p.gap + 1})"), p, r1, r2)
 
 
+def refuse_t1(monkeypatch, every=False):
+    """Patch newton_solve to refuse the first corrector attempt at t = 1, or
+    every one; returns the (t, refused) attempts as they are made."""
+    newton = continuation_solver.newton_solve
+    attempts = []
+
+    def refusing(rho0, t, *args, **kwargs):
+        refused = t == 1.0 and (every or not attempts)
+        attempts.append((t, refused))
+        if refused:
+            raise NoConvergence("injected failure of a t = 1 corrector")
+        return newton(rho0, t, *args, **kwargs)
+
+    monkeypatch.setattr(continuation_solver, "newton_solve", refusing)
+    return attempts
+
+
 class TestResidualVector:
     def test_unit_sphere_is_machine_zero_at_t0(self):
         p = QuotientParams(3, 2, 0)
@@ -435,6 +452,8 @@ class TestContinuation:
             assert s.residual_sup <= (tol if s.t == 1.0 else math.sqrt(tol))
 
     def test_corrector_starts_from_secant_prediction(self, monkeypatch):
+        # the first t = 1 attempt is refused, so the path has a t < 1 state
+        refuse_t1(monkeypatch)
         newton = continuation_solver.newton_solve
         attempts = []  # (t, rho0, rho or None when the corrector failed)
 
@@ -462,6 +481,33 @@ class TestContinuation:
                 assert np.abs(rho0 - r1).max() > 1e-6
             if rho is not None:
                 accepted.append((t, rho))
+
+    def test_refused_first_step_is_halved(self, monkeypatch):
+        attempts = refuse_t1(monkeypatch)
+        p = QuotientParams(3, 2, 0)
+        target = make_homotopy(parse_f("12 * rho^(-3) * (1 + 0.2 * x1 / rho)"), p, 0.5, 2.0)
+        sol = continuation_solve(target, build_axisym_grid(33), SolverConfig())
+        assert sol.trace[-1].t == 1.0
+        assert attempts[:2] == [(1.0, True), (0.5, False)]
+
+    def test_refused_t_try_is_not_retried_from_the_same_state(self, monkeypatch):
+        # a failed attempt halves the step it took, even when t + dt was
+        # clamped to 1, so the path never retries a refused t = 1 from the
+        # state it was refused from
+        attempts = refuse_t1(monkeypatch, every=True)
+        p = QuotientParams(3, 2, 0)
+        target = make_homotopy(parse_f("12 * rho^(-3) * (1 + 0.2 * x1 / rho)"), p, 0.5, 2.0)
+        with pytest.raises(ContinuationStalled) as err:
+            continuation_solve(target, build_axisym_grid(33), SolverConfig())
+        assert err.value.solution.trace[-1].t < 1.0
+        state, refused_from = 0.0, set()
+        for t, refused in attempts:
+            assert (state, t) not in refused_from
+            if refused:
+                refused_from.add((state, t))
+            else:
+                state = t
+        assert len(refused_from) > 1
 
     def test_lu_is_reused_across_iterations(self, monkeypatch):
         calls = []
@@ -577,17 +623,15 @@ class TestContinuation:
 
 
 class TestWorkCounts:
-    """The shipped configs solve with no more work than the secant predictor
-    and the path tolerance sqrt(newton_tol) short of t = 1 take: 5 and 3
-    factorizations, 20 and 11 Newton iterations.  With every corrector held to
-    newton_tol from the last accepted state, they took 5 and 5, 31 and 25, as
-    the forward-difference Jacobian did."""
+    """The shipped configs solve with no more work than one corrector at t = 1
+    from the unit sphere takes: 1 factorization and 13 and 8 Newton
+    iterations, and none for radial.ini, which the unit sphere solves."""
 
     CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
     @pytest.mark.parametrize("name, max_factorizations, max_iters",
-                             [("anisotropic", 5, 20), ("gauss_s2", 3, 11)],
-                             ids=["anisotropic", "gauss_s2"])
+                             [("anisotropic", 1, 13), ("gauss_s2", 1, 8), ("radial", 0, 0)],
+                             ids=["anisotropic", "gauss_s2", "radial"])
     def test_shipped_config_counts(self, monkeypatch, name, max_factorizations, max_iters):
         factorizations = []
         splu = scipy.sparse.linalg.splu
@@ -674,10 +718,13 @@ class TestGridSequencing:
         assert (last.t, last.nodes) == (1.0, grid.node_count)
         assert {s.nodes for s in sol.trace[:-1]} == {grid.node_count // 4}
 
-    def test_only_t1_rows_are_held_to_newton_tol(self):
-        # two fine rungs, 32x64 and 64x128, above the 16x32 path
+    def test_only_t1_rows_are_held_to_newton_tol(self, monkeypatch):
+        # two fine rungs, 32x64 and 64x128, above the 16x32 path; the path's
+        # first t = 1 corrector is refused, so that it accepts a t < 1 state
+        attempts = refuse_t1(monkeypatch)
         sol = continuation_solve(self.gauss_target(), build_s2_grid(64, 128),
                                  SolverConfig(newton_tol=self.TOL), validated=True)
+        assert attempts[0] == (1.0, True)
         rungs = [s for s in sol.trace if s.nodes > 512]
         assert [(s.t, s.nodes) for s in rungs] == [(1.0, 2048), (1.0, 8192)]
         path = [s for s in sol.trace if s.nodes == 512]
