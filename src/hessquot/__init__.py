@@ -14,31 +14,12 @@ from .errors import (
     NoConvergence,
     NonpositiveF,
     ParseError,
-    SamplingExhausted,
     SizeMismatch,
     TooCoarse,
     UnknownIdentifier,
 )
-from .symfun import (
-    ConeReport,
-    QuotientParams,
-    elementary_symmetric,
-    elementary_symmetric_excluding,
-    f_tensor,
-    grad_G,
-    in_gamma_k,
-    newton_maclaurin_slack,
-    offdiag_second_G,
-    quotient_G,
-    sample_gamma_k,
-)
-from .radial_geometry import (
-    PointGeometry,
-    PointJet,
-    assemble_point_geometry,
-    geometry_batch,
-    sphere_closed_form,
-)
+from .symfun import QuotientParams
+from .radial_geometry import geometry_batch
 from .sphere_grid import (
     AxisymGrid,
     SphereGrid2D,

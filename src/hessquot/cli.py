@@ -1,11 +1,11 @@
-"""Command line interface: config loading, solve/validate/selftest/export.
+"""Command line interface: config loading, solve/validate/export.
 
 Configs are INI-style sections of key = value lines (zero-dependency parsing,
-easy to diff).  Commands exit with 0 on success, 1 when a selftest check fails
-or on any other library error, 2 on config errors, 3 on failed assumption
-validation, 5 when the continuation stalls or a bound monitor aborts, and 6 on
-I/O errors.  A cone exit during continuation is a corrector failure, so it
-ends as a stall.  The output directory can be overridden with the
+easy to diff).  Commands exit with 0 on success, 2 on config errors, 3 on
+failed assumption validation, 5 when the continuation stalls or a bound
+monitor aborts, 6 on I/O errors, and 1 on any other library error.  A cone
+exit during continuation is a corrector failure, so it ends as a stall.  The
+output directory can be overridden with the
 HESSQUOT_OUTDIR environment variable.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 import typing
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
@@ -42,7 +41,6 @@ __all__ = [
     "parse_config_text",
     "run_solve",
     "run_validate",
-    "run_selftest",
     "export_mesh_obj",
     "main",
 ]
@@ -370,19 +368,6 @@ def export_mesh_obj(rho, grid, path):
     return len(vertices), len(quads) + 2 * M
 
 
-def run_selftest() -> int:
-    from . import selftest
-
-    started = time.perf_counter()
-    failures = 0
-    for name, passed, detail in selftest.run_all():
-        tag = "ok" if passed else "FAIL"
-        print(f"[{tag:4s}] {name}: {detail}")
-        failures += 0 if passed else 1
-    print(f"selftest finished in {time.perf_counter() - started:.1f} s")
-    return EXIT_OK if failures == 0 else 1
-
-
 def _cmd_export(args) -> int:
     cfg = load_config(args.config)
     grid = _build_grid(cfg.grid)
@@ -419,15 +404,12 @@ def main(argv=None) -> int:
     p_solve.add_argument("config")
     p_val = sub.add_parser("validate", help="check the structural assumptions on f")
     p_val.add_argument("config")
-    sub.add_parser("selftest", help="run the built-in property checks")
     p_exp = sub.add_parser("export", help="export a solved field as an OBJ mesh")
     p_exp.add_argument("config")
     p_exp.add_argument("rho_csv")
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "selftest":
-            return run_selftest()
         if args.command == "export":
             return _cmd_export(args)
         cfg = load_config(args.config)

@@ -14,10 +14,6 @@ class ConeViolation(HessquotError):
         self.margin = margin
 
 
-class SamplingExhausted(HessquotError):
-    """Rejection sampler hit its draw cap before producing enough samples."""
-
-
 class DegenerateJet(HessquotError):
     """Pointwise data cannot define a hypersurface (rho <= 0 or non-finite)."""
 

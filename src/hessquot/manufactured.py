@@ -17,7 +17,7 @@ import numpy as np
 from .radial_geometry import geometry_batch
 from .symfun import QuotientParams, sigma_batch
 
-__all__ = ["ZonalProfile", "cosine_profile", "zonal_jets_analytic", "manufactured_forcing"]
+__all__ = ["ZonalProfile", "cosine_profile", "manufactured_forcing"]
 
 
 @dataclass
@@ -43,26 +43,16 @@ def cosine_profile(amplitude: float = 0.05, mode: int = 2) -> ZonalProfile:
 
 
 def _zonal_jets(theta, cos_t, sin_t, profile: ZonalProfile):
-    """zonal_jets_analytic, given cos(theta) and sin(theta)."""
+    """Exact frame jets (6, N) of a zonal field at colatitudes theta, given
+    their cos and sin, by frame row as sphere_grid.jet_arrays returns them,
+    for every n: rho, rho', 0, rho'', 0 and the orbit term cot(theta) rho',
+    replaced by its limit rho'' within a small window of the poles."""
     rho, d1, d2 = profile.jets(theta)
     near_pole = np.abs(sin_t) < 1e-9
     safe_sin = np.where(near_pole, 1.0, sin_t)
     orbit = np.where(near_pole, d2, cos_t * d1 / safe_sin)
     zero = np.zeros_like(rho)
     return np.stack([rho, d1, zero, d2, zero, orbit])
-
-
-def zonal_jets_analytic(theta: np.ndarray, profile: ZonalProfile):
-    """Exact frame jets (6, N) of a zonal field at an array of colatitudes,
-    indexed by frame row as sphere_grid.jet_arrays returns them, for every n.
-
-    The orbit term is cot(theta) rho', replaced by the limit rho'' within a
-    small window of the poles; rho, rho', rho'' and the orbit term are the
-    frame rows rho, grad_1, hess_11 and hess_22 of the meridian-orbit frame,
-    and grad_2 and hess_12 are 0.
-    """
-    theta = np.asarray(theta, dtype=float)
-    return _zonal_jets(theta, np.cos(theta), np.sin(theta), profile)
 
 
 def manufactured_forcing(p: QuotientParams, profile: ZonalProfile = None, extra_decay: int = 1):

@@ -46,14 +46,13 @@ where each orbit copy adds its F (times s_22 in K) at E_22.  Then
     dG/drho   = (tr A - (2/rho^2) Drho.A.Drho)/v + <A, h> |Drho|^2/(rho^3 v^2) - 2 rho tr B
     dG/dDrho  = (4/(rho v)) A Drho - <A, h> Drho/(rho^2 v^2) - 2 B Drho.
 
-`assemble_point_geometry` diagonalizes S densely for a full n-dimensional
-jet; it is the general-n oracle the closed form is tested against, and no
-solve uses it.
+The general-n oracle the closed form is tested against, which diagonalizes S
+densely for a full n-dimensional jet, and the round sphere's closed form are
+test code, in tests/oracles.py; no solve uses them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,43 +60,14 @@ import numpy as np
 from .errors import DegenerateJet
 
 __all__ = [
-    "PointJet",
-    "PointGeometry",
     "GeometryBatch",
-    "assemble_point_geometry",
     "geometry_batch",
     "geometry_first_variation",
     "local_normal",
-    "sphere_closed_form",
 ]
 
 # floor for divisors whose numerators vanish with them
 _TINY = np.finfo(float).tiny
-
-
-@dataclass
-class PointJet:
-    """(rho, D rho, D^2 rho) at one sphere point, orthonormal round frame."""
-
-    rho: float
-    grad: np.ndarray
-    hess: np.ndarray
-
-
-@dataclass
-class PointGeometry:
-    """Derived state at a point.
-
-    `nu` is the outward unit normal in the local basis (radial, e_1..e_n);
-    `kappa` is ascending, `eta_spectrum` is the ascending sort of H - kappa.
-    """
-
-    v: float
-    u: float
-    nu: np.ndarray
-    H: float
-    kappa: np.ndarray
-    eta_spectrum: np.ndarray
 
 
 @dataclass
@@ -243,57 +213,3 @@ def geometry_first_variation(jets: np.ndarray, geo: GeometryBatch, d_eta: np.nda
     return np.stack([d_rho, a_coeff * Ap1 - h_coeff * r1 - 2.0 * Bp1,
                      a_coeff * Ap2 - h_coeff * r2 - 2.0 * Bp2,
                      -A11 / v, -2.0 * A12 / v, -A22 / v])
-
-
-def assemble_point_geometry(jet: PointJet, n: int) -> PointGeometry:
-    """Geometry at a single point from a full n-dimensional jet, by dense
-    diagonalization; see the module docstring for the formulas."""
-    grad = np.asarray(jet.grad, dtype=float).reshape(-1)
-    hess = np.asarray(jet.hess, dtype=float)
-    if n < 2:
-        raise ValueError(f"dimension n must be >= 2, got {n}")
-    if grad.shape != (n,) or hess.shape != (n, n):
-        raise ValueError(f"jet arrays must have shapes ({n},) and ({n},{n})")
-    asym = np.abs(hess - hess.T).max()
-    if asym > 1e-13 * max(1.0, np.abs(hess).max()):
-        raise ValueError(f"hessian not symmetric (asymmetry {asym:.3e})")
-    rho = float(jet.rho)
-    _check_jet(np.array([rho]), grad, hess)
-
-    grad_norm2 = float(grad @ grad)
-    v = math.sqrt(1.0 + grad_norm2 / rho**2)
-    if not math.isfinite(v):
-        raise DegenerateJet("v is not finite")
-    eye = np.eye(n)
-    h = (-hess + rho * eye + (2.0 / rho) * np.outer(grad, grad)) / v
-    gnorm = math.sqrt(grad_norm2)
-    what = grad / gnorm if gnorm > 0.0 else np.zeros(n)
-    g_isqrt = (eye + (1.0 / v - 1.0) * np.outer(what, what)) / rho
-    kappa = np.linalg.eigvalsh(g_isqrt @ h @ g_isqrt)
-    H = float(kappa.sum())
-    nu = np.concatenate(([1.0 / v], -grad / (v * rho)))
-    return PointGeometry(
-        v=v,
-        u=rho / v,
-        nu=nu,
-        H=H,
-        kappa=kappa,
-        eta_spectrum=(H - kappa)[::-1],
-    )
-
-
-def sphere_closed_form(r: float, n: int) -> PointGeometry:
-    """Exact round-sphere geometry of radius r (test oracle)."""
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    nu = np.zeros(n + 1)
-    nu[0] = 1.0
-    kappa = np.full(n, 1.0 / r)
-    return PointGeometry(
-        v=1.0,
-        u=r,
-        nu=nu,
-        H=n / r,
-        kappa=kappa,
-        eta_spectrum=np.full(n, (n - 1) / r),
-    )

@@ -1,0 +1,278 @@
+"""Reference implementations that the tests compare the solver against.
+
+These are the paper's structural facts about sigma_k/sigma_l on Gamma_k in
+scalar form, one spectrum at a time: the elementary symmetric polynomials and
+their exclusions, cone membership, the quotient G = (sigma_k/sigma_l)^(1/(k-l))
+with its first and off-diagonal second derivatives, the Newton-Maclaurin
+slacks and seeded cone sampling; and the geometry of a radial graph at one
+point from a full n-dimensional jet by dense diagonalization, with the closed
+form of the round sphere.  The solver uses none of them: it works on batches
+through `symfun.sigma_batch`, `symfun.log_quotient_grad_batch`,
+`symfun.gamma_margins` and `radial_geometry.geometry_batch`, which these
+oracles call or are checked against.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from math import comb
+
+import numpy as np
+
+from hessquot.errors import ConeViolation, DegenerateJet, HessquotError
+from hessquot.radial_geometry import _check_jet
+from hessquot.symfun import QuotientParams, gamma_margins, log_quotient_grad_batch, sigma_batch
+
+
+class SamplingExhausted(HessquotError):
+    """Rejection sampler hit its draw cap before producing enough samples."""
+
+
+SAMPLING_CUBE = (-1.0, 2.0)
+SAMPLING_DRAW_CAP = 1_000_000
+_SAMPLING_BLOCK = 4096
+
+
+@dataclass(frozen=True)
+class ConeReport:
+    """Membership report for Gamma_k: sigma_1..sigma_k, flag, and min margin."""
+
+    sigmas: tuple
+    member: bool
+    margin: float
+
+
+def as_spectrum(values) -> np.ndarray:
+    lam = np.asarray(values, dtype=float)
+    if lam.ndim != 1 or lam.size < 2:
+        raise ValueError("spectrum must be a 1-D sequence with at least 2 entries")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("spectrum entries must be finite")
+    return lam
+
+
+def elementary_symmetric(values, j: int) -> float:
+    """sigma_j(lam); 1 for j = 0, 0 for j < 0 or j > len(lam)."""
+    lam = as_spectrum(values)
+    if j < 0 or j > lam.size:
+        return 0.0
+    return float(sigma_batch(lam[None], j)[0, j])
+
+
+def elementary_symmetric_excluding(values, j: int, excluded) -> float:
+    """sigma_j of the spectrum with the entries at `excluded` removed.
+
+    `excluded` holds one or two distinct 0-based indices.
+    """
+    lam = as_spectrum(values)
+    idx = sorted(set(int(i) for i in excluded))
+    if len(idx) != len(list(excluded)):
+        raise IndexError(f"excluded indices must be distinct, got {sorted(excluded)}")
+    if not 1 <= len(idx) <= 2:
+        raise ValueError("excluded must contain one or two indices")
+    for i in idx:
+        if not 0 <= i < lam.size:
+            raise IndexError(f"excluded index {i} out of range for n={lam.size}")
+    reduced = np.delete(lam, idx)
+    if j < 0 or j > reduced.size:
+        return 0.0
+    return float(sigma_batch(reduced[None], j)[0, j])
+
+
+def in_gamma_k(values, k: int) -> ConeReport:
+    """Report sigma_1..sigma_k, strict membership in Gamma_k, and the margin."""
+    lam = as_spectrum(values)
+    if not 1 <= k <= lam.size:
+        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={lam.size}")
+    sig = sigma_batch(lam[None], k)[0, 1:].tolist()
+    margin = min(sig)
+    return ConeReport(sigmas=tuple(sig), member=margin > 0.0, margin=margin)
+
+
+def _require_cone(lam: np.ndarray, k: int) -> ConeReport:
+    report = in_gamma_k(lam, k)
+    if not report.member:
+        raise ConeViolation(
+            f"spectrum outside Gamma_{k} (margin {report.margin:.3e})",
+            margin=report.margin,
+        )
+    return report
+
+
+def quotient_G(values, p: QuotientParams) -> float:
+    """(sigma_k / sigma_l)^(1/(k-l)), defined and positive on Gamma_k."""
+    lam = as_spectrum(values)
+    report = _require_cone(lam, p.k)
+    sig = (1.0,) + report.sigmas
+    return (sig[p.k] / sig[p.l]) ** (1.0 / p.gap)
+
+
+def grad_G(values, p: QuotientParams) -> np.ndarray:
+    """Diagonal first derivatives of G at diag(lam); strictly positive on Gamma_k.
+
+    Larger entries of lam get smaller derivatives, so a sorted spectrum yields
+    a reverse-sorted gradient.
+    """
+    lam = as_spectrum(values)
+    report = _require_cone(lam, p.k)
+    # dG = G/(k-l) d log(sigma_k/sigma_l)
+    sig = np.array([(1.0,) + report.sigmas])
+    G = (sig[0, p.k] / sig[0, p.l]) ** (1.0 / p.gap)
+    return G / p.gap * log_quotient_grad_batch(lam[None], sig, p.k, p.l)[0]
+
+
+def offdiag_second_G(values, p: QuotientParams, i: int) -> float:
+    """Second derivative of G in the symmetric off-diagonal pair (0, i).
+
+    For eta = diag(lam) this is d^2 G / d eta_{0i} d eta_{i0}, always <= 0 on
+    Gamma_k, and equal to (G^{00} - G^{ii}) / (lam_0 - lam_i) whenever the two
+    entries differ.  `i` is 0-based and must be >= 1.
+    """
+    lam = as_spectrum(values)
+    if not 1 <= i < lam.size:
+        raise IndexError(f"pair index must satisfy 1 <= i < n, got {i}")
+    _require_cone(lam, p.k)
+    sig = sigma_batch(lam[None], p.k)[0].tolist()
+    sk, sl = sig[p.k], sig[p.l]
+    pref = (1.0 / p.gap) * (sk / sl) ** (1.0 / p.gap - 1.0)
+    sk2, sl2 = (elementary_symmetric_excluding(lam, j - 2, {0, i}) for j in (p.k, p.l))
+    return -pref * (sk2 * sl - sl2 * sk) / sl**2
+
+
+def f_tensor(values, p: QuotientParams) -> np.ndarray:
+    """Complementary sums F^{ii} = sum_{j != i} G^{jj}; sorted like lam."""
+    g = grad_G(values, p)
+    return g.sum() - g
+
+
+def newton_maclaurin_slack(values, p: QuotientParams) -> tuple:
+    """Slacks (rhs - lhs) of the two Newton-Maclaurin inequalities on Gamma_k.
+
+    First:  k (n-l+1) sigma_{l-1} sigma_k  <=  l (n-k+1) sigma_l sigma_{k-1}.
+    Second: the normalized-quotient comparison of exponent 1/(k-l) against the
+    (k-1, l) quotient of exponent 1/(k-1-l).  Both slacks are >= 0 on Gamma_k.
+    """
+    lam = as_spectrum(values)
+    _require_cone(lam, p.k)
+    n, k, l = p.n, p.k, p.l
+    if lam.size != n:
+        raise ValueError(f"spectrum length {lam.size} does not match n={n}")
+    sig = sigma_batch(lam[None], k)[0].tolist()
+    s_lm1 = sig[l - 1] if l >= 1 else 0.0
+    lhs1 = k * (n - l + 1) * s_lm1 * sig[k]
+    rhs1 = l * (n - k + 1) * sig[l] * sig[k - 1]
+    slack1 = rhs1 - lhs1
+
+    norm = lambda j: sig[j] / comb(n, j)
+    lhs2 = (norm(k) / norm(l)) ** (1.0 / (k - l))
+    rhs2 = (norm(k - 1) / norm(l)) ** (1.0 / (k - 1 - l))
+    slack2 = rhs2 - lhs2
+    return slack1, slack2
+
+
+def sample_gamma_k(p: QuotientParams, seed: int, count: int) -> np.ndarray:
+    """Seeded rejection samples of Gamma_k spectra from the cube [-1, 2]^n.
+
+    Returns a (count, n) array; identical seeds give identical output.  Raises
+    SamplingExhausted past the fixed draw cap.
+    """
+    n, k = p.n, p.k
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    rng = np.random.default_rng(seed)
+    lo, hi = SAMPLING_CUBE
+    accepted = []
+    total = 0
+    drawn = 0
+    while total < count:
+        if drawn >= SAMPLING_DRAW_CAP:
+            raise SamplingExhausted(
+                f"needed {count} samples of Gamma_{k} in n={n}, got {total} "
+                f"after {drawn} draws"
+            )
+        block = rng.uniform(lo, hi, size=(_SAMPLING_BLOCK, n))
+        drawn += _SAMPLING_BLOCK
+        keep = block[gamma_margins(block, k) > 0.0]
+        accepted.append(keep)
+        total += keep.shape[0]
+    return np.concatenate(accepted, axis=0)[:count]
+
+
+@dataclass
+class PointJet:
+    """(rho, D rho, D^2 rho) at one sphere point, orthonormal round frame."""
+
+    rho: float
+    grad: np.ndarray
+    hess: np.ndarray
+
+
+@dataclass
+class PointGeometry:
+    """Derived state at a point.
+
+    `nu` is the outward unit normal in the local basis (radial, e_1..e_n);
+    `kappa` is ascending, `eta_spectrum` is the ascending sort of H - kappa.
+    """
+
+    v: float
+    u: float
+    nu: np.ndarray
+    H: float
+    kappa: np.ndarray
+    eta_spectrum: np.ndarray
+
+
+def assemble_point_geometry(jet: PointJet, n: int) -> PointGeometry:
+    """Geometry at a single point from a full n-dimensional jet, by dense
+    diagonalization; see the module docstring for the formulas."""
+    grad = np.asarray(jet.grad, dtype=float).reshape(-1)
+    hess = np.asarray(jet.hess, dtype=float)
+    if n < 2:
+        raise ValueError(f"dimension n must be >= 2, got {n}")
+    if grad.shape != (n,) or hess.shape != (n, n):
+        raise ValueError(f"jet arrays must have shapes ({n},) and ({n},{n})")
+    asym = np.abs(hess - hess.T).max()
+    if asym > 1e-13 * max(1.0, np.abs(hess).max()):
+        raise ValueError(f"hessian not symmetric (asymmetry {asym:.3e})")
+    rho = float(jet.rho)
+    _check_jet(np.array([rho]), grad, hess)
+
+    grad_norm2 = float(grad @ grad)
+    v = math.sqrt(1.0 + grad_norm2 / rho**2)
+    if not math.isfinite(v):
+        raise DegenerateJet("v is not finite")
+    eye = np.eye(n)
+    h = (-hess + rho * eye + (2.0 / rho) * np.outer(grad, grad)) / v
+    gnorm = math.sqrt(grad_norm2)
+    what = grad / gnorm if gnorm > 0.0 else np.zeros(n)
+    g_isqrt = (eye + (1.0 / v - 1.0) * np.outer(what, what)) / rho
+    kappa = np.linalg.eigvalsh(g_isqrt @ h @ g_isqrt)
+    H = float(kappa.sum())
+    nu = np.concatenate(([1.0 / v], -grad / (v * rho)))
+    return PointGeometry(
+        v=v,
+        u=rho / v,
+        nu=nu,
+        H=H,
+        kappa=kappa,
+        eta_spectrum=(H - kappa)[::-1],
+    )
+
+
+def sphere_closed_form(r: float, n: int) -> PointGeometry:
+    """Exact round-sphere geometry of radius r (test oracle)."""
+    if r <= 0.0:
+        raise ValueError("radius must be positive")
+    nu = np.zeros(n + 1)
+    nu[0] = 1.0
+    kappa = np.full(n, 1.0 / r)
+    return PointGeometry(
+        v=1.0,
+        u=r,
+        nu=nu,
+        H=n / r,
+        kappa=kappa,
+        eta_spectrum=np.full(n, (n - 1) / r),
+    )

@@ -14,14 +14,15 @@ from hessquot.continuation_solver import SolverConfig, continuation_solve, newto
 from hessquot.estimates_monitor import check_c0, check_positivity
 from hessquot.fspec import make_homotopy, parse_f, validate_assumptions
 from hessquot.manufactured import cosine_profile, manufactured_forcing
-from hessquot.radial_geometry import PointJet, assemble_point_geometry
 from hessquot.sphere_grid import (
     build_axisym_grid,
     build_s2_grid,
     jet_arrays,
 )
-from hessquot.symfun import (
-    QuotientParams,
+from hessquot.symfun import QuotientParams
+from oracles import (
+    PointJet,
+    assemble_point_geometry,
     elementary_symmetric,
     grad_G,
     in_gamma_k,

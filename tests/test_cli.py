@@ -1,6 +1,7 @@
 """Config parsing, command dispatch, artifact formats, and exit codes."""
 
 import dataclasses
+import importlib.util
 import pathlib
 import re
 
@@ -553,9 +554,31 @@ class TestExport:
         assert np.array_equal(data[:, 2], field)
 
 
-class TestSelftestCommand:
-    def test_selftest_passes(self):
-        assert main(["selftest"]) == EXIT_OK
+# the test oracles live in tests/oracles.py; the package holds the solver
+MOVED_TO_ORACLES = (
+    "ConeReport", "as_spectrum", "elementary_symmetric", "elementary_symmetric_excluding",
+    "in_gamma_k", "_require_cone", "quotient_G", "grad_G", "offdiag_second_G", "f_tensor",
+    "newton_maclaurin_slack", "sample_gamma_k", "SAMPLING_CUBE", "SAMPLING_DRAW_CAP",
+    "_SAMPLING_BLOCK", "PointJet", "PointGeometry", "assemble_point_geometry",
+    "sphere_closed_form", "SamplingExhausted",
+)
+
+
+class TestRemovedSurface:
+    def test_selftest_is_not_a_command(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest"])
+        assert exc.value.code == 2  # argparse's usage error
+
+    def test_package_binds_no_test_oracle(self):
+        import hessquot
+        from hessquot import errors, manufactured, radial_geometry, symfun
+
+        for module in (hessquot, errors, radial_geometry, symfun):
+            assert [name for name in MOVED_TO_ORACLES if hasattr(module, name)] == []
+        assert not hasattr(manufactured, "zonal_jets_analytic")
+        assert not hasattr(cli, "run_selftest")
+        assert importlib.util.find_spec("hessquot.selftest") is None
 
 
 class TestDeterminism:

@@ -26,7 +26,6 @@ from hessquot.continuation_solver import (
 from hessquot.estimates_monitor import check_c0, check_positivity, snapshot_bounds
 from hessquot.fspec import make_homotopy, parse_f, reference_level, validate_assumptions
 from hessquot.manufactured import cosine_profile, manufactured_forcing
-from hessquot.radial_geometry import PointJet, assemble_point_geometry
 from hessquot.sphere_grid import (
     SphereGrid2D,
     build_axisym_grid,
@@ -34,6 +33,7 @@ from hessquot.sphere_grid import (
     jet_arrays,
 )
 from hessquot.symfun import QuotientParams
+from oracles import PointJet, assemble_point_geometry
 
 
 # the prescription of configs/gauss_s2.ini

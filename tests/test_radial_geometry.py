@@ -6,20 +6,9 @@ import numpy as np
 import pytest
 
 from hessquot.errors import DegenerateJet
-from hessquot.radial_geometry import (
-    PointJet,
-    assemble_point_geometry,
-    geometry_batch,
-    geometry_first_variation,
-    local_normal,
-    sphere_closed_form,
-)
-from hessquot.symfun import (
-    QuotientParams,
-    elementary_symmetric,
-    log_quotient_grad_batch,
-    sigma_batch,
-)
+from hessquot.radial_geometry import geometry_batch, geometry_first_variation, local_normal
+from hessquot.symfun import QuotientParams, log_quotient_grad_batch, sigma_batch
+from oracles import PointJet, assemble_point_geometry, elementary_symmetric, sphere_closed_form
 
 
 def constant_jet(r, n):

@@ -13,16 +13,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hessquot.errors import ConeViolation, SamplingExhausted
+from hessquot.errors import ConeViolation
 from hessquot import symfun
-from hessquot.symfun import (
-    QuotientParams,
+from hessquot.symfun import QuotientParams, log_quotient_grad_batch
+
+import oracles
+from oracles import (
+    SamplingExhausted,
     elementary_symmetric,
     elementary_symmetric_excluding,
     f_tensor,
     grad_G,
     in_gamma_k,
-    log_quotient_grad_batch,
     newton_maclaurin_slack,
     offdiag_second_G,
     quotient_G,
@@ -145,6 +147,13 @@ class TestGradient:
         p = QuotientParams(3, 2, 0)
         lam = np.array([1.0, 1.0, 1.0])
         assert float(grad_G(lam, p) @ lam) == pytest.approx(math.sqrt(3.0))
+
+    def test_euler_identity_on_cone_samples(self):
+        # G is 1-homogeneous, so grad G(lam) . lam = G(lam) across Gamma_k
+        p = QuotientParams(4, 3, 1)
+        for lam in sample_gamma_k(p, seed=11, count=100):
+            G = quotient_G(lam, p)
+            assert abs(float(grad_G(lam, p) @ lam) - G) <= 1e-10 * max(1.0, abs(G))
 
     def test_finite_difference_oracle(self):
         p = QuotientParams(4, 3, 1)
@@ -302,7 +311,7 @@ class TestSampling:
         assert np.all(margins > 0.0)
 
     def test_exhaustion(self, monkeypatch):
-        monkeypatch.setattr(symfun, "SAMPLING_DRAW_CAP", 0)
+        monkeypatch.setattr(oracles, "SAMPLING_DRAW_CAP", 0)
         with pytest.raises(SamplingExhausted):
             sample_gamma_k(QuotientParams(3, 2, 0), seed=0, count=1)
 
