@@ -385,7 +385,13 @@ def _cmd_export(args) -> int:
     if len(data) != grid.node_count:
         print(f"field has {len(data)} rows, grid expects {grid.node_count}")
         return EXIT_CONFIG
-    rho = data[:, -1]
+    angles, rho = data[:, :-1], data[:, -1]
+    bad = (np.abs(angles - grid.angles()) > 1e-9).any(axis=1) | ~(np.isfinite(rho) & (rho > 0))
+    if bad.any():
+        i = np.argmax(bad)
+        print(f"{args.rho_csv} data row {i + 1} is {data[i].tolist()}; the grid wants "
+              f"{', '.join(grid.columns)} = {grid.angles()[i].tolist()} and a finite rho > 0")
+        return EXIT_CONFIG
     out_dir = _out_dir(cfg)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "mesh.obj")

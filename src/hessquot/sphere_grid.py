@@ -92,15 +92,14 @@ class _StencilGrid:
         rows.  hess_12 and hess_21 are one row, so partials[4] is the partial
         over both together.
 
-        The values fill a pattern built once per grid, so no per-call sparse
-        products or sums are formed.
+        scipy's duplicate sum keeps explicit zeros, so J's pattern, and with it
+        the LU's fill, is the union of the D_r patterns at every state.
         """
-        op = self.jet_operator
-        pos, indices, indptr = self._linear_layout
-        weights = np.repeat(partials.reshape(-1), np.diff(op.indptr))
-        data = np.bincount(pos, weights=weights * op.data, minlength=indices.size)
-        n = self.node_count
-        return scipy.sparse.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+        op, n = self.jet_operator, self.node_count
+        counts = np.diff(op.indptr)
+        values = np.repeat(partials.reshape(-1), counts) * op.data
+        rows = np.repeat(np.arange(6 * n) % n, counts)
+        return scipy.sparse.csr_matrix((values, (rows, op.indices)), shape=(n, n))
 
     @property
     def gradient_rows(self) -> tuple:
@@ -108,21 +107,6 @@ class _StencilGrid:
         empty; the others are 0 for every field."""
         block_sizes = np.diff(self.jet_operator.indptr[::self.node_count])
         return tuple(r for r in (1, 2) if block_sizes[r])
-
-    @cached_property
-    def _linear_layout(self):
-        """(pos, indices, indptr): the CSR pattern of the sum of every D_r, and
-        the position in it of each jet-operator entry."""
-        n = self.node_count
-        op = self.jet_operator.tocoo()
-        # int64 keys: scipy's int32 indices would wrap once n * n >= 2**31
-        entries = (op.row % n).astype(np.int64) * n + op.col
-        # not np.unique: it hashes integer keys, about 3x slower here than a sort
-        keys = np.sort(entries)
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        pos = np.searchsorted(keys, entries)
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        return pos.astype(np.int32), (keys % n).astype(np.int32), indptr.astype(np.int32)
 
 
 def _identity(count: int):

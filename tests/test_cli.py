@@ -506,6 +506,25 @@ class TestExport:
         short.write_text("theta,rho\n0.0,1.0\n0.1,1.0\n")
         assert main(["export", str(config), str(short)]) == 2
 
+    @pytest.mark.parametrize("mode, resolution, field_grid, bad_rho, first_bad_row", [
+        # both grids have 2 048 nodes, so only the coordinates tell them apart
+        ("s2", "64x32", build_s2_grid(32, 64), {}, 1),
+        ("axisym", "65", build_axisym_grid(65), {10: np.nan, 20: -1.0}, 11),
+    ], ids=["same-size-other-grid", "nan-and-negative-rho"])
+    def test_export_bad_field_is_config_error(self, tmp_path, capsys, mode, resolution,
+                                              field_grid, bad_rho, first_bad_row):
+        config = tmp_path / "run.ini"
+        text = MINIMAL.replace("n = 3", "n = 2") + f"\n[grid]\nmode = {mode}\n"
+        config.write_text(text + f"resolution = {resolution}\n\n[output]\n"
+                          f"directory = {tmp_path / 'out'}\n")
+        rho = np.ones(field_grid.node_count)
+        rho[list(bad_rho)] = list(bad_rho.values())
+        field = tmp_path / "rho.csv"
+        _write_rho_csv(field, rho, field_grid)
+        assert main(["export", str(config), str(field)]) == EXIT_CONFIG
+        assert f"data row {first_bad_row} is" in capsys.readouterr().out
+        assert not (tmp_path / "out" / "mesh.obj").exists()
+
     def test_export_single_row_is_config_error(self, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text(RADIAL_SOLVE.format(outdir=tmp_path / "out"))

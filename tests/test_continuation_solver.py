@@ -219,6 +219,28 @@ class TestJacobian:
         pattern = (J != 0).astype(int)
         assert (pattern - pattern.T).nnz == 0
 
+    @pytest.mark.parametrize("mode", ["axisym", "s2"])
+    def test_stored_pattern_does_not_depend_on_values(self, mode):
+        # at rho = 1 the gradient and hess_12 partials are exactly 0; an assembly
+        # that dropped them would change the MMD ordering and the fill with the state
+        p = QuotientParams(2, 2, 0)
+        target = make_homotopy(parse_f(GAUSS_F), p, 0.5, 2.0)
+        grid = build_axisym_grid(33) if mode == "axisym" else build_s2_grid(16, 32)
+        N = grid.node_count
+        op = grid.jet_operator.tocoo()
+        union = set(zip((op.row % N).tolist(), op.col.tolist()))
+        # sin(theta) cos(phi) on s2; the axisymmetric grid's one angle is theta
+        angles = grid.angles()
+        bent = 1.0 + 0.02 * np.sin(angles[:, 0]) * np.cos(angles[:, -1])
+        partials = continuation_solver._frame_partials(np.ones(N), grid, target, 0.5)
+        assert not partials[[1, 2, 4]].any()
+        flat = assemble_jacobian(np.ones(N), grid, target, 0.5)
+        for J in (flat, assemble_jacobian(bent, grid, target, 0.5)):
+            rows = np.repeat(np.arange(N), np.diff(J.indptr))
+            assert set(zip(rows.tolist(), J.indices.tolist())) == union
+            assert np.array_equal(J.indptr, flat.indptr)
+            assert np.array_equal(J.indices, flat.indices)
+
     def test_sparsity_is_stencil_local(self):
         p = QuotientParams(3, 2, 0)
         target = radial_target(p)
