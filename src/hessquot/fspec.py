@@ -414,11 +414,13 @@ class AssumptionReport:
 
 
 def _worst(margins: np.ndarray, points: np.ndarray, tol: float) -> AssumptionCheck:
-    i = int(np.argmin(margins))
+    """The check on the least margin, taken at points[i] for margins[i]; the
+    points have the margins' shape plus the ambient dimension."""
+    i = np.unravel_index(np.argmin(margins), margins.shape)
     return AssumptionCheck(
         passed=bool(margins[i] >= -tol),
         worst_margin=float(margins[i]),
-        worst_point=points[i],
+        worst_point=points[i].copy(),
     )
 
 
@@ -449,13 +451,18 @@ def validate_assumptions(base, p: QuotientParams, r1: float, r2: float) -> Assum
     n_dir, n_nu, n_rho = len(xdirs), 8, 17
     nus = quasi_uniform_directions(n_nu, dim)
     rhos = np.linspace(r1, r2, n_rho)
-    d = np.repeat(xdirs, n_nu * n_rho, axis=0)
-    nu = np.tile(np.repeat(nus, n_rho, axis=0), (n_dir, 1))
-    points = np.tile(rhos, n_dir * n_nu)[:, None] * d
-    g = np.asarray(base(points, nu), dtype=float).reshape(-1, n_rho) * rhos ** m
+    # written in place, from the first normal and the first direction, so
+    # that no repeated or tiled copy of the ladder is made
+    points, nu = np.empty((2, n_dir, n_nu, n_rho, dim))
+    np.multiply(rhos[:, None], xdirs[:, None], out=points[:, 0])
+    points[:, 1:] = points[:, :1]
+    nu[0] = nus[:, None]
+    nu[1:] = nu[0]
+    g = np.asarray(base(points.reshape(-1, dim), nu.reshape(-1, dim)), dtype=float)
+    g = g.reshape(-1, n_rho) * rhos ** m
     d_rho = np.diff(rhos)
-    margins = (-np.diff(g, axis=1) / d_rho).ravel()
-    starts = points.reshape(-1, n_rho, dim)[:, :-1].reshape(-1, dim)
+    margins = -np.diff(g, axis=1) / d_rho
     tol = 1e-12 * max(1.0, float(np.abs(g).max())) / d_rho.min()
-    monotone = _worst(margins, starts, tol=tol)
+    # segment k of a pair starts at the pair's point at radius k
+    monotone = _worst(margins, points.reshape(-1, n_rho, dim), tol=tol)
     return AssumptionReport(outer_bound=outer, inner_bound=inner, radial_monotone=monotone)

@@ -2,18 +2,27 @@
 
 Two grids are provided: a 1-D colatitude grid on [0, pi] for axisymmetric
 fields in any dimension, and a full latitude-longitude grid on the 2-sphere.
-Each grid builds its 2nd-order central-difference stencils once, as sparse
-matrices stacked into one (6N, N) jet operator, a block per frame row (empty
-for grad_2 and hess_12 on the axisymmetric grid), whose rows already carry
-the frame's node-wise coefficients, so the frame jets of a field, rho and its
-covariant gradient and Hessian in two frame directions, are a single product
-`jet_operator @ rho`, one (6, N) array indexed by frame row (see
-jet_arrays).  The stencil weights are the only place the discretization
-lives.  Jets are linear in rho, so the same operator also serves the solver's
-Jacobian (see linearize).  The axisymmetric grid includes the poles and closes
-stencils by even reflection (rho(-theta) = rho(theta)); the 2-D grid offsets
-nodes half a spacing off the poles and closes stencils with the antipodal rule
-(crossing a pole lands at phi + pi).
+Each grid builds its 2nd-order central-difference stencils once, as one
+(6N, N) CSR jet operator, a block per frame row (empty for grad_2 and hess_12
+on the axisymmetric grid), whose rows already carry the frame's node-wise
+coefficients, so the frame jets of a field, rho and its covariant gradient and
+Hessian in two frame directions, are a single product `jet_operator @ rho`,
+one (6, N) array indexed by frame row (see jet_arrays).  The stencil weights
+are the only place the discretization lives.  Jets are linear in rho, so the
+same operator also serves the solver's Jacobian (see linearize).  The
+axisymmetric grid includes the poles and closes stencils by even reflection
+(rho(-theta) = rho(theta)); the 2-D grid offsets nodes half a spacing off the
+poles and closes stencils with the antipodal rule (crossing a pole lands at
+phi + pi).
+
+Each grid writes its operator's CSR arrays directly, by index arithmetic on
+the stencil offsets and the node-wise coefficients, with the entries of each
+row in the order its jet_operator docstring states.  That order is kept
+because the results depend on it to the last bit: the product sums each row
+in it (the jets of a constant field are exactly 0), and linearize's duplicate
+sums, and with them J and every output, follow it.  It is the order of the
+sparse-algebra build (stencil matrices, diagonal products and a vstack) that
+tests/oracles.py keeps as the reference.
 
 The 2-D grid also halves: coarsened() is the grid of half the rows and half
 the columns, and prolong interpolates a field from it to 4th order, so the
@@ -58,15 +67,20 @@ def _check_field(field_values, count: int) -> np.ndarray:
     return f
 
 
-def _stencil(columns, weights: dict, count: int):
-    """Sparse (count, count) matrix with, for each offset, its weight at
-    column columns(offset)[row] of every row; coinciding columns add up."""
-    rows = np.tile(np.arange(count), len(weights))
-    cols = np.concatenate([columns(offset) for offset in weights])
-    vals = np.repeat(np.fromiter(weights.values(), dtype=float), count)
-    op = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(count, count))
-    op.eliminate_zeros()
-    return op
+def _operator_arrays(sizes, count: int):
+    """Unfilled CSR arrays of a (6 count, count) jet operator whose block b
+    holds sizes[b] entries in each row (one number, or one per row): indptr,
+    indices, data, and each block's (indices, data) slices, for the grid to
+    fill row by row."""
+    per_row = np.empty((6, count), dtype=np.int32)
+    for row, size in zip(per_row, sizes):
+        row[:] = size
+    indptr = np.zeros(6 * count + 1, dtype=np.int32)
+    np.cumsum(per_row, out=indptr[1:])
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    ends = indptr[::count]
+    return indptr, indices, data, [(indices[lo:hi], data[lo:hi])
+                                   for lo, hi in zip(ends[:-1], ends[1:])]
 
 
 class _StencilGrid:
@@ -84,6 +98,7 @@ class _StencilGrid:
     north to south plus the (2, 3) north and south pole points.
     `coarsened()` is the next coarser grid of a sequenced solve, or None, and
     `newton_tol` the default Newton tolerance, which its round-off floor allows.
+    A grid compares and hashes by identity, so it can key a dict.
     """
 
     def linearize(self, partials):
@@ -109,15 +124,7 @@ class _StencilGrid:
         return tuple(r for r in (1, 2) if block_sizes[r])
 
 
-def _identity(count: int):
-    """The (count, count) D_0 block.  CSR like the other blocks, empty ones too,
-    so that vstack concatenates them as they are; another format, or sorting
-    the indices, reorders each row's entries and so the stencil sums: on s2
-    the jets of a constant field are then not exactly 0."""
-    return scipy.sparse.identity(count, format="csr")
-
-
-@dataclass
+@dataclass(eq=False)
 class AxisymGrid(_StencilGrid):
     """Uniform colatitude nodes theta_m = m pi/(N-1), m = 0..N-1, poles included;
     newton_tol 1e-10 is above the residual's round-off floor (~ h^-2) up to N = 1025."""
@@ -125,7 +132,7 @@ class AxisymGrid(_StencilGrid):
     node_count: int
     theta: np.ndarray
     spacing: float
-    _frame_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _frame_cache: dict = field(default_factory=dict, init=False, repr=False)
     columns = ("theta",)
     newton_tol = 1e-10
 
@@ -184,30 +191,42 @@ class AxisymGrid(_StencilGrid):
         n - 1 orbit directions, where the gradient vanishes and the covariant
         Hessian is the orbit term with no cross terms, so the rows do not
         depend on n.
+
+        Each row's entries are in ascending column order.  At a pole the two
+        reflected neighbours cancel in d/dtheta, so its rows there are empty,
+        and add up to one entry in d^2/dtheta^2, also the orbit term's limit.
         """
         N, dt = self.node_count, self.spacing
+        h1, h2 = 0.5 / dt, dt**-2
+        inner = np.arange(1, N - 1)[:, None]
+        cot = 1.0 / np.tan(self.theta[1:-1, None])
 
-        def columns(offset):
-            m = np.arange(N) + offset
-            return np.where(m < 0, -m, np.where(m >= N, 2 * (N - 1) - m, m))
+        def sizes(pole, interior):
+            return np.concatenate([[pole], np.full(N - 2, interior), [pole]])
 
-        d1 = _stencil(columns, {-1: -0.5 / dt, 1: 0.5 / dt}, N)
-        d2 = _stencil(columns, {-1: dt**-2, 0: -2.0 * dt**-2, 1: dt**-2}, N)
-        cot = np.zeros(N)
-        cot[1:-1] = 1.0 / np.tan(self.theta[1:-1])
-        poles = np.zeros(N)
-        poles[[0, -1]] = 1.0
-        orbit = scipy.sparse.diags(cot) @ d1 + scipy.sparse.diags(poles) @ d2
-        orbit.eliminate_zeros()
-        empty = scipy.sparse.csr_matrix((N, N))
-        return scipy.sparse.vstack([_identity(N), d1, empty, d2, empty, orbit], format="csr")
+        indptr, indices, data, blocks = _operator_arrays(
+            (1, sizes(0, 2), 0, sizes(2, 3), 0, 2), N)
+        (cols, vals), d1, _, d2, _, orbit = blocks
+        cols[:], vals[:] = np.arange(N), 1.0
+
+        def fill(cols, vals, offsets, weights):
+            cols.reshape(N - 2, -1)[:] = inner + offsets
+            vals.reshape(N - 2, -1)[:] = weights
+
+        fill(*d1, [-1, 1], [-h1, h1])
+        for (cols, vals), offsets, weights in ((d2, [-1, 0, 1], [h2, -2.0 * h2, h2]),
+                                               (orbit, [-1, 1], cot * [-h1, h1])):
+            cols[:2], vals[:2] = [0, 1], [-2.0 * h2, 2.0 * h2]
+            cols[-2:], vals[-2:] = [N - 2, N - 1], [2.0 * h2, -2.0 * h2]
+            fill(cols[2:-2], vals[2:-2], offsets, weights)
+        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(6 * N, N))
 
     def coarsened(self):
         """None: the axisymmetric grid is not halved (see the module docstring)."""
         return None
 
 
-@dataclass
+@dataclass(eq=False)
 class SphereGrid2D(_StencilGrid):
     """Pole-offset latitude-longitude grid: theta_i = (i + 1/2) pi / n_theta;
     newton_tol is 1e-8: the round-off floor, ~ h^-4 at the pole rows (hess_22 weighs r_pp
@@ -275,33 +294,54 @@ class SphereGrid2D(_StencilGrid):
             grad_1 = r_t                    grad_2 = r_p / sin t
             hess_11 = r_tt                  hess_12 = (r_tp - cot t r_p) / sin t
             hess_22 = r_pp / sin^2 t + cot t r_t
+
+        Entry order within a row, by block: grad_1 and hess_11 ascending in
+        column; grad_2 descending; hess_12 the four r_tp entries ascending,
+        then the two r_p entries descending; hess_22 the two r_t entries
+        ascending, then the three r_pp entries ascending.
         """
         nt, nphi, dt, dp = self.n_theta, self.n_phi, self.dtheta, self.dphi
-        i = np.repeat(np.arange(nt), nphi)
-        j = np.tile(np.arange(nphi), nt)
+        N = self.node_count
+        sizes = (1, 2, 2, 3, 6, 5)
+        indptr, indices, data, blocks = _operator_arrays(sizes, N)
+        nodes = np.arange(N, dtype=np.int32)
+        # only rows on the first or last ring or column cross a pole or wrap in
+        # phi; every other row is its node plus the offsets, which each call
+        # lists in that row's entry order, so only the edge rows are sorted
+        i, j = np.divmod(nodes, nphi)
+        edge = np.flatnonzero((i == 0) | (i == nt - 1) | (j == 0) | (j == nphi - 1))
+        ei, ej = i[edge, None], j[edge, None]
 
-        def columns(offset):
-            ii, jj = i + offset[0], j + offset[1]
-            crossed = (ii < 0) | (ii >= nt)
-            jj = np.where(crossed, jj + nphi // 2, jj) % nphi
-            return np.clip(ii, 0, nt - 1) * nphi + jj
+        def stencil(b, start, di, dj, weights, descending=False):
+            """Fill entries start.. of each row of block b with the columns of
+            the offsets (di, dj) and their weights, one set per ring, then sort
+            the edge rows' entries by column, descending if asked."""
+            cols, vals = (a.reshape(N, sizes[b])[:, start:start + len(di)] for a in blocks[b])
+            weights = np.broadcast_to(weights, (nt, 1, len(di)))
+            for a in range(len(di)):
+                cols[:, a] = nodes + (di[a] * nphi + dj[a])
+                vals[:, a].reshape(nt, nphi)[...] = weights[..., a]
+            ii, jj = ei + di, ej + dj
+            jj = np.where((ii < 0) | (ii >= nt), jj + nphi // 2, jj) % nphi
+            edge_cols = np.clip(ii, 0, nt - 1) * nphi + jj
+            order = np.argsort(-edge_cols if descending else edge_cols, axis=1)
+            cols[edge] = np.take_along_axis(edge_cols, order, 1)
+            vals[edge] = np.take_along_axis(vals[edge], order, 1)
 
+        st = np.sin(self.theta)[:, None, None]
+        cot, inv_st = np.cos(self.theta)[:, None, None] / st, 1.0 / st
         c = 0.25 / (dt * dp)
-        stencils = (
-            {(-1, 0): -0.5 / dt, (1, 0): 0.5 / dt},
-            {(0, -1): -0.5 / dp, (0, 1): 0.5 / dp},
-            {(-1, 0): dt**-2, (0, 0): -2.0 * dt**-2, (1, 0): dt**-2},
-            {(-1, -1): c, (-1, 1): -c, (1, -1): -c, (1, 1): c},
-            {(0, -1): dp**-2, (0, 0): -2.0 * dp**-2, (0, 1): dp**-2},
-        )
-        r_t, r_p, r_tt, r_tp, r_pp = (
-            _stencil(columns, weights, self.node_count) for weights in stencils)
-        st = np.repeat(np.sin(self.theta), nphi)
-        cot = scipy.sparse.diags(np.repeat(np.cos(self.theta), nphi) / st)
-        inv_st = scipy.sparse.diags(1.0 / st)
-        rows = (_identity(self.node_count), r_t, inv_st @ r_p, r_tt, inv_st @ (r_tp - cot @ r_p),
-                scipy.sparse.diags(st**-2) @ r_pp + cot @ r_t)
-        return scipy.sparse.vstack(rows, format="csr")
+        w_t, w_p = np.array([-0.5 / dt, 0.5 / dt]), np.array([0.5 / dp, -0.5 / dp])
+        t, p = ([-1, 1], [0, 0]), ([0, 0], [1, -1])
+        stencil(0, 0, [0], [0], 1.0)
+        stencil(1, 0, *t, w_t)
+        stencil(2, 0, *p, inv_st * w_p, descending=True)
+        stencil(3, 0, [-1, 0, 1], [0, 0, 0], [dt**-2, -2.0 * dt**-2, dt**-2])
+        stencil(4, 0, [-1, -1, 1, 1], [-1, 1, -1, 1], inv_st * [c, -c, -c, c])
+        stencil(4, 4, *p, inv_st * -(cot * w_p), descending=True)
+        stencil(5, 0, *t, cot * w_t)
+        stencil(5, 2, [0, 0, 0], [-1, 0, 1], st**-2 * [dp**-2, -2.0 * dp**-2, dp**-2])
+        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(6 * N, N))
 
     def coarsened(self):
         """The grid of n_theta/2 rows and n_phi/2 columns that prolong

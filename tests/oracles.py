@@ -10,6 +10,10 @@ form of the round sphere.  The solver uses none of them: it works on batches
 through `symfun.sigma_batch`, `symfun.log_quotient_grad_batch`,
 `symfun.gamma_margins` and `radial_geometry.geometry_batch`, which these
 oracles call or are checked against.
+
+It also holds each grid's jet operator built the way the grids first built it,
+by scipy sparse algebra (stencil matrices, diagonal products and a vstack),
+which the grids' index-arithmetic builds are checked against entry by entry.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+import scipy.sparse
 
 from hessquot.errors import ConeViolation, DegenerateJet, HessquotError
 from hessquot.radial_geometry import _check_jet
@@ -276,3 +281,76 @@ def sphere_closed_form(r: float, n: int) -> PointGeometry:
         kappa=kappa,
         eta_spectrum=np.full(n, (n - 1) / r),
     )
+
+
+def _stencil(columns, weights: dict, count: int):
+    """Sparse (count, count) matrix with, for each offset, its weight at
+    column columns(offset)[row] of every row; coinciding columns add up."""
+    rows = np.tile(np.arange(count), len(weights))
+    cols = np.concatenate([columns(offset) for offset in weights])
+    vals = np.repeat(np.fromiter(weights.values(), dtype=float), count)
+    op = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(count, count))
+    op.eliminate_zeros()
+    return op
+
+
+def _identity(count: int):
+    """The (count, count) D_0 block.  CSR like the other blocks, empty ones too,
+    so that vstack concatenates them as they are; another format, or sorting
+    the indices, reorders each row's entries and so the stencil sums: on s2
+    the jets of a constant field are then not exactly 0."""
+    return scipy.sparse.identity(count, format="csr")
+
+
+def axisym_jet_operator(grid):
+    """The (6N, N) jet operator of an AxisymGrid by sparse algebra: d/dtheta,
+    d^2/dtheta^2 and the orbit term cot(theta) d/dtheta (its limit
+    d^2/dtheta^2 at the poles), closed by even reflection."""
+    N, dt = grid.node_count, grid.spacing
+
+    def columns(offset):
+        m = np.arange(N) + offset
+        return np.where(m < 0, -m, np.where(m >= N, 2 * (N - 1) - m, m))
+
+    d1 = _stencil(columns, {-1: -0.5 / dt, 1: 0.5 / dt}, N)
+    d2 = _stencil(columns, {-1: dt**-2, 0: -2.0 * dt**-2, 1: dt**-2}, N)
+    cot = np.zeros(N)
+    cot[1:-1] = 1.0 / np.tan(grid.theta[1:-1])
+    poles = np.zeros(N)
+    poles[[0, -1]] = 1.0
+    orbit = scipy.sparse.diags(cot) @ d1 + scipy.sparse.diags(poles) @ d2
+    orbit.eliminate_zeros()
+    empty = scipy.sparse.csr_matrix((N, N))
+    return scipy.sparse.vstack([_identity(N), d1, empty, d2, empty, orbit], format="csr")
+
+
+def s2_jet_operator(grid):
+    """The (6N, N) jet operator of a SphereGrid2D by sparse algebra: the
+    partials r_t, r_p, r_tt, r_tp, r_pp (periodic in phi, crossing the poles
+    by the antipodal rule) weighted into the frame rows."""
+    nt, nphi, dt, dp = grid.n_theta, grid.n_phi, grid.dtheta, grid.dphi
+    i = np.repeat(np.arange(nt), nphi)
+    j = np.tile(np.arange(nphi), nt)
+
+    def columns(offset):
+        ii, jj = i + offset[0], j + offset[1]
+        crossed = (ii < 0) | (ii >= nt)
+        jj = np.where(crossed, jj + nphi // 2, jj) % nphi
+        return np.clip(ii, 0, nt - 1) * nphi + jj
+
+    c = 0.25 / (dt * dp)
+    stencils = (
+        {(-1, 0): -0.5 / dt, (1, 0): 0.5 / dt},
+        {(0, -1): -0.5 / dp, (0, 1): 0.5 / dp},
+        {(-1, 0): dt**-2, (0, 0): -2.0 * dt**-2, (1, 0): dt**-2},
+        {(-1, -1): c, (-1, 1): -c, (1, -1): -c, (1, 1): c},
+        {(0, -1): dp**-2, (0, 0): -2.0 * dp**-2, (0, 1): dp**-2},
+    )
+    r_t, r_p, r_tt, r_tp, r_pp = (
+        _stencil(columns, weights, grid.node_count) for weights in stencils)
+    st = np.repeat(np.sin(grid.theta), nphi)
+    cot = scipy.sparse.diags(np.repeat(np.cos(grid.theta), nphi) / st)
+    inv_st = scipy.sparse.diags(1.0 / st)
+    rows = (_identity(grid.node_count), r_t, inv_st @ r_p, r_tt, inv_st @ (r_tp - cot @ r_p),
+            scipy.sparse.diags(st**-2) @ r_pp + cot @ r_t)
+    return scipy.sparse.vstack(rows, format="csr")

@@ -300,6 +300,31 @@ class TestValidateAssumptions:
         assert report.inner_bound.passed
         assert not report.radial_monotone.passed
 
+    @pytest.mark.parametrize("p, source, on_axis", [
+        (QuotientParams(3, 2, 0), "12*rho^(-3)*(1 + 0.3/(1 + exp(-(rho - 0.55)/0.005)))", False),
+        # rho^2 f = 12 (1 + 4 (rho - 1/2) w) / rho, with w = 1 only on -e1, rises
+        # fastest along -e1, at the first radius
+        (QuotientParams(3, 2, 0), "12*rho^(-3)*(1 + 4*(rho - 0.5)*((1 - x1/rho)/2)^8)", True),
+    ], ids=["steep-rise", "on-the-axis"])
+    def test_monotone_worst_point_is_its_segment_start(self, p, source, on_axis):
+        # the ladder, as a reference: 66 directions (+-e1 last) x 8 normals x
+        # 17 radii, direction-major; the worst segment starts at rhos[k] d
+        f = parse_f(source)
+        dim, m = p.n + 1, p.gap
+        poles = np.array([[1.0], [-1.0]]) * np.eye(dim)[0]
+        xdirs = np.vstack([quasi_uniform_directions(64, dim), poles])
+        nus = quasi_uniform_directions(8, dim)
+        rhos = np.linspace(0.5, 2.0, 17)
+        d = np.repeat(xdirs, 8 * 17, axis=0)
+        nu = np.tile(np.repeat(nus, 17, axis=0), (len(xdirs), 1))
+        g = f(np.tile(rhos, len(xdirs) * 8)[:, None] * d, nu).reshape(-1, 17) * rhos**m
+        segment, k = divmod(int(np.argmin(-np.diff(g, axis=1) / np.diff(rhos))), 16)
+        direction = xdirs[segment // 8]
+        report = validate_assumptions(f, p, 0.5, 2.0).radial_monotone
+        assert not report.passed
+        assert report.worst_point.tobytes() == (rhos[k] * direction).tobytes()
+        assert (segment // 8 >= 64) == on_axis
+
     def test_nan_at_the_pole_fails_every_check(self):
         # NaN only within 1.38 degrees of +e1, between the quasi-uniform samples
         p = QuotientParams(3, 2, 0)

@@ -7,6 +7,7 @@ import pytest
 
 from hessquot.errors import SizeMismatch, TooCoarse
 from hessquot.sphere_grid import build_axisym_grid, build_s2_grid, jet_arrays
+from oracles import axisym_jet_operator, s2_jet_operator
 
 
 def s2_angles(grid):
@@ -47,6 +48,63 @@ class TestBuildGrids:
     def test_s2_too_coarse(self):
         with pytest.raises(TooCoarse):
             build_s2_grid(8, 32)
+
+    @pytest.mark.parametrize("build", [lambda: build_axisym_grid(33),
+                                       lambda: build_s2_grid(16, 32)], ids=["axisym", "s2"])
+    def test_grids_compare_and_hash_by_identity(self, build):
+        grid, twin = build(), build()
+        assert grid == grid and grid != twin
+        assert {grid: "a", twin: "b"}[grid] == "a"
+
+
+def sorted_entries(op):
+    """(row, column, value bits) of every stored entry, sorted by row and column."""
+    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+    order = np.lexsort((op.indices, rows))
+    return rows[order], op.indices[order], op.data[order].view(np.int64)
+
+
+class TestOperatorReference:
+    """The jet operators, written by index arithmetic, hold the same entries,
+    bit for bit, as the sparse-algebra build in tests/oracles.py."""
+
+    @pytest.mark.parametrize("shape", [(16,), (17,), (33,), (1025,), (50_000,), (16, 32),
+                                       (17, 32), (16, 34), (24, 48), (48, 96), (33, 66)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_entries_match_the_reference(self, shape):
+        if len(shape) == 1:
+            grid = build_axisym_grid(*shape)
+            op, ref = grid.jet_operator, axisym_jet_operator(grid)
+        else:
+            grid = build_s2_grid(*shape)
+            op, ref = grid.jet_operator, s2_jet_operator(grid)
+        assert op.shape == ref.shape
+        for got, expected in zip(sorted_entries(op), sorted_entries(ref)):
+            assert np.array_equal(got, expected)
+        jets = jet_arrays(np.full(grid.node_count, 1.3), grid, 2)
+        assert np.all(jets[0] == 1.3) and np.all(jets[1:] == 0.0)
+
+    # J's duplicate sums follow each row's entry order, so the grid's own
+    # operator is held to the order its jet_operator docstring states
+    @pytest.mark.parametrize("N", [16, 17])
+    def test_axisym_rows_are_ascending(self, N):
+        op = build_axisym_grid(N).jet_operator
+        rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
+        assert np.all(np.diff(op.indices)[rows[1:] == rows[:-1]] > 0)
+
+    @pytest.mark.parametrize("shape", [(16, 32), (17, 34)], ids=["16x32", "17x34"])
+    def test_s2_rows_keep_the_documented_entry_order(self, shape):
+        # per block, runs of (entries, +1 ascending or -1 descending column)
+        runs = ([(1, 1)], [(2, 1)], [(2, -1)], [(3, 1)], [(4, 1), (2, -1)], [(2, 1), (3, 1)])
+        grid = build_s2_grid(*shape)
+        op, N = grid.jet_operator, grid.node_count
+        for b, block_runs in enumerate(runs):
+            cols = op.indices[op.indptr[b * N]:op.indptr[(b + 1) * N]].reshape(N, -1)
+            assert cols.shape[1] == sum(k for k, _ in block_runs)
+            start = 0
+            for k, sign in block_runs:
+                assert np.all(sign * np.diff(cols[:, start:start + k], axis=1) > 0)
+                start += k
 
 
 class TestAxisymJets:
