@@ -276,8 +276,7 @@ def _eval_node(node: Expr, rho, X, nu):
             _check_domain(right != 0.0, "division by zero", node)
             return left / right
         if node.op == "^":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = np.power(left, right)
+            out = np.power(left, right)
             _check_domain(np.isfinite(out), "power outside the real domain", node)
             return out
     raise TypeError(f"not an expression node: {node!r}")
@@ -288,8 +287,10 @@ def _row_norm(A):
     return np.sqrt(np.einsum("...i,...i->...", A, A))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def eval_f(expr: Expr, X, nu):
-    """Evaluate at position X and unit normal nu; both (d,) or (N, d) arrays."""
+    """Evaluate at position X and unit normal nu; both (d,) or (N, d) arrays.
+    A non-finite value (exp overflow, say) is returned without a warning."""
     X = np.asarray(X, dtype=float)
     nu = np.asarray(nu, dtype=float)
     scalar = X.ndim == 1
@@ -424,13 +425,14 @@ def _worst(margins: np.ndarray, points: np.ndarray, tol: float) -> AssumptionChe
     )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def validate_assumptions(base, p: QuotientParams, r1: float, r2: float) -> AssumptionReport:
     """Check the three conditions on f at samples, each up to a rounding bound:
     the bounds at VALIDATE_SAMPLES directions on |X| = r2 and r1, monotonicity
     on 64 directions x 8 normals over 17 radii from r1 to r2, where the margin is
     the least -Delta(rho^(k-l) f)/Delta rho between neighbouring radii.  Both
     direction sets also hold the polar axis +-e1, a node of every axisym grid,
-    which no quasi-uniform direction lands on."""
+    which no quasi-uniform direction lands on; a NaN margin fails its check."""
     check_annulus(r1, r2)
     dim = p.n + 1
     m = p.gap

@@ -2,8 +2,11 @@
 
 import dataclasses
 import importlib.util
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -347,8 +350,7 @@ class TestExitPaths:
     def test_nan_at_the_pole_fails_validation(self, tmp_path, monkeypatch, capsys):
         config, outdir = anisotropic_65(tmp_path, monkeypatch, {
             "f = 12 * rho^(-3) * (1 + 0.2 * x1 / rho)": f"f = {NAN_NEAR_POLE}"})
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["solve", str(config)]) == EXIT_VALIDATION
+        assert main(["solve", str(config)]) == EXIT_VALIDATION
         out = capsys.readouterr().out
         for check in ("outer_bound", "inner_bound", "radial_monotone"):
             assert f"{check}: FAIL (worst margin nan)" in out
@@ -361,8 +363,7 @@ class TestExitPaths:
         config, outdir = anisotropic_65(tmp_path, monkeypatch, {
             "f = 12 * rho^(-3) * (1 + 0.2 * x1 / rho)": f"f = {NAN_NEAR_POLE}",
             "[grid]": "[solver]\nallow_unvalidated = true\n\n[grid]"})
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["solve", str(config)]) == EXIT_STALLED
+        assert main(["solve", str(config)]) == EXIT_STALLED
         out = capsys.readouterr().out
         assert "radial_monotone: FAIL" in out
         assert "NonpositiveF" in out and "at node 0 (value nan)" in out
@@ -436,6 +437,26 @@ class TestValidateCommand:
         config = tmp_path / "few.ini"
         config.write_text(MINIMAL + "\n[solver]\nvalidate_samples = 50\n")
         assert main(["validate", str(config)]) == EXIT_CONFIG
+
+    def test_overflowing_prescription_fails_validation(self, tmp_path, capsys):
+        # exp overflows to inf on the outer sphere; the tests make numpy's
+        # floating-point errors raise, so one that escaped would end the run
+        config = tmp_path / "overflow.ini"
+        config.write_text(MINIMAL.replace("12 * rho^(-3)", "12*rho^(-3)*exp(2000*(rho-1))"))
+        assert main(["validate", str(config)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "outer_bound: FAIL (worst margin -inf)" in captured.out
+        assert captured.err == ""
+
+    def test_module_entry_point_runs_uninstalled(self):
+        # `python -m hessquot.cli` in a fresh interpreter, from the source tree
+        root = CONFIGS.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "hessquot.cli", "validate", str(CONFIGS / "radial.ini")],
+            env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root,
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "radial_monotone: PASS" in done.stdout
 
 
 def edge_use_counts(faces):

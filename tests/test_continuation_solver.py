@@ -12,6 +12,7 @@ from hessquot import cli, continuation_solver
 from hessquot.errors import (
     ConeViolation,
     ContinuationStalled,
+    DegenerateJet,
     MonitorViolation,
     NoConvergence,
     NonpositiveF,
@@ -100,6 +101,22 @@ class TestResidualVector:
         with pytest.raises(ConeViolation) as err:
             residual_vector(wild, grid, target, 0.0)
         assert err.value.node is not None
+
+    def test_overflowing_prescription_is_nonpositive(self):
+        # exp(2000 (rho - 1)) overflows at rho = 1.5: the residual refuses the
+        # state with NonpositiveF, and no numpy floating-point error escapes
+        p = QuotientParams(3, 2, 0)
+        target = make_homotopy(parse_f("12*rho^(-3)*exp(2000*(rho-1))"), p, 0.5, 2.0)
+        with pytest.raises(NonpositiveF, match="value inf"):
+            residual_vector(np.full(33, 1.5), build_axisym_grid(33), target, 1.0)
+
+    def test_underflowing_node_is_degenerate(self):
+        # rho^2 underflows to 0 at the 1e-200 node, so v is not finite there
+        p = QuotientParams(3, 2, 0)
+        rho = np.ones(33)
+        rho[5] = 1e-200
+        with pytest.raises(DegenerateJet):
+            residual_vector(rho, build_axisym_grid(33), radial_target(p), 1.0)
 
 
     @pytest.mark.parametrize("mode", ["axisym", "s2"])
@@ -379,6 +396,17 @@ class TestNewton:
         with pytest.raises(NoConvergence, match="singular Newton system"):
             newton_solve(np.full(65, 1.01), 0.0, target, grid, SolverConfig())
 
+    def test_overflowing_step_raises_no_convergence(self, monkeypatch):
+        # 1e-320 I factors (a subnormal pivot is not zero), but -R / 1e-320
+        # overflows: the step is refused before any trial is evaluated
+        p = QuotientParams(3, 2, 0)
+        tiny = 1e-320 * scipy.sparse.identity(65, format="csr")
+        monkeypatch.setattr(continuation_solver, "assemble_jacobian",
+                            lambda *args, **kwargs: tiny)
+        with pytest.raises(NoConvergence, match="non-finite Newton step"):
+            newton_solve(np.full(65, 1.01), 0.0, radial_target(p), build_axisym_grid(65),
+                         SolverConfig())
+
     def test_failed_fresh_step_raises_at_once(self, monkeypatch):
         # -J points uphill: the full step fails its decrease test, and the
         # corrector must give up without shortening the step in rho
@@ -570,10 +598,9 @@ class TestContinuation:
         p = QuotientParams(3, 2, 0)
         base = parse_f("12 * rho^(-3) * (1 + 0 * exp(1000000 * (x1 / rho - 0.999)))")
         target = make_homotopy(base, p, 0.5, 2.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not validate_assumptions(base, p, 0.5, 2.0).all_passed
-            with pytest.raises(ContinuationStalled) as err:
-                continuation_solve(target, build_axisym_grid(65), SolverConfig(), validated=False)
+        assert not validate_assumptions(base, p, 0.5, 2.0).all_passed
+        with pytest.raises(ContinuationStalled) as err:
+            continuation_solve(target, build_axisym_grid(65), SolverConfig(), validated=False)
         assert err.value.solution.trace[-1].t == 0.0
         assert isinstance(err.value.__cause__, NonpositiveF)
         assert "at node 0 (value nan)" in str(err.value)

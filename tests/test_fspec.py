@@ -71,6 +71,17 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_f("1 $ 2")
 
+    @pytest.mark.parametrize("text, message, at", [
+        ("1 2", "trailing input '2'", 2),
+        (")", "unexpected token ')'", 0),
+        ("*2", "unexpected token '*'", 0),
+    ])
+    def test_misplaced_token_offset(self, text, message, at):
+        with pytest.raises(ParseError) as err:
+            parse_f(text)
+        assert message in str(err.value)
+        assert err.value.position == at
+
     def test_trailing_whitespace(self):
         for text in ("1 ", "rho\t", "x1 + 2  ", "6 * rho^(-2)\n"):
             assert parse_f(text) == parse_f(text.rstrip())
@@ -112,6 +123,7 @@ class TestRoundTrip:
             "exp(-rho) + sqrt(abs(x2))/3",
             "1 - 2 - 3 - nu1",
             "2^-3^2",
+            "(2^3)^2",  # left-nested: 2^3^2 would mean 2^(3^2)
             "-(x1 + x2) * -1.5",
         ):
             tree = parse_f(text)
@@ -329,8 +341,7 @@ class TestValidateAssumptions:
         # NaN only within 1.38 degrees of +e1, between the quasi-uniform samples
         p = QuotientParams(3, 2, 0)
         f = parse_f("12 * rho^(-3) * (1 + 0 * exp(1000000 * (x1 / rho - 0.999)))")
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = validate_assumptions(f, p, 0.5, 2.0)
+        report = validate_assumptions(f, p, 0.5, 2.0)
         for check in (report.outer_bound, report.inner_bound, report.radial_monotone):
             assert not check.passed
             assert np.isnan(check.worst_margin)
