@@ -13,9 +13,9 @@ frame jets (rho, gradient and covariant Hessian in a two-direction frame, one
 grid applied to rho, so the Jacobian is the pointwise partials over the frame
 jets, the same (6, N) array, weighting the rows of that same operator.  The
 partials of the curvature term are closed forms, the first variation of the
-spectrum (radial_geometry.geometry_first_variation) at one geometry
-evaluation; log f_t sees the jets only through rho and its gradient, and its
-partials are forward differences along those frame rows.
+spectrum (radial_geometry.geometry_first_variation) at the geometry the
+residual evaluated; log f_t sees the jets only through rho and its gradient,
+and its partials are forward differences along those frame rows.
 
 The corrector is a local iteration of full steps: it keeps one sparse LU of J
 across Newton iterations and continuation steps (chord, or Shamanskii, steps)
@@ -60,7 +60,7 @@ from .errors import (
 )
 from .estimates_monitor import BoundsSnapshot, check_c0, check_positivity, snapshot_bounds
 from .fspec import HomotopyTarget, eval_homotopy
-from .radial_geometry import geometry_batch, geometry_first_variation, local_normal
+from .radial_geometry import GeometryBatch, geometry_batch, geometry_first_variation, local_normal
 from .sphere_grid import jet_arrays
 from .symfun import log_quotient_grad_batch, sigma_batch
 
@@ -147,9 +147,21 @@ def _f_values(jets, grid, target: HomotopyTarget, t: float):
     return fvals
 
 
+@dataclass
+class _Iterate:
+    """One evaluated field: its (6, N) frame jets (jets[0] is rho), their
+    geometry, sigma_0..sigma_k of eta, f_t, the residual and its sup."""
+    jets: np.ndarray
+    geo: GeometryBatch
+    sig: np.ndarray
+    f: np.ndarray
+    res: np.ndarray
+    sup: float
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _pointwise_residual(jets, grid, target: HomotopyTarget, t: float):
-    """Residual vector of (6, N) nodal frame jets.
+def _pointwise_residual(jets, grid, target: HomotopyTarget, t: float) -> _Iterate:
+    """The iterate of (6, N) nodal frame jets.
 
     This is the one admissibility test of the solver: it raises ConeViolation
     unless the worst cone margin over the nodes is >= _CONE_MARGIN (a NaN
@@ -170,23 +182,26 @@ def _pointwise_residual(jets, grid, target: HomotopyTarget, t: float):
             margin=float(margins[worst]),
         )
     fvals = _f_values(jets, grid, target, t)
-    return np.log(sig[:, p.k]) - np.log(sig[:, p.l]) - np.log(fvals)
+    res = np.log(sig[:, p.k]) - np.log(sig[:, p.l]) - np.log(fvals)
+    return _Iterate(jets, geo, sig, fvals, res, float(np.abs(res).max()))
+
+
+def _residual_and_margin(rho, grid, target: HomotopyTarget, t: float) -> _Iterate:
+    """The field rho evaluated at homotopy time t.  The solver calls it by
+    this name, which perfbench/tracing.py wraps to count the evaluations."""
+    return _pointwise_residual(jet_arrays(rho, grid, target.p.n), grid, target, t)
 
 
 def residual_vector(rho, grid, target: HomotopyTarget, t: float):
     """Per-node log residual of the discrete equation at homotopy time t."""
-    return _pointwise_residual(jet_arrays(rho, grid, target.p.n), grid, target, t)
+    return _residual_and_margin(rho, grid, target, t).res
 
 
-# called by this name so that perfbench/tracing.py can wrap it (tests/test_bench_bindings.py)
-_residual_and_margin = residual_vector
-
-
-def _log_f_partials(jets, grid, target: HomotopyTarget, t: float):
-    """Partials (3, N) of log f_t over frame rows 0-2, rho and grad, by
-    forward differences with step sqrt(eps) max(1, |j_r|) along rho and along
-    each gradient row with a non-empty block; the other row's partial is 0."""
-    log_f = np.log(_f_values(jets, grid, target, t))
+def _log_f_partials(it: _Iterate, grid, target: HomotopyTarget, t: float):
+    """Partials (3, N) of log f_t over frame rows 0-2, rho and grad: forward
+    differences from the iterate's f_t, step sqrt(eps) max(1, |j_r|), along
+    rho and each gradient row with a non-empty block; the other row's is 0."""
+    jets, log_f = it.jets, np.log(it.f)
     partials = np.zeros((3, jets.shape[1]))
     for r in (0,) + grid.gradient_rows:
         bumped = jets.copy()
@@ -196,35 +211,27 @@ def _log_f_partials(jets, grid, target: HomotopyTarget, t: float):
     return partials
 
 
-def _frame_partials(rho, grid, target: HomotopyTarget, t: float):
+def _frame_partials(it: _Iterate, grid, target: HomotopyTarget, t: float):
     """Partials (6, N) of the residual over the frame jets: log sigma_k -
-    log sigma_l in closed form from one geometry evaluation, minus the
-    forward-differenced partials of log f_t."""
+    log sigma_l in closed form from the iterate's geometry and sigma, minus
+    the forward-differenced partials of log f_t."""
     p = target.p
-    jets = jet_arrays(rho, grid, p.n)
-    geo = geometry_batch(jets, p.n)
-    d_eta = log_quotient_grad_batch(geo.eta, sigma_batch(geo.eta, p.k), p.k, p.l)
-    partials = geometry_first_variation(jets, geo, d_eta)
-    partials[:3] -= _log_f_partials(jets, grid, target, t)
+    d_eta = log_quotient_grad_batch(it.geo.eta, it.sig, p.k, p.l)
+    partials = geometry_first_variation(it.jets, it.geo, d_eta)
+    partials[:3] -= _log_f_partials(it, grid, target, t)
     return partials
 
 
-def assemble_jacobian(rho, grid, target: HomotopyTarget, t: float):
-    """Sparse d(residual)/d(rho) = sum_r diag(dR/dj_r) D_r.
-
-    The residual at a node depends on rho only through its frame jets, and
-    each frame row j_r is D_r rho, a row block of the grid's jet operator
-    (D_0 the identity; see sphere_grid.jet_arrays).  The
-    partials of log sigma_k - log sigma_l over the frame jets are closed
-    forms, from one geometry evaluation at rho (see
-    radial_geometry.geometry_first_variation).  log f_t depends on the jets
-    only through rho and grad, so its partials are one forward difference,
-    with step sqrt(eps) max(1, |j_r|), along rho and each gradient row with
-    a non-empty block, over all nodes at once.  grid.linearize weights the
-    operator's rows with the summed partials.  The helper keeps the
-    geometry to itself, so none of it is alive during linearize.
+def assemble_jacobian(it: _Iterate, grid, target: HomotopyTarget, t: float):
+    """Sparse d(residual)/d(rho) = sum_r diag(dR/dj_r) D_r at the iterate `it`
+    (see _residual_and_margin), each frame row j_r being D_r rho, a row block
+    of the grid's jet operator (D_0 the identity).  The partials over the
+    frame jets (see _frame_partials) read the iterate's jets, geometry, sigma
+    and f_t, so J evaluates f only at the bumped jets and makes no jets,
+    geometry or sigma of its own.  grid.linearize weights the operator's rows
+    with them; the iterate, and its geometry with it, stays alive meanwhile.
     """
-    return grid.linearize(_frame_partials(rho, grid, target, t))
+    return grid.linearize(_frame_partials(it, grid, target, t))
 
 
 def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig = None,
@@ -235,7 +242,7 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
     held, each step first tries the full chord step with it and keeps the
     trial when it is admissible and its residual sup is at most
     _CHORD_CONTRACTION times the current one.  Otherwise the LU is dropped and
-    J is assembled at the current iterate and factored with the
+    J is assembled from the evaluated iterate and factored with the
     MMD_AT_PLUS_A ordering; that fresh full step is kept when it is admissible
     and its residual sup is at most (1 - _ARMIJO_SLOPE) times the current one,
     and otherwise the corrector raises NoConvergence, so that the caller
@@ -248,38 +255,32 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
     factorizations, residual sup, LU held at the end).
     """
     tol = _newton_tol(cfg, grid)
-    rho = np.asarray(rho0, dtype=float).copy()
-    res = _residual_and_margin(rho, grid, target, t)
-    res_sup = float(np.abs(res).max())
+    it = _residual_and_margin(rho0, grid, target, t)
     iters = factorizations = 0
 
     def full_step(delta, contraction):
-        """(trial, residual, residual sup) when rho + delta is admissible and
-        cuts the residual sup by `contraction`, else None."""
-        trial = rho + delta
+        """The iterate at rho + delta when it is admissible and cuts the
+        residual sup by `contraction`, else None."""
         try:
-            trial_res = _residual_and_margin(trial, grid, target, t)
+            trial = _residual_and_margin(it.jets[0] + delta, grid, target, t)
         except _INADMISSIBLE:
             return None
-        trial_sup = float(np.abs(trial_res).max())
         # written so that a NaN residual sup fails the test too
-        if not trial_sup <= contraction * res_sup:
-            return None
-        return trial, trial_res, trial_sup
+        return trial if trial.sup <= contraction * it.sup else None
 
-    while res_sup > tol:
+    while it.sup > tol:
         if iters >= _MAX_NEWTON:
             raise NoConvergence(
                 f"no convergence in {_MAX_NEWTON} Newton steps at t={t} "
-                f"(residual {res_sup:.3e})"
+                f"(residual {it.sup:.3e})"
             )
-        outcome = None if lu is None else full_step(lu.solve(-res), _CHORD_CONTRACTION)
+        outcome = None if lu is None else full_step(lu.solve(-it.res), _CHORD_CONTRACTION)
         if outcome is None:
             lu = None  # free the held LU before factoring anew
-            J = assemble_jacobian(rho, grid, target, t)
+            J = assemble_jacobian(it, grid, target, t)
             try:
                 lu = scipy.sparse.linalg.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
-                delta = lu.solve(-res)
+                delta = lu.solve(-it.res)
                 if not np.all(np.isfinite(delta)):
                     raise RuntimeError("non-finite Newton step")
             except RuntimeError as exc:
@@ -289,11 +290,11 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
             if outcome is None:
                 raise NoConvergence(
                     f"Newton step inadmissible or not decreasing at t={t} "
-                    f"(residual {res_sup:.3e})"
+                    f"(residual {it.sup:.3e})"
                 )
-        rho, res, res_sup = outcome
+        it = outcome
         iters += 1
-    return rho, iters, factorizations, res_sup, lu
+    return it.jets[0], iters, factorizations, it.sup, lu
 
 
 def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace):
@@ -324,8 +325,7 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
     # factors anew: at most one LU is alive at a time.
     carried = {}
 
-    res = _residual_and_margin(rho, grid, target, 0.0)
-    accept(grid, 0.0, 0, float(np.abs(res).max()), rho)
+    accept(grid, 0.0, 0, _residual_and_margin(rho, grid, target, 0.0).sup, rho)
 
     path_cfg = SolverConfig(newton_tol=math.sqrt(_newton_tol(cfg, grid)))
     t = 0.0

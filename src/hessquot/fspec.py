@@ -464,7 +464,7 @@ def validate_assumptions(base, p: QuotientParams, r1: float, r2: float) -> Assum
     g = g.reshape(-1, n_rho) * rhos ** m
     d_rho = np.diff(rhos)
     margins = -np.diff(g, axis=1) / d_rho
-    tol = 1e-12 * max(1.0, float(np.abs(g).max())) / d_rho.min()
+    tol = 1e-12 * np.abs(g[np.isfinite(g)]).max(initial=1.0) / d_rho.min()
     # segment k of a pair starts at the pair's point at radius k
     monotone = _worst(margins, points.reshape(-1, n_rho, dim), tol=tol)
     return AssumptionReport(outer_bound=outer, inner_bound=inner, radial_monotone=monotone)

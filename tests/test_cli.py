@@ -429,9 +429,12 @@ class TestValidateCommand:
         good = tmp_path / "good.ini"
         good.write_text(MINIMAL)
         assert main(["validate", str(good)]) == EXIT_OK
-        bad = tmp_path / "bad.ini"
-        bad.write_text(MINIMAL.replace("12 * rho^(-3)", "3"))
-        assert main(["validate", str(bad)]) == EXIT_VALIDATION
+        # the second f is infinite only at rho = 1.25, a radius of the
+        # monotonicity ladder; it must not make that check's tolerance infinite
+        for f in ("3", "12 * rho^(-3) + exp(800 * exp(-1000 * (rho - 1.25)^2)) - 1"):
+            bad = tmp_path / "bad.ini"
+            bad.write_text(MINIMAL.replace("12 * rho^(-3)", f))
+            assert main(["validate", str(bad)]) == EXIT_VALIDATION
 
     def test_too_few_samples_is_config_error(self, tmp_path):
         config = tmp_path / "few.ini"

@@ -47,6 +47,12 @@ def radial_target(p, r1=0.5, r2=2.0):
     return make_homotopy(parse_f(f"{level} * rho^(-{p.gap + 1})"), p, r1, r2)
 
 
+def at_field(fn, rho, grid, target, t):
+    """fn(iterate, grid, target, t), for assemble_jacobian or _frame_partials,
+    at the field rho, evaluated first as the corrector evaluates its iterates."""
+    return fn(continuation_solver._residual_and_margin(rho, grid, target, t), grid, target, t)
+
+
 def refuse_t1(monkeypatch, every=False):
     """Patch newton_solve to refuse the first corrector attempt at t = 1, or
     every one; returns the (t, refused) attempts as they are made."""
@@ -161,7 +167,7 @@ class TestJacobian:
         p = QuotientParams(3, 2, 0)
         target = radial_target(p)
         grid = build_axisym_grid(65)
-        J = assemble_jacobian(np.ones(65), grid, target, 0.0)
+        J = at_field(assemble_jacobian, np.ones(65), grid, target, 0.0)
         radial = J @ np.ones(65)
         h = 1e-6
         up = residual_vector(np.full(65, 1.0 + h), grid, target, 0.0)
@@ -180,7 +186,7 @@ class TestJacobian:
         grid = build_axisym_grid(65)
         rng = np.random.default_rng(7)
         rho = 1.0 + 0.02 * np.cos(2.0 * grid.theta)
-        J = assemble_jacobian(rho, grid, target, 0.4)
+        J = at_field(assemble_jacobian, rho, grid, target, 0.4)
         base = residual_vector(rho, grid, target, 0.4)
         for _ in range(3):
             w = rng.normal(size=65)
@@ -197,8 +203,8 @@ class TestJacobian:
         target = radial_target(p2)
         grid_a = build_axisym_grid(33)
         grid_s = build_s2_grid(16, 32)
-        Ja = assemble_jacobian(np.ones(33), grid_a, target, 0.0)
-        Js = assemble_jacobian(np.ones(grid_s.node_count), grid_s, target, 0.0)
+        Ja = at_field(assemble_jacobian, np.ones(33), grid_a, target, 0.0)
+        Js = at_field(assemble_jacobian, np.ones(grid_s.node_count), grid_s, target, 0.0)
         ra = Ja @ np.ones(33)
         rs = Js @ np.ones(grid_s.node_count)
         assert ra.mean() == pytest.approx(rs.mean(), rel=1e-4)
@@ -210,7 +216,7 @@ class TestJacobian:
         tt = np.repeat(grid.theta, grid.n_phi)
         pp = np.tile(grid.phi, grid.n_theta)
         rho = 1.0 + 0.02 * np.sin(tt) * np.cos(pp) + 0.01 * np.cos(2.0 * tt)
-        J = assemble_jacobian(rho, grid, target, 0.5)
+        J = at_field(assemble_jacobian, rho, grid, target, 0.5)
         # the 3x3 stencil, closed across the poles, touches at most 9 nodes
         assert np.diff(J.indptr).max() <= 9
         rng = np.random.default_rng(11)
@@ -232,7 +238,7 @@ class TestJacobian:
         p = QuotientParams(2, 2, 0)
         target = make_homotopy(parse_f("rho^(-3) * (1 + 0.15 * x1 / rho)"), p, 0.5, 2.0)
         grid = build_axisym_grid(33) if mode == "axisym" else build_s2_grid(16, 32)
-        J = assemble_jacobian(np.ones(grid.node_count), grid, target, 0.5)
+        J = at_field(assemble_jacobian, np.ones(grid.node_count), grid, target, 0.5)
         pattern = (J != 0).astype(int)
         assert (pattern - pattern.T).nnz == 0
 
@@ -249,10 +255,10 @@ class TestJacobian:
         # sin(theta) cos(phi) on s2; the axisymmetric grid's one angle is theta
         angles = grid.angles()
         bent = 1.0 + 0.02 * np.sin(angles[:, 0]) * np.cos(angles[:, -1])
-        partials = continuation_solver._frame_partials(np.ones(N), grid, target, 0.5)
+        partials = at_field(continuation_solver._frame_partials, np.ones(N), grid, target, 0.5)
         assert not partials[[1, 2, 4]].any()
-        flat = assemble_jacobian(np.ones(N), grid, target, 0.5)
-        for J in (flat, assemble_jacobian(bent, grid, target, 0.5)):
+        flat = at_field(assemble_jacobian, np.ones(N), grid, target, 0.5)
+        for J in (flat, at_field(assemble_jacobian, bent, grid, target, 0.5)):
             rows = np.repeat(np.arange(N), np.diff(J.indptr))
             assert set(zip(rows.tolist(), J.indices.tolist())) == union
             assert np.array_equal(J.indptr, flat.indptr)
@@ -262,7 +268,7 @@ class TestJacobian:
         p = QuotientParams(3, 2, 0)
         target = radial_target(p)
         grid = build_axisym_grid(33)
-        J = assemble_jacobian(np.ones(33), grid, target, 0.0).toarray()
+        J = at_field(assemble_jacobian, np.ones(33), grid, target, 0.0).toarray()
         for i in range(33):
             for j in range(33):
                 if abs(i - j) > 1:
@@ -274,12 +280,12 @@ def bumped_jacobian(rho, grid, target, t):
     forward difference of the whole pointwise residual per frame row of the
     grid's jet operator, with step sqrt(eps) max(1, |j_r|)."""
     jets = jet_arrays(rho, grid, target.p.n)
-    base = continuation_solver._pointwise_residual(jets, grid, target, t)
+    base = continuation_solver._pointwise_residual(jets, grid, target, t).res
     partials = np.zeros_like(jets)
     for r in range(6):
         bumped = jets.copy()
         bumped[r] += math.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(jets[r]))
-        residual = continuation_solver._pointwise_residual(bumped, grid, target, t)
+        residual = continuation_solver._pointwise_residual(bumped, grid, target, t).res
         partials[r] = (residual - base) / (bumped[r] - jets[r])
     return grid.linearize(partials)
 
@@ -297,7 +303,7 @@ class TestClosedFormJacobian:
     TOL = 1e-7
 
     def check(self, rho, grid, target, t, h, seed):
-        J = assemble_jacobian(rho, grid, target, t)
+        J = at_field(assemble_jacobian, rho, grid, target, t)
         oracle = bumped_jacobian(rho, grid, target, t)
 
         def residual(c):
@@ -698,6 +704,37 @@ class TestWorkCounts:
         assert len(factorizations) <= max_factorizations
         assert sum(step.newton_iters for step in sol.trace) <= max_iters
 
+    @pytest.mark.parametrize("mode", ["axisym", "s2"])
+    def test_one_evaluation_per_iterate(self, monkeypatch, mode):
+        # J reads the jets, geometry, sigma and f_t its iterate was evaluated
+        # with: no geometry of its own, and f only at the bumped jets
+        calls = {}
+
+        def count(name):
+            fn = getattr(continuation_solver, name)
+            calls[name] = 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(continuation_solver, name, counted)
+
+        for name in ("geometry_batch", "eval_homotopy", "_residual_and_margin",
+                     "assemble_jacobian"):
+            count(name)
+        if mode == "axisym":
+            grid, p = build_axisym_grid(65), QuotientParams(3, 2, 0)
+            f = "12 * rho^(-3) * (1 + 0.2 * x1 / rho)"
+        else:
+            grid, p, f = build_s2_grid(32, 64), QuotientParams(2, 2, 0), GAUSS_F
+        sol = continuation_solve(make_homotopy(parse_f(f), p, 0.5, 2.0), grid)
+        assert sol.trace[-1].t == 1.0 and calls["assemble_jacobian"] > 0
+        evals = calls["_residual_and_margin"]
+        assert calls["geometry_batch"] == evals
+        assert calls["eval_homotopy"] == (
+            evals + calls["assemble_jacobian"] * (1 + len(grid.gradient_rows)))
+
 
 class TestGridSequencing:
     """On the 2-sphere the path runs on the coarsest halving and each finer
@@ -838,7 +875,7 @@ class TestScaleDegenerateTarget:
         r1 = residual_vector(rho, grid, target, 1.0)
         r2 = residual_vector(1.3 * rho, grid, target, 1.0)
         assert np.abs(r1 - r2).max() < 1e-12
-        J = assemble_jacobian(rho, grid, target, 1.0)
+        J = at_field(assemble_jacobian, rho, grid, target, 1.0)
         kernel_response = np.abs(J @ rho).max()
         typical = np.abs(J @ np.cos(2 * grid.theta)).max()
         assert kernel_response < 1e-3 * typical
