@@ -17,12 +17,18 @@ spectrum (radial_geometry.geometry_first_variation) at the geometry the
 residual evaluated; log f_t sees the jets only through rho and its gradient,
 and its partials are forward differences along those frame rows.
 
-The corrector is a local iteration of full steps: it keeps one sparse LU of J
-across Newton iterations and continuation steps (chord, or Shamanskii, steps)
-and factors J afresh only when a full step with the held LU fails to cut the
-residual sup by _CHORD_CONTRACTION; see newton_solve.  J's sparsity pattern is
-structurally symmetric (central stencils, symmetric pole closures), so the
-factorization orders the columns by minimum degree on the pattern of J^T + J.
+The corrector is a local iteration of full steps in the log-radius
+u = log rho: J_u = J diag(rho), and a step du moves rho to rho exp(du).  A
+dilation rho -> c rho is then the constant step log c, along which the log
+residual of a prescription homogeneous in rho is linear, so the held J_u
+stays good as rho moves away from the sphere.  The corrector keeps one sparse
+LU of J_u across Newton iterations and continuation steps (chord, or
+Shamanskii, steps) and factors J_u afresh only when a full step with the held
+LU fails to cut the residual sup by _CHORD_CONTRACTION, unless the trial
+already meets the tolerance; see newton_solve.  J's sparsity pattern is
+structurally symmetric (central stencils, symmetric pole closures), and
+scaling its columns keeps it, so the factorization orders the columns by
+minimum degree on the pattern of J_u^T + J_u.
 
 The path starts from the exactly-known state rho = 1 at t = 0 and follows an
 adaptive step in t to the target problem at t = 1, as a predictor-corrector
@@ -45,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse.linalg
@@ -138,7 +145,8 @@ def _f_values(jets, grid, target: HomotopyTarget, t: float):
     positions, frames = grid.node_frames(target.p.n)
     nu_radial, nu_tangent = local_normal(jets)
     X = jets[0][:, None] * positions
-    nu = nu_radial[:, None] * positions + np.einsum("nj,njd->nd", nu_tangent, frames)
+    nu = nu_radial[:, None] * positions + (
+        nu_tangent[:, :1] * frames[:, 0] + nu_tangent[:, 1:] * frames[:, 1])
     fvals = np.asarray(eval_homotopy(target, t, X, nu), dtype=float)
     good = np.isfinite(fvals) & (fvals > 0.0)
     if not good.all():
@@ -172,7 +180,7 @@ def _pointwise_residual(jets, grid, target: HomotopyTarget, t: float) -> _Iterat
     p = target.p
     geo = geometry_batch(jets, p.n)
     sig = sigma_batch(geo.eta, p.k)
-    margins = sig[:, 1:].min(axis=1)
+    margins = reduce(np.minimum, sig.T[1:])
     worst = int(np.argmin(margins))
     if not margins[worst] >= _CONE_MARGIN:
         raise ConeViolation(
@@ -236,65 +244,79 @@ def assemble_jacobian(it: _Iterate, grid, target: HomotopyTarget, t: float):
 
 def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig = None,
                  lu=None):
-    """Full-step Newton on the sup-norm of the log residual, reusing one sparse LU.
+    """Full-step Newton in the log-radius u = log rho on the sup-norm of the
+    log residual, reusing one sparse LU.
 
-    `lu` is a factorization of some earlier Jacobian, or None.  While one is
-    held, each step first tries the full chord step with it and keeps the
-    trial when it is admissible and its residual sup is at most
-    _CHORD_CONTRACTION times the current one.  Otherwise the LU is dropped and
-    J is assembled from the evaluated iterate and factored with the
-    MMD_AT_PLUS_A ordering; that fresh full step is kept when it is admissible
-    and its residual sup is at most (1 - _ARMIJO_SLOPE) times the current one,
-    and otherwise the corrector raises NoConvergence, so that the caller
-    shortens the step in t.  Admissible means that _pointwise_residual, the
-    one test, raises none of _INADMISSIBLE: rho stays positive and finite, the
-    spectrum inside the cone with margin >= _CONE_MARGIN, and f_t positive and
-    evaluable; an inadmissible start raises that error.  The iteration stops on
-    the true residual sup <= newton_tol (see _newton_tol), or raises
-    NoConvergence after _MAX_NEWTON steps.  Returns (field, iterations,
-    factorizations, residual sup, LU held at the end).
+    Every step, chord or fresh, is du = -J_u^{-1} R with J_u = J diag(rho)
+    the Jacobian over u, and the trial is rho exp(du); an exp that overflows
+    makes an inf rho, which the evaluation refuses.  `lu` is a factorization
+    of some earlier J_u, or None.  While one is held, each step first tries
+    the chord step with it and keeps the trial when it is admissible and its
+    residual sup is at most _CHORD_CONTRACTION times the current one.
+    Otherwise the LU is dropped, J is assembled from the evaluated iterate,
+    its columns are scaled by rho, and J_u is factored with the MMD_AT_PLUS_A
+    ordering; that fresh step is kept when it is admissible and its residual
+    sup is at most (1 - _ARMIJO_SLOPE) times the current one, and otherwise
+    the corrector raises NoConvergence, so that the caller shortens the step
+    in t.  A trial whose residual sup is at most newton_tol (see _newton_tol)
+    is kept whatever its contraction.  Admissible means that
+    _pointwise_residual, the one test, raises none of _INADMISSIBLE: rho
+    stays positive and finite, the spectrum inside the cone with margin >=
+    _CONE_MARGIN, and f_t positive and evaluable; an inadmissible start
+    raises that error.  The iteration stops on the true residual sup <=
+    newton_tol, or raises NoConvergence after _MAX_NEWTON steps.  Returns
+    (field, iterations, factorizations, residual sup, LU of J_u held at the
+    end).
     """
     tol = _newton_tol(cfg, grid)
     it = _residual_and_margin(rho0, grid, target, t)
+    rho, res, sup = it.jets[0], it.res, it.sup
     iters = factorizations = 0
 
-    def full_step(delta, contraction):
-        """The iterate at rho + delta when it is admissible and cuts the
-        residual sup by `contraction`, else None."""
+    def log_step(du, contraction):
+        """The iterate at rho exp(du) when it is admissible and its residual
+        sup is at most newton_tol or `contraction` times the current one,
+        else None."""
+        with np.errstate(over="ignore"):
+            trial_rho = rho * np.exp(du)
         try:
-            trial = _residual_and_margin(it.jets[0] + delta, grid, target, t)
+            trial = _residual_and_margin(trial_rho, grid, target, t)
         except _INADMISSIBLE:
             return None
         # written so that a NaN residual sup fails the test too
-        return trial if trial.sup <= contraction * it.sup else None
+        return trial if trial.sup <= max(tol, contraction * sup) else None
 
-    while it.sup > tol:
+    while sup > tol:
         if iters >= _MAX_NEWTON:
             raise NoConvergence(
                 f"no convergence in {_MAX_NEWTON} Newton steps at t={t} "
-                f"(residual {it.sup:.3e})"
+                f"(residual {sup:.3e})"
             )
-        outcome = None if lu is None else full_step(lu.solve(-it.res), _CHORD_CONTRACTION)
+        outcome = None if lu is None else log_step(lu.solve(-res), _CHORD_CONTRACTION)
         if outcome is None:
             lu = None  # free the held LU before factoring anew
-            J = assemble_jacobian(it, grid, target, t)
+            J = assemble_jacobian(it, grid, target, t).tocsc()
+            it = None  # free the geometry, sigma and f_t: only rho, res and sup are read
+            J.data *= np.repeat(rho, np.diff(J.indptr))  # J_u = J diag(rho)
             try:
-                lu = scipy.sparse.linalg.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A")
-                delta = lu.solve(-it.res)
-                if not np.all(np.isfinite(delta)):
+                lu = scipy.sparse.linalg.splu(J, permc_spec="MMD_AT_PLUS_A")
+                J = None  # the LU holds its own copy
+                du = lu.solve(-res)
+                if not np.all(np.isfinite(du)):
                     raise RuntimeError("non-finite Newton step")
             except RuntimeError as exc:
                 raise NoConvergence(f"singular Newton system at t={t}: {exc}") from exc
             factorizations += 1
-            outcome = full_step(delta, 1.0 - _ARMIJO_SLOPE)
+            outcome = log_step(du, 1.0 - _ARMIJO_SLOPE)
             if outcome is None:
                 raise NoConvergence(
                     f"Newton step inadmissible or not decreasing at t={t} "
-                    f"(residual {it.sup:.3e})"
+                    f"(residual {sup:.3e})"
                 )
         it = outcome
+        rho, res, sup = it.jets[0], it.res, it.sup
         iters += 1
-    return it.jets[0], iters, factorizations, it.sup, lu
+    return rho, iters, factorizations, sup, lu
 
 
 def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace):

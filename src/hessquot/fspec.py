@@ -238,7 +238,7 @@ def to_source(node: Expr) -> str:
 
 
 def _check_domain(ok: np.ndarray, message: str, node: Expr):
-    if not np.all(ok):
+    if not ok.all():
         raise EvalError(message, to_source(node))
 
 
@@ -287,17 +287,20 @@ def _row_norm(A):
     return np.sqrt(np.einsum("...i,...i->...", A, A))
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def eval_f(expr: Expr, X, nu):
     """Evaluate at position X and unit normal nu; both (d,) or (N, d) arrays.
     A non-finite value (exp overflow, say) is returned without a warning."""
     X = np.asarray(X, dtype=float)
-    nu = np.asarray(nu, dtype=float)
+    return _eval_at(expr, X, np.asarray(nu, dtype=float), _row_norm(X))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _eval_at(expr: Expr, X, nu, rho):
+    """eval_f on float arrays X and nu, given rho = |X| row by row."""
     scalar = X.ndim == 1
-    rho = _row_norm(X)
-    if np.any(rho == 0.0):
+    if (rho == 0.0).any():
         raise ValueError("X must be nonzero")
-    if np.any(np.abs(_row_norm(nu) - 1.0) > 1e-8):
+    if (np.abs(_row_norm(nu) - 1.0) > 1e-8).any():
         raise ValueError("nu must be a unit vector (within 1e-8)")
     out = np.asarray(_eval_node(expr, rho, X, nu), dtype=float)
     if scalar:
@@ -348,14 +351,18 @@ def eval_homotopy(target: HomotopyTarget, t: float, X, nu):
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
     X = np.asarray(X, dtype=float)
-    m = target.p.gap
-    rho_m = _row_norm(X) ** (-float(m))
+    rho = _row_norm(X)
+    rho_m = rho ** (-float(target.p.gap))
     bracket = rho_m + target.epsilon * (rho_m - 1.0)
     radial = reference_level(target.p) * bracket
     if t == 0.0:
         out = radial
     else:
-        out = t * target.base(X, nu) + (1.0 - t) * radial
+        base = target.base
+        # an Expr reuses |X|; eval_f's checks on X and nu still run
+        f = (_eval_at(base, X, np.asarray(nu, dtype=float), rho) if isinstance(base, Expr)
+             else base(X, nu))
+        out = t * f + (1.0 - t) * radial
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -101,11 +101,11 @@ def _congruence(p, m):
     return p11 * a11 + p12 * a21, p11 * a12 + p12 * a22, p12 * a12 + p22 * a22
 
 
-def _check_jet(rho, *derivatives):
+def _check_jet(rho, derivatives):
     if not (rho.min() > 0.0 and rho.max() < np.inf):
         bad = int(np.argmin(np.where(np.isfinite(rho), rho, -np.inf)))
         raise DegenerateJet(f"rho must be positive and finite (node {bad})")
-    if not all(np.isfinite(d).all() for d in derivatives):
+    if not np.isfinite(derivatives).all():
         raise DegenerateJet("jet entries must be finite")
 
 

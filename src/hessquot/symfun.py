@@ -16,6 +16,7 @@ All indices in this module are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -57,17 +58,19 @@ def sigma_batch(values: np.ndarray, jmax: int) -> np.ndarray:
     """All sigma_0..sigma_jmax for a (batch, n) array, via the one-entry update.
 
     Expanding prod_m (1 + lam_m x) one factor at a time costs O(n*jmax) and
-    avoids the cancellation blowup of subset enumeration.
+    avoids the cancellation blowup of subset enumeration.  Each factor updates
+    every sigma_j at once from the previous factor's sigma_{j-1}.  The result
+    is the transpose of a (jmax + 1, batch) array, so each column sigma_j is
+    contiguous.
     """
     vals = np.atleast_2d(np.asarray(values, dtype=float))
     nbatch, n = vals.shape
-    e = np.zeros((nbatch, jmax + 1))
-    e[:, 0] = 1.0
+    e = np.zeros((jmax + 1, nbatch))
+    e[0] = 1.0
     for m in range(n):
         top = min(jmax, m + 1)
-        for j in range(top, 0, -1):
-            e[:, j] += vals[:, m] * e[:, j - 1]
-    return e
+        e[1:top + 1] += vals[:, m] * e[:top]
+    return e.T
 
 
 def log_quotient_grad_batch(values: np.ndarray, sig: np.ndarray, k: int, l: int) -> np.ndarray:
@@ -91,5 +94,4 @@ def log_quotient_grad_batch(values: np.ndarray, sig: np.ndarray, k: int, l: int)
 
 def gamma_margins(values: np.ndarray, k: int) -> np.ndarray:
     """Per-row min over sigma_1..sigma_k for a (batch, n) array."""
-    e = sigma_batch(values, k)
-    return e[:, 1:].min(axis=1)
+    return reduce(np.minimum, sigma_batch(values, k).T[1:])

@@ -242,7 +242,7 @@ def assemble_point_geometry(jet: PointJet, n: int) -> PointGeometry:
     if asym > 1e-13 * max(1.0, np.abs(hess).max()):
         raise ValueError(f"hessian not symmetric (asymmetry {asym:.3e})")
     rho = float(jet.rho)
-    _check_jet(np.array([rho]), grad, hess)
+    _check_jet(np.array([rho]), np.append(grad, hess))
 
     grad_norm2 = float(grad @ grad)
     v = math.sqrt(1.0 + grad_norm2 / rho**2)

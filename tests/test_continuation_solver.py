@@ -413,6 +413,41 @@ class TestNewton:
             newton_solve(np.full(65, 1.01), 0.0, radial_target(p), build_axisym_grid(65),
                          SolverConfig())
 
+    def test_overflowing_log_step_is_refused(self, monkeypatch):
+        # -1e-300 I factors, and the step -R / -1e-300 is finite, but
+        # exp(du) overflows: the trial rho is inf, which the evaluation
+        # refuses, so the fresh step fails and the corrector gives up
+        p = QuotientParams(3, 2, 0)
+        tiny = -1e-300 * scipy.sparse.identity(65, format="csr")
+        monkeypatch.setattr(continuation_solver, "assemble_jacobian",
+                            lambda *args, **kwargs: tiny)
+        with pytest.raises(NoConvergence, match="inadmissible or not decreasing"):
+            newton_solve(np.full(65, 1.01), 0.0, radial_target(p), build_axisym_grid(65),
+                         SolverConfig())
+
+    @pytest.mark.parametrize("mode", ["axisym", "s2"])
+    def test_dilation_is_one_log_step(self, monkeypatch, mode):
+        # f = c rho^(-(k-l)-1) is solved by the sphere of radius 1.5, and the
+        # log residual of a dilation rho = exp(u) is linear in u: the first
+        # log step from the unit sphere lands on it up to round-off
+        factorizations = []
+        splu = scipy.sparse.linalg.splu
+
+        def counting(*args, **kwargs):
+            factorizations.append(1)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        if mode == "axisym":
+            grid, p, f = build_axisym_grid(65), QuotientParams(3, 2, 0), "18 * rho^(-3)"
+        else:
+            grid, p, f = build_s2_grid(32, 64), QuotientParams(2, 2, 0), "1.5 * rho^(-3)"
+        sol = continuation_solve(make_homotopy(parse_f(f), p, 0.5, 2.0), grid)
+        assert sol.trace[-1].t == 1.0 and sol.trace[-1].nodes == grid.node_count
+        assert np.abs(sol.rho - 1.5).max() <= 1e-12
+        assert all(step.newton_iters <= 2 for step in sol.trace)
+        assert len(factorizations) == 1
+
     def test_failed_fresh_step_raises_at_once(self, monkeypatch):
         # -J points uphill: the full step fails its decrease test, and the
         # corrector must give up without shortening the step in rho
@@ -679,13 +714,13 @@ class TestContinuation:
 
 class TestWorkCounts:
     """The shipped configs solve with no more work than one corrector at t = 1
-    from the unit sphere takes: 1 factorization and 13 and 8 Newton
+    from the unit sphere takes: 1 factorization and 7 and 5 log-radius Newton
     iterations, and none for radial.ini, which the unit sphere solves."""
 
     CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
     @pytest.mark.parametrize("name, max_factorizations, max_iters",
-                             [("anisotropic", 1, 13), ("gauss_s2", 1, 8), ("radial", 0, 0)],
+                             [("anisotropic", 1, 7), ("gauss_s2", 1, 5), ("radial", 0, 0)],
                              ids=["anisotropic", "gauss_s2", "radial"])
     def test_shipped_config_counts(self, monkeypatch, name, max_factorizations, max_iters):
         factorizations = []

@@ -62,6 +62,20 @@ class TestElementarySymmetric:
     def test_degree_zero_is_one(self):
         assert elementary_symmetric([5.0, -7.0], 0) == 1.0
 
+    def test_batch_equals_the_one_entry_loop(self):
+        # sigma_batch updates every sigma_j of one factor at once; each entry
+        # is still sigma_j + lam_m sigma_{j-1}, so it equals this loop exactly
+        rng = np.random.default_rng(3)
+        for n in range(2, 13):
+            vals = rng.standard_normal((50, n)) * 10.0 ** rng.uniform(-3, 3, (50, 1))
+            for jmax in range(n + 2):
+                e = np.zeros((50, jmax + 1))
+                e[:, 0] = 1.0
+                for m in range(n):
+                    for j in range(min(jmax, m + 1), 0, -1):
+                        e[:, j] += vals[:, m] * e[:, j - 1]
+                assert np.array_equal(symfun.sigma_batch(vals, jmax), e)
+
     @given(spectra, st.integers(min_value=0, max_value=7))
     def test_matches_enumeration(self, values, j):
         expected = sigma_bruteforce(values, j)
