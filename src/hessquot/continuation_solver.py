@@ -15,20 +15,24 @@ jets, the same (6, N) array, weighting the rows of that same operator.  The
 partials of the curvature term are closed forms, the first variation of the
 spectrum (radial_geometry.geometry_first_variation) at the geometry the
 residual evaluated; log f_t sees the jets only through rho and its gradient,
-and its partials are forward differences along those frame rows.
+and its partials are forward differences along those frame rows.  The grid
+decides J's form (see sphere_grid): a sparse matrix on the axisymmetric grid,
+a matrix-free product of the jet operator on the 2-D grid.
 
 The corrector is a local iteration of full steps in the log-radius
 u = log rho: J_u = J diag(rho), and a step du moves rho to rho exp(du).  A
 dilation rho -> c rho is then the constant step log c, along which the log
 residual of a prescription homogeneous in rho is linear, so the held J_u
-stays good as rho moves away from the sphere.  The corrector keeps one sparse
-LU of J_u across Newton iterations and continuation steps (chord, or
-Shamanskii, steps) and factors J_u afresh only when a full step with the held
-LU fails to cut the residual sup by _CHORD_CONTRACTION, unless the trial
-already meets the tolerance; see newton_solve.  J's sparsity pattern is
-structurally symmetric (central stencils, symmetric pole closures), and
-scaling its columns keeps it, so the factorization orders the columns by
-minimum degree on the pattern of J_u^T + J_u.
+stays good as rho moves away from the sphere.  The corrector keeps one held
+solver of J_u, which the grid builds (its log_solver), across Newton
+iterations and continuation steps (chord, or Shamanskii, steps) and builds a
+new one only when a full step with the held one fails to cut the residual sup
+by _CHORD_CONTRACTION, unless the trial already meets the tolerance; see
+newton_solve.  On the axisymmetric grid it is J_u's sparse LU, so a step is
+exact to round-off.  On the 2-D grid it is GMRES on the matrix-free J_u,
+preconditioned with the phi-Fourier factor of J_u's ring average, so a step
+is exact only to the Krylov tolerance (sphere_grid._KRYLOV_RTOL); an s2
+solution then depends on that tolerance in its digits below newton_tol.
 
 The path starts from the exactly-known state rho = 1 at t = 0 and follows an
 adaptive step in t to the target problem at t = 1, as a predictor-corrector
@@ -54,7 +58,6 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import (
     ConeViolation,
@@ -84,7 +87,7 @@ __all__ = [
 # relative forward-difference step for the partials of log f_t
 _JET_STEP = math.sqrt(np.finfo(float).eps)
 # a freshly factored step is kept when it cuts the residual sup by (1 - _ARMIJO_SLOPE),
-# a step with a reused LU when it cuts it by _CHORD_CONTRACTION
+# a chord step, with the held solver, when it cuts it by _CHORD_CONTRACTION
 _ARMIJO_SLOPE = 1e-4
 _CHORD_CONTRACTION = 0.25
 # Newton steps per corrector, chord and freshly factored alike
@@ -144,9 +147,12 @@ def _f_values(jets, grid, target: HomotopyTarget, t: float):
     and finite (a NaN would pass a test for f_t <= 0)."""
     positions, frames = grid.node_frames(target.p.n)
     nu_radial, nu_tangent = local_normal(jets)
-    X = jets[0][:, None] * positions
-    nu = nu_radial[:, None] * positions + (
-        nu_tangent[:, :1] * frames[:, 0] + nu_tangent[:, 1:] * frames[:, 1])
+    # one coordinate at a time, contiguous over the nodes (see node_frames),
+    # written through the transposes of C-ordered (N, n+1) X and nu
+    X, nu = np.empty(positions.shape), np.empty(positions.shape)
+    np.multiply(jets[0], positions.T, out=X.T)
+    np.add(nu_radial * positions.T,
+           nu_tangent.T[0] * frames[:, 0].T + nu_tangent.T[1] * frames[:, 1].T, out=nu.T)
     fvals = np.asarray(eval_homotopy(target, t, X, nu), dtype=float)
     good = np.isfinite(fvals) & (fvals > 0.0)
     if not good.all():
@@ -231,42 +237,46 @@ def _frame_partials(it: _Iterate, grid, target: HomotopyTarget, t: float):
 
 
 def assemble_jacobian(it: _Iterate, grid, target: HomotopyTarget, t: float):
-    """Sparse d(residual)/d(rho) = sum_r diag(dR/dj_r) D_r at the iterate `it`
+    """d(residual)/d(rho) = sum_r diag(dR/dj_r) D_r at the iterate `it`
     (see _residual_and_margin), each frame row j_r being D_r rho, a row block
     of the grid's jet operator (D_0 the identity).  The partials over the
     frame jets (see _frame_partials) read the iterate's jets, geometry, sigma
     and f_t, so J evaluates f only at the bumped jets and makes no jets,
-    geometry or sigma of its own.  grid.linearize weights the operator's rows
-    with them; the iterate, and its geometry with it, stays alive meanwhile.
+    geometry or sigma of its own.  grid.jacobian makes J from them: the CSR
+    matrix of the operator's weighted rows (linearize), or on the 2-D grid
+    the matrix-free product; the iterate, and its geometry with it, stays
+    alive meanwhile.
     """
-    return grid.linearize(_frame_partials(it, grid, target, t))
+    return grid.jacobian(_frame_partials(it, grid, target, t))
 
 
 def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig = None,
                  lu=None):
     """Full-step Newton in the log-radius u = log rho on the sup-norm of the
-    log residual, reusing one sparse LU.
+    log residual, reusing one held solver of J_u.
 
     Every step, chord or fresh, is du = -J_u^{-1} R with J_u = J diag(rho)
-    the Jacobian over u, and the trial is rho exp(du); an exp that overflows
-    makes an inf rho, which the evaluation refuses.  `lu` is a factorization
-    of some earlier J_u, or None.  While one is held, each step first tries
-    the chord step with it and keeps the trial when it is admissible and its
+    the Jacobian over u, solved by the held solver (exactly by an LU, to the
+    Krylov tolerance by the 2-D grid's GMRES), and the trial is rho exp(du);
+    an exp that overflows makes an inf rho, which the evaluation refuses.
+    `lu` is the held solver of some earlier J_u, anything with solve(b) such
+    as a SuperLU, or None.  While one is held, each step first tries the
+    chord step with it and keeps the trial when it is admissible and its
     residual sup is at most _CHORD_CONTRACTION times the current one.
-    Otherwise the LU is dropped, J is assembled from the evaluated iterate,
-    its columns are scaled by rho, and J_u is factored with the MMD_AT_PLUS_A
-    ordering; that fresh step is kept when it is admissible and its residual
-    sup is at most (1 - _ARMIJO_SLOPE) times the current one, and otherwise
-    the corrector raises NoConvergence, so that the caller shortens the step
-    in t.  A trial whose residual sup is at most newton_tol (see _newton_tol)
-    is kept whatever its contraction.  Admissible means that
+    Otherwise the held solver is dropped, J is assembled from the evaluated
+    iterate, and grid.log_solver(J, rho) builds the solver of J_u, which
+    factors once; that fresh step is kept when it is admissible and its
+    residual sup is at most (1 - _ARMIJO_SLOPE) times the current one, and
+    otherwise the corrector raises NoConvergence, so that the caller shortens
+    the step in t.  A trial whose residual sup is at most newton_tol (see
+    _newton_tol) is kept whatever its contraction.  Admissible means that
     _pointwise_residual, the one test, raises none of _INADMISSIBLE: rho
     stays positive and finite, the spectrum inside the cone with margin >=
     _CONE_MARGIN, and f_t positive and evaluable; an inadmissible start
     raises that error.  The iteration stops on the true residual sup <=
     newton_tol, or raises NoConvergence after _MAX_NEWTON steps.  Returns
-    (field, iterations, factorizations, residual sup, LU of J_u held at the
-    end).
+    (field, iterations, factorizations, residual sup, solver of J_u held at
+    the end).
     """
     tol = _newton_tol(cfg, grid)
     it = _residual_and_margin(rho0, grid, target, t)
@@ -294,13 +304,12 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
             )
         outcome = None if lu is None else log_step(lu.solve(-res), _CHORD_CONTRACTION)
         if outcome is None:
-            lu = None  # free the held LU before factoring anew
-            J = assemble_jacobian(it, grid, target, t).tocsc()
+            lu = None  # free the held solver before building anew
+            J = assemble_jacobian(it, grid, target, t)
             it = None  # free the geometry, sigma and f_t: only rho, res and sup are read
-            J.data *= np.repeat(rho, np.diff(J.indptr))  # J_u = J diag(rho)
             try:
-                lu = scipy.sparse.linalg.splu(J, permc_spec="MMD_AT_PLUS_A")
-                J = None  # the LU holds its own copy
+                lu = grid.log_solver(J, rho)
+                J = None  # an LU holds its own copy
                 du = lu.solve(-res)
                 if not np.all(np.isfinite(du)):
                     raise RuntimeError("non-finite Newton step")
@@ -325,10 +334,10 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
     The unit sphere solves f_0 exactly, so t = 0 is recorded, not corrected:
     its trace row holds zero Newton iterations and the residual sup measured
     at rho = 1, and the first corrector runs at t = 1 from rho = 1 with no
-    LU.  Each later corrector at t_try starts from the secant prediction
-    rho + (t_try - t)/(t - t_prev) (rho - rho_prev) through the last two
-    accepted states (t = 0 among them), and from the LU the previous accepted
-    one ended with; an inadmissible prediction is a failed attempt.
+    held solver.  Each later corrector at t_try starts from the secant
+    prediction rho + (t_try - t)/(t - t_prev) (rho - rho_prev) through the last
+    two accepted states (t = 0 among them), and from the solver the previous
+    accepted one ended with; an inadmissible prediction is a failed attempt.
     Correctors at t_try < 1 stop at sqrt(newton_tol), the one at t = 1 at
     newton_tol (see _newton_tol), so only the t = 1 trace row meets it.  A
     corrector failure, which includes a trial t where f_t, the prescription
@@ -342,9 +351,9 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
     at t = 1.
     """
     rho = np.ones(grid.node_count)
-    # The LU carried from one corrector to the next.  It is handed over with
-    # pop, so the corrector holds the only reference and frees it before it
-    # factors anew: at most one LU is alive at a time.
+    # The solver carried from one corrector to the next.  It is handed over
+    # with pop, so the corrector holds the only reference and frees it before
+    # it builds anew: at most one held solver is alive at a time.
     carried = {}
 
     accept(grid, 0.0, 0, _residual_and_margin(rho, grid, target, 0.0).sup, rho)
@@ -384,15 +393,15 @@ def continuation_solve(
 
     The path (see _follow_path) runs on the coarsest grid of the ladder grid,
     grid.coarsened(), ...; each finer grid then takes one Newton corrector at
-    t = 1 from the coarser solution prolonged onto it, with no LU.  The path
-    only has to reach the solution branch, and the prolonged solution starts
-    the fine corrector inside its quadratic basin.  Should anything fail
-    before the target grid's t = 1 state is accepted, the path is followed
-    again on the target grid: the rows accepted so far stay in the trace, and
-    no coarse field escapes in an exception.  `validated` asserts that the
-    assumption checks passed, which turns the radial-containment and
-    positivity monitors, checked on every accepted state, into hard
-    invariants: a violation aborts with MonitorViolation.
+    t = 1 from the coarser solution prolonged onto it, with no held solver.
+    The path only has to reach the solution branch, and the prolonged
+    solution starts the fine corrector inside its quadratic basin.  Should
+    anything fail before the target grid's t = 1 state is accepted, the path
+    is followed again on the target grid: the rows accepted so far stay in
+    the trace, and no coarse field escapes in an exception.  `validated`
+    asserts that the assumption checks passed, which turns the
+    radial-containment and positivity monitors, checked on every accepted
+    state, into hard invariants: a violation aborts with MonitorViolation.
     """
     trace = []
 

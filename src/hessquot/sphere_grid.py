@@ -24,6 +24,12 @@ sums, and with them J and every output, follow it.  It is the order of the
 sparse-algebra build (stencil matrices, diagonal products and a vstack) that
 tests/oracles.py keeps as the reference.
 
+Each grid also hands the Newton corrector its solver of J_u = J diag(rho)
+(see log_solver): on the axisymmetric grid J_u's sparse LU, exact; on the
+2-D grid GMRES on the matrix-free J_u, preconditioned with the phi-Fourier
+factor of its ring average (see _RingKrylov), so that an s2 Newton step is
+exact only to the Krylov tolerance _KRYLOV_RTOL.
+
 The 2-D grid also halves: coarsened() is the grid of half the rows and half
 the columns, and prolong interpolates a field from it to 4th order, so the
 solver can follow its path on a coarse grid and correct on the fine one.  The
@@ -42,6 +48,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import SizeMismatch, TooCoarse
 
@@ -58,6 +65,10 @@ MIN_S2_THETA = 16
 MIN_S2_PHI = 32
 # azimuthal samples when an axisymmetric profile is revolved into a surface
 REVOLVE_SAMPLES = 128
+# GMRES on the 2-D grid stops once ||b - J_u x||_2 <= _KRYLOV_RTOL ||b||_2, or
+# after _KRYLOV_MAXITER iterations
+_KRYLOV_RTOL = 1e-3
+_KRYLOV_MAXITER = 20
 
 
 def _check_field(field_values, count: int) -> np.ndarray:
@@ -98,6 +109,9 @@ class _StencilGrid:
     north to south plus the (2, 3) north and south pole points.
     `coarsened()` is the next coarser grid of a sequenced solve, or None, and
     `newton_tol` the default Newton tolerance, which its round-off floor allows.
+    For the Newton corrector, `jacobian(partials)` is J = sum_r
+    diag(partials[r]) D_r and `log_solver(J, rho)` the held solver of
+    J diag(rho), with solve(b); by default linearize's CSR matrix and its LU.
     A grid compares and hashes by identity, so it can key a dict.
     """
 
@@ -108,13 +122,28 @@ class _StencilGrid:
         over both together.
 
         scipy's duplicate sum keeps explicit zeros, so J's pattern, and with it
-        the LU's fill, is the union of the D_r patterns at every state.
+        the fill of log_solver's LU, is the union of the D_r patterns at every
+        state.
         """
         op, n = self.jet_operator, self.node_count
         counts = np.diff(op.indptr)
         values = np.repeat(partials.reshape(-1), counts) * op.data
         rows = np.repeat(np.arange(6 * n) % n, counts)
         return scipy.sparse.csr_matrix((values, (rows, op.indices)), shape=(n, n))
+
+    def jacobian(self, partials):
+        """J = sum_r diag(partials[r]) D_r for log_solver: linearize's CSR."""
+        return self.linearize(partials)
+
+    @staticmethod
+    def log_solver(J, rho):
+        """The held solver of J_u = J diag(rho), the Jacobian over u = log rho:
+        J_u's sparse LU.  J's pattern is structurally symmetric (central
+        stencils, symmetric pole closures), and scaling its columns keeps it,
+        so the columns are ordered by minimum degree on J_u^T + J_u."""
+        J = J.tocsc()
+        J.data *= np.repeat(rho, np.diff(J.indptr))
+        return scipy.sparse.linalg.splu(J, permc_spec="MMD_AT_PLUS_A")
 
     @property
     def gradient_rows(self) -> tuple:
@@ -158,18 +187,16 @@ class AxisymGrid(_StencilGrid):
     def node_frames(self, n: int):
         """Meridian points (cos t, sin t, 0, ...) of S^n in R^{n+1}, shape (N, n+1),
         and the two frame directions, shape (N, 2, n+1): d/dtheta and one orbit
-        direction; the normal has no component along the others."""
+        direction; the normal has no component along the others.  Both are
+        views of one (3, n+1, N) array, each coordinate contiguous over nodes."""
         self.check_dimension(n)
         if n not in self._frame_cache:
-            N = self.node_count
-            pos = np.zeros((N, n + 1))
-            pos[:, 0] = np.cos(self.theta)
-            pos[:, 1] = np.sin(self.theta)
-            frm = np.zeros((N, 2, n + 1))
-            frm[:, 0, 0] = -np.sin(self.theta)
-            frm[:, 0, 1] = np.cos(self.theta)
-            frm[:, 1, 2] = 1.0
-            self._frame_cache[n] = (pos, frm)
+            rows = np.zeros((3, n + 1, self.node_count))
+            rows[0, 0] = rows[1, 1] = np.cos(self.theta)
+            rows[0, 1] = np.sin(self.theta)
+            rows[1, 0] = -np.sin(self.theta)
+            rows[2, 2] = 1.0
+            self._frame_cache[n] = (rows[0].T, rows[1:].transpose(2, 0, 1))
         return self._frame_cache[n]
 
     def quadrature_weights(self, n: int) -> np.ndarray:
@@ -265,7 +292,8 @@ class SphereGrid2D(_StencilGrid):
 
     def node_frames(self, n: int):
         """Node positions (N, 3) and orthonormal frames (N, 2, 3) whose rows are
-        d/dtheta and (1/sin t) d/dphi."""
+        d/dtheta and (1/sin t) d/dphi; views of one (3, 3, N) array, each
+        coordinate contiguous over nodes."""
         self.check_dimension(n)
         return self._node_frames
 
@@ -274,11 +302,9 @@ class SphereGrid2D(_StencilGrid):
         tt, pp = np.meshgrid(self.theta, self.phi, indexing="ij")
         st, ct = np.sin(tt), np.cos(tt)
         sp, cp = np.sin(pp), np.cos(pp)
-        pos = np.stack([ct, st * cp, st * sp], axis=-1).reshape(-1, 3)
-        e_t = np.stack([-st, ct * cp, ct * sp], axis=-1)
-        e_p = np.stack([np.zeros_like(sp), -sp, cp], axis=-1)
-        frm = np.stack([e_t, e_p], axis=-2).reshape(-1, 2, 3)
-        return pos, frm
+        rows = np.stack([[ct, st * cp, st * sp], [-st, ct * cp, ct * sp],
+                         [np.zeros_like(sp), -sp, cp]]).reshape(3, 3, -1)
+        return rows[0].T, rows[1:].transpose(2, 0, 1)
 
     def quadrature_weights(self, n: int) -> np.ndarray:
         self.check_dimension(n)
@@ -343,6 +369,35 @@ class SphereGrid2D(_StencilGrid):
         stencil(5, 2, [0, 0, 0], [-1, 0, 1], st**-2 * [dp**-2, -2.0 * dp**-2, dp**-2])
         return scipy.sparse.csr_matrix((data, indices, indptr), shape=(6 * N, N))
 
+    def jacobian(self, partials):
+        """The Jacobian, matrix-free: each product is one of the jet operator."""
+        return _FrameJacobian(self.jet_operator, partials)
+
+    def log_solver(self, J, rho):
+        """The held solver of J_u = J diag(rho): GMRES preconditioned with the
+        factor of its ring average (see _RingKrylov)."""
+        return _RingKrylov(J, rho, self.n_theta, self.n_phi, self._ring_symbols)
+
+    @cached_property
+    def _ring_symbols(self):
+        """The jet operator's blocks in the rfft modes of phi, as (weights,
+        phases): weights[r, i, k, c] sums the entries of block r's row at node
+        (i, 0) in column (i + k - 1, cols[c]), the few columns that ring rows
+        reach, and phases[c, m] = exp(2 pi i m cols[c]/n_phi).  A row's weights
+        depend only on its ring, and a pole crossing lands on the same ring at
+        phi + pi, which adds the factor (-1)^m; so block r maps mode m of ring
+        i + k - 1 to mode m of ring i with the symbol weights[r, i, k] @
+        phases[:, m]."""
+        nt, nphi, N = self.n_theta, self.n_phi, self.node_count
+        rows = (np.arange(6)[:, None] * N + np.arange(nt) * nphi).reshape(-1)
+        ring = self.jet_operator[rows].tocoo()
+        target, col = np.divmod(ring.col, nphi)
+        cols, at = np.unique(col, return_inverse=True)
+        weights = np.zeros((6 * nt * 3, cols.size))
+        np.add.at(weights, (3 * ring.row + target - ring.row % nt + 1, at), ring.data)
+        turns = np.outer(cols, np.arange(nphi // 2 + 1)) % nphi
+        return weights.reshape(6, nt, 3, -1), np.exp(2j * math.pi / nphi * turns)
+
     def coarsened(self):
         """The grid of n_theta/2 rows and n_phi/2 columns that prolong
         interpolates from, or None when n_theta is odd, n_phi is not a multiple
@@ -377,6 +432,103 @@ class SphereGrid2D(_StencilGrid):
         fine[:, 1::2] = (9.0 * (rows + np.roll(rows, -1, axis=1))
                          - np.roll(rows, 1, axis=1) - np.roll(rows, -2, axis=1)) / 16.0
         return fine.reshape(-1)
+
+
+class _FrameJacobian:
+    """J = sum_r diag(partials[r]) D_r applied without assembling it, as
+    J @ w = sum_r partials[r] (D_r w), one product of the (6N, N) operator."""
+
+    def __init__(self, operator, partials):
+        self.operator, self.partials = operator, partials
+
+    def __matmul__(self, w):
+        jets = (self.operator @ w).reshape(self.partials.shape)
+        return np.einsum("rn,rn->n", self.partials, jets)
+
+
+class _RingKrylov:
+    """The held solver of J_u = J diag(rho) on the 2-D grid.
+
+    solve runs GMRES (see _gmres) on the product J_u w = J (rho w),
+    preconditioned with M, J_u with its partials and rho averaged over each
+    theta ring.  Every stencil weight depends only on the ring, and a pole
+    crossing shifts phi by pi, so M commutes with shifts in phi: it is
+    block-diagonal in the rfft modes of phi, one tridiagonal theta system per
+    mode, as in the fast Poisson solvers on the sphere (Swarztrauber 1974).
+    Its entries are the ring symbols (SphereGrid2D._ring_symbols) weighted by
+    the ring-mean partials and rho.  splu factors all blocks once; the factor
+    and the product serve every later solve, chord steps included.  For a
+    field and partials constant on every ring M is J_u, and GMRES ends after
+    one iteration.  The held solver references no bound method of its own,
+    so it is freed without the cycle collector.
+    """
+
+    def __init__(self, J, rho, n_theta, n_phi, symbols):
+        self.J, self.rho, self.shape = J, rho, (n_theta, n_phi)
+        weights, phases = symbols
+        partials = J.partials.reshape(6, n_theta, n_phi).mean(axis=2)
+        ring_rho = np.pad(rho.reshape(n_theta, n_phi).mean(axis=1), 1)
+        ring_weights = np.einsum("ri,rikc->ikc", partials, weights) * np.stack(
+            [ring_rho[:-2], ring_rho[1:-1], ring_rho[2:]], axis=1)[:, :, None]
+        blocks = (ring_weights.reshape(-1, phases.shape[0]) @ phases).reshape(
+            n_theta, 3, -1).transpose(2, 0, 1)
+        size = blocks.shape[0] * n_theta
+        rows, offsets = np.repeat(np.arange(size), 3), np.tile([-1, 0, 1], size)
+        target = rows % n_theta + offsets
+        inside = (target >= 0) & (target < n_theta)
+        cols = rows + offsets
+        self.factor = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(
+            (blocks.reshape(-1)[inside], (rows[inside], cols[inside])), shape=(size, size)),
+            permc_spec="NATURAL")
+        self.iterations = 0
+
+    def precondition(self, r):
+        """M^{-1} r: rfft in phi, the mode blocks' factor, irfft."""
+        n_theta, n_phi = self.shape
+        modes = np.fft.rfft(r.reshape(n_theta, n_phi), axis=1).T.reshape(-1)
+        z = self.factor.solve(modes).reshape(-1, n_theta).T
+        return np.fft.irfft(z, n=n_phi, axis=1).reshape(-1)
+
+    def apply(self, w):
+        """J_u w."""
+        return self.J @ (self.rho * w)
+
+    def solve(self, b):
+        x, self.iterations = _gmres(self.apply, self.precondition, b)
+        return x
+
+
+def _gmres(apply, precondition, b):
+    """(x, iterations): GMRES from x = 0 (Saad & Schultz 1986), unrestarted,
+    for A x = b with A = apply and M^{-1} = precondition on the right, so that
+    it minimizes the true residual ||b - A x||_2 and stops when that is at
+    most _KRYLOV_RTOL ||b||_2, or after _KRYLOV_MAXITER iterations.  Raises
+    RuntimeError when A M^{-1} annihilates a Krylov vector, or on a NaN."""
+    beta = np.linalg.norm(b)
+    basis, preconditioned = [b / beta], []
+    H, g = np.zeros((_KRYLOV_MAXITER + 1, _KRYLOV_MAXITER)), np.zeros(_KRYLOV_MAXITER + 1)
+    cos, sin = np.zeros(_KRYLOV_MAXITER), np.zeros(_KRYLOV_MAXITER)
+    g[0] = beta
+    for k in range(_KRYLOV_MAXITER):
+        preconditioned.append(precondition(basis[k]))
+        w = apply(preconditioned[k])
+        for i, v in enumerate(basis):  # modified Gram-Schmidt
+            H[i, k] = v @ w
+            w -= H[i, k] * v
+        h = np.linalg.norm(w)
+        for i in range(k):  # the earlier Givens rotations
+            H[i, k], H[i + 1, k] = (cos[i] * H[i, k] + sin[i] * H[i + 1, k],
+                                    cos[i] * H[i + 1, k] - sin[i] * H[i, k])
+        r = math.hypot(H[k, k], h)
+        if not r > 0.0:
+            raise RuntimeError(f"GMRES breakdown at iteration {k + 1}")
+        cos[k], sin[k], H[k, k] = H[k, k] / r, h / r, r
+        g[k + 1], g[k] = -sin[k] * g[k], cos[k] * g[k]
+        if abs(g[k + 1]) <= _KRYLOV_RTOL * beta or k + 1 == _KRYLOV_MAXITER:
+            break
+        basis.append(w / h)
+    y = np.linalg.solve(np.triu(H[:k + 1, :k + 1]), g[:k + 1])
+    return y @ np.array(preconditioned), k + 1
 
 
 def build_axisym_grid(N: int) -> AxisymGrid:

@@ -1,14 +1,16 @@
 """Solver-level checks: residual values, Jacobian oracles, Newton, continuation."""
 
+import gc
 import math
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from hessquot import cli, continuation_solver
+from hessquot import cli, continuation_solver, sphere_grid
 from hessquot.errors import (
     ConeViolation,
     ContinuationStalled,
@@ -51,6 +53,12 @@ def at_field(fn, rho, grid, target, t):
     """fn(iterate, grid, target, t), for assemble_jacobian or _frame_partials,
     at the field rho, evaluated first as the corrector evaluates its iterates."""
     return fn(continuation_solver._residual_and_margin(rho, grid, target, t), grid, target, t)
+
+
+def assembled(rho, grid, target, t):
+    """J as a CSR matrix, the grid's linearize weighted with the partials the
+    Jacobian reads; on the 2-D grid assemble_jacobian's J is matrix-free."""
+    return grid.linearize(at_field(continuation_solver._frame_partials, rho, grid, target, t))
 
 
 def refuse_t1(monkeypatch, every=False):
@@ -218,7 +226,7 @@ class TestJacobian:
         rho = 1.0 + 0.02 * np.sin(tt) * np.cos(pp) + 0.01 * np.cos(2.0 * tt)
         J = at_field(assemble_jacobian, rho, grid, target, 0.5)
         # the 3x3 stencil, closed across the poles, touches at most 9 nodes
-        assert np.diff(J.indptr).max() <= 9
+        assert np.diff(assembled(rho, grid, target, 0.5).indptr).max() <= 9
         rng = np.random.default_rng(11)
         for _ in range(3):
             w = rng.normal(size=grid.node_count)
@@ -238,7 +246,7 @@ class TestJacobian:
         p = QuotientParams(2, 2, 0)
         target = make_homotopy(parse_f("rho^(-3) * (1 + 0.15 * x1 / rho)"), p, 0.5, 2.0)
         grid = build_axisym_grid(33) if mode == "axisym" else build_s2_grid(16, 32)
-        J = at_field(assemble_jacobian, np.ones(grid.node_count), grid, target, 0.5)
+        J = assembled(np.ones(grid.node_count), grid, target, 0.5)
         pattern = (J != 0).astype(int)
         assert (pattern - pattern.T).nnz == 0
 
@@ -257,8 +265,8 @@ class TestJacobian:
         bent = 1.0 + 0.02 * np.sin(angles[:, 0]) * np.cos(angles[:, -1])
         partials = at_field(continuation_solver._frame_partials, np.ones(N), grid, target, 0.5)
         assert not partials[[1, 2, 4]].any()
-        flat = at_field(assemble_jacobian, np.ones(N), grid, target, 0.5)
-        for J in (flat, at_field(assemble_jacobian, bent, grid, target, 0.5)):
+        flat = assembled(np.ones(N), grid, target, 0.5)
+        for J in (flat, assembled(bent, grid, target, 0.5)):
             rows = np.repeat(np.arange(N), np.diff(J.indptr))
             assert set(zip(rows.tolist(), J.indices.tolist())) == union
             assert np.array_equal(J.indptr, flat.indptr)
@@ -429,7 +437,9 @@ class TestNewton:
     def test_dilation_is_one_log_step(self, monkeypatch, mode):
         # f = c rho^(-(k-l)-1) is solved by the sphere of radius 1.5, and the
         # log residual of a dilation rho = exp(u) is linear in u: the first
-        # log step from the unit sphere lands on it up to round-off
+        # log step from the unit sphere lands on it up to the error of the
+        # linear solve and of J's forward-differenced f partials (about 3e-8
+        # relative on both grids), where a step in rho would miss by O(0.1)
         factorizations = []
         splu = scipy.sparse.linalg.splu
 
@@ -442,11 +452,20 @@ class TestNewton:
             grid, p, f = build_axisym_grid(65), QuotientParams(3, 2, 0), "18 * rho^(-3)"
         else:
             grid, p, f = build_s2_grid(32, 64), QuotientParams(2, 2, 0), "1.5 * rho^(-3)"
-        sol = continuation_solve(make_homotopy(parse_f(f), p, 0.5, 2.0), grid)
+        target = make_homotopy(parse_f(f), p, 0.5, 2.0)
+        sol = continuation_solve(target, grid)
         assert sol.trace[-1].t == 1.0 and sol.trace[-1].nodes == grid.node_count
         assert np.abs(sol.rho - 1.5).max() <= 1e-12
         assert all(step.newton_iters <= 2 for step in sol.trace)
-        assert len(factorizations) == 1
+        # one factorization on the path; the s2 GMRES step stops at its Krylov
+        # tolerance, so each finer rung may take one more
+        assert 1 <= len(factorizations) <= len({step.nodes for step in sol.trace})
+        start = np.ones(grid.node_count)
+        rho, iters, fresh, *_ = newton_solve(start, 1.0, target, grid,
+                                             SolverConfig(newton_tol=1e-6))
+        assert (iters, fresh) == (1, 1)
+        assert np.linalg.norm(residual_vector(rho, grid, target, 1.0)) <= 1e-6 * np.linalg.norm(
+            residual_vector(start, grid, target, 1.0))
 
     def test_failed_fresh_step_raises_at_once(self, monkeypatch):
         # -J points uphill: the full step fails its decrease test, and the
@@ -474,6 +493,92 @@ class TestNewton:
         with pytest.raises(NoConvergence):
             newton_solve(np.ones(33), 0.5, target, grid, SolverConfig())
         assert calls == {"residual": 2, "factor": 1}
+
+
+class TestRingKrylov:
+    """The s2 Newton step: GMRES on the matrix-free J_u, preconditioned with
+    the phi-mode factor of J_u averaged over each theta ring."""
+
+    # the benchmark's s2-gauss prescription at seed 1
+    SEED1_F = "rho^(-3) * (1 + (0.065172*x1 - 0.092813*x2 - 0.002487*x3) / rho)"
+
+    @staticmethod
+    def angles(grid):
+        return np.repeat(grid.theta, grid.n_phi), np.tile(grid.phi, grid.n_theta)
+
+    @staticmethod
+    def solver_at(rho, grid, target):
+        """The held solver at rho and t = 1, the partials it read and the iterate."""
+        it = continuation_solver._residual_and_margin(rho, grid, target, 1.0)
+        partials = continuation_solver._frame_partials(it, grid, target, 1.0)
+        return grid.log_solver(grid.jacobian(partials), rho), partials, it
+
+    @pytest.mark.parametrize("shape", [(16, 32), (32, 64)])
+    @pytest.mark.parametrize("field", ["sphere", "zonal"])
+    def test_mode_factor_is_j_u_on_ring_constant_states(self, shape, field):
+        grid = build_s2_grid(*shape)
+        tt, pp = self.angles(grid)
+        rho = np.ones(grid.node_count) if field == "sphere" else 1.0 + 0.05 * np.cos(2.0 * tt)
+        target = make_homotopy(parse_f(GAUSS_F), QuotientParams(2, 2, 0), 0.5, 2.0)
+        it = continuation_solver._residual_and_margin(rho, grid, target, 1.0)
+        # the f partials are forward differences, constant on a ring only to
+        # about 1e-8; their ring means are constant on it exactly
+        partials = continuation_solver._frame_partials(it, grid, target, 1.0).reshape(
+            6, grid.n_theta, grid.n_phi).mean(axis=2).repeat(grid.n_phi, axis=1)
+        # and the rows odd in phi, grad_2 and hess_12, whose partials vanish
+        # on zonal states, get some, so that the symbols' signs show
+        partials[2] += 0.2
+        partials[4] += 0.1 * np.cos(tt)
+        solver = grid.log_solver(grid.jacobian(partials), rho)
+        lu = scipy.sparse.linalg.splu(
+            (grid.linearize(partials) @ scipy.sparse.diags(rho)).tocsc())
+        # even and odd modes, and the Nyquist mode, which crosses a pole as (-1)^m
+        for m in (0, 1, 2, 3, grid.n_phi // 2 - 1, grid.n_phi // 2):
+            b = np.cos(m * pp + 0.3) * (1.0 + np.sin(3.0 * tt))
+            expected = lu.solve(b)
+            scale = np.abs(expected).max()
+            assert np.abs(solver.precondition(b) - expected).max() <= 1e-12 * scale
+            assert np.abs(solver.solve(b) - expected).max() <= 1e-12 * scale
+            assert solver.iterations == 1
+
+    @pytest.mark.parametrize("rtol", [sphere_grid._KRYLOV_RTOL, 1e-8])
+    @pytest.mark.parametrize("shape", [(24, 48), (48, 96), (96, 192)])
+    def test_gmres_iterations_do_not_grow_with_the_grid(self, monkeypatch, shape, rtol):
+        # measured: 2 iterations at 1e-3 and 5 at 1e-8 on every size
+        monkeypatch.setattr(sphere_grid, "_KRYLOV_RTOL", rtol)
+        grid = build_s2_grid(*shape)
+        tt, pp = self.angles(grid)
+        rho = (1.0 + 0.05 * np.sin(tt) * np.cos(pp) + 0.02 * np.sin(tt) * np.cos(tt) * np.sin(pp)
+               + 0.01 * np.cos(2.0 * tt))
+        target = make_homotopy(parse_f(self.SEED1_F), QuotientParams(2, 2, 0), 0.5, 2.0)
+        solver, partials, it = self.solver_at(rho, grid, target)
+        b = -it.res
+        x = solver.solve(b)
+        J_u = grid.linearize(partials) @ scipy.sparse.diags(rho)
+        assert np.linalg.norm(b - J_u @ x) <= rtol * np.linalg.norm(b)
+        assert solver.iterations <= 6
+
+    def test_held_solver_is_freed_without_the_cycle_collector(self):
+        grid = build_s2_grid(16, 32)
+        target = make_homotopy(parse_f(GAUSS_F), QuotientParams(2, 2, 0), 0.5, 2.0)
+        solver, _, it = self.solver_at(np.ones(grid.node_count), grid, target)
+        solver.solve(-it.res)
+        held = weakref.ref(solver)
+        gc.disable()
+        try:
+            del solver
+            assert held() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("shape, iters", [((16, 32), [0, 5]), ((32, 64), [0, 5, 2]),
+                                              ((48, 96), [0, 5, 1])])
+    def test_gauss_s2_newton_iterations_per_trace_row(self, shape, iters):
+        # the counts of the sparse LU of J_u that the s2 step used before
+        target = make_homotopy(parse_f(GAUSS_F), QuotientParams(2, 2, 0), 0.5, 2.0)
+        sol = continuation_solve(target, build_s2_grid(*shape), validated=True)
+        assert [step.newton_iters for step in sol.trace] == iters
+        assert sol.trace[-1].t == 1.0
 
 
 class TestContinuation:
@@ -601,11 +706,13 @@ class TestContinuation:
         assert len(refused_from) > 1
 
     def test_lu_is_reused_across_iterations(self, monkeypatch):
+        # on s2 the factor is the one of the phi-mode blocks, tridiagonal in
+        # theta, in the natural order; J_u itself is never factored
         calls = []
 
-        def counted_splu(*args, **kwargs):
-            calls.append(kwargs.get("permc_spec"))
-            return splu(*args, **kwargs)
+        def counted_splu(A, *args, **kwargs):
+            calls.append((A.shape[0], kwargs.get("permc_spec")))
+            return splu(A, *args, **kwargs)
 
         splu = scipy.sparse.linalg.splu
         monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
@@ -614,7 +721,7 @@ class TestContinuation:
         sol = continuation_solve(target, build_s2_grid(16, 32), SolverConfig(newton_tol=1e-8))
         assert sol.trace[-1].t == 1.0
         assert 0 < len(calls) < sum(s.newton_iters for s in sol.trace)
-        assert set(calls) == {"MMD_AT_PLUS_A"}
+        assert set(calls) == {(16 * (32 // 2 + 1), "NATURAL")}
 
     def test_stall_reports_partial_trace(self, monkeypatch):
         p = QuotientParams(3, 2, 0)
@@ -834,7 +941,9 @@ class TestGridSequencing:
                                  validated=True)
         assert np.abs(sol.rho - reference.rho).max() <= 10 * self.TOL
         assert np.abs(residual_vector(sol.rho, grid, target, 1.0)).max() <= self.TOL
-        assert 1 <= sizes.count(grid.node_count) <= 2
+        # the target grid's factor is its phi-mode blocks': n_phi/2 + 1 of n_theta rows
+        assert 1 <= sizes.count(grid.n_theta * (grid.n_phi // 2 + 1)) <= 2
+        assert grid.node_count not in sizes
         last = sol.trace[-1]
         assert (last.t, last.nodes) == (1.0, grid.node_count)
         assert {s.nodes for s in sol.trace[:-1]} == {grid.node_count // 4}
