@@ -1,21 +1,22 @@
 """Manufactured zonal solutions for solver verification.
 
-Pick an exact zonal profile rho*(theta), compute its geometry analytically,
-and build the forcing f that the profile satisfies exactly.  Extending f off
-the profile surface as f(X) = value(theta) (|X| / rho*(theta))^-(k-l) makes
-rho^(k-l) f constant along rays, so the radial monotonicity condition holds
-with equality, and the solver's error against rho* is pure discretization
-error.
+Pick an exact zonal profile rho*(theta) and build the forcing f that the
+surface X = rho*(theta) x solves exactly, from the textbook curvatures of a
+surface of revolution: neither radial_geometry nor symfun's sigma recurrence
+is used, so the forcing checks them independently.  Off the surface f is
+f(X) = value(theta) (|X| / rho*(theta))^-(k-l+extra_decay); the default
+extra_decay = 1 keeps radial monotonicity strict, so the solver's error
+against rho* is pure discretization error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .radial_geometry import geometry_batch
-from .symfun import QuotientParams, sigma_batch
+from .symfun import QuotientParams
 
 __all__ = ["ZonalProfile", "cosine_profile", "manufactured_forcing"]
 
@@ -42,49 +43,47 @@ def cosine_profile(amplitude: float = 0.05, mode: int = 2) -> ZonalProfile:
     return ZonalProfile(jets)
 
 
-def _zonal_jets(theta, cos_t, sin_t, profile: ZonalProfile):
-    """Exact frame jets (6, N) of a zonal field at colatitudes theta, given
-    their cos and sin, by frame row as sphere_grid.jet_arrays returns them,
-    for every n: rho, rho', 0, rho'', 0 and the orbit term cot(theta) rho',
-    replaced by its limit rho'' within a small window of the poles."""
-    rho, d1, d2 = profile.jets(theta)
-    near_pole = np.abs(sin_t) < 1e-9
-    safe_sin = np.where(near_pole, 1.0, sin_t)
-    orbit = np.where(near_pole, d2, cos_t * d1 / safe_sin)
-    zero = np.zeros_like(rho)
-    return np.stack([rho, d1, zero, d2, zero, orbit])
-
-
 def manufactured_forcing(p: QuotientParams, profile: ZonalProfile = None, extra_decay: int = 1):
     """Forcing f(X, nu) solved exactly by the profile surface X = rho*(theta) x.
 
-    value(theta) is the quotient sigma_k/sigma_l of the profile's exact
-    geometry; off the surface f scales as (|X|/rho*(theta))^-(k-l+extra_decay),
-    which equals 1 on the surface, so the profile solves the equation exactly
-    for any extra_decay >= 0.
+    With (rho, rho', rho'') the profile's jets at theta, W = sqrt(rho^2 + rho'^2)
+    and c = cot(theta) rho' (its limit rho'' near the poles), the meridian
+    curvature is kappa_m = (rho^2 + 2 rho'^2 - rho rho'')/W^3 and each of the
+    n - 1 orbit directions has kappa_o = (rho - c)/(rho W).  So eta is
+    b = (n-1) kappa_o once and a = kappa_m + (n-2) kappa_o n - 1 times,
+    sigma_j(eta) = C(n-1, j) a^j + C(n-1, j-1) b a^(j-1), and value(theta) =
+    sigma_k/sigma_l.  Off the surface f scales as (|X|/rho*(theta))^-(k-l+
+    extra_decay), 1 on it, so the profile solves the equation exactly.
 
     extra_decay = 0 makes rho^(k-l) f constant along rays.  That turns the
     target problem radially scale-invariant: solutions come in a one-parameter
     dilation family, the linearization is singular along it, and the Newton
     corrector stalls as t -> 1.  The default extra_decay = 1 keeps the radial
     monotonicity strict and the problem uniquely solvable, which is what a
-    convergence study needs.
+    convergence study needs.  X of shape (d,) gives a float, (N, d) an (N,)
+    array, as in fspec.eval_f.
     """
     profile = profile if profile is not None else cosine_profile()
     exponent = -float(p.gap + extra_decay)
+    m = p.n - 1
 
     def forcing(X, nu):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        # theta is the angle from the polar axis x1: |X| cos and |X| sin of it
+        X = np.asarray(X, dtype=float)
+        scalar, X = X.ndim == 1, np.atleast_2d(X)
+        # theta is the angle from the polar axis x1
         axial = X[:, 0]
         off_axis = np.sqrt(np.einsum("ij,ij->i", X[:, 1:], X[:, 1:]))
         r = np.hypot(axial, off_axis)
-        theta = np.arctan2(off_axis, axial)
-        jets = _zonal_jets(theta, axial / r, off_axis / r, profile)
-        geo = geometry_batch(jets, p.n)
-        sig = sigma_batch(geo.eta, p.k)
-        value = sig[:, p.k] / sig[:, p.l]
-        out = value * (r / jets[0]) ** exponent
-        return out if out.size > 1 else float(out[0])
+        rho, d1, d2 = profile.jets(np.arctan2(off_axis, axial))
+        near_pole = off_axis < 1e-9 * r
+        orbit_hess = np.where(near_pole, d2, axial * d1 / np.where(near_pole, 1.0, off_axis))
+        W = np.sqrt(rho * rho + d1 * d1)
+        kappa_m = (rho * rho + 2.0 * d1 * d1 - rho * d2) / W**3
+        kappa_o = (rho - orbit_hess) / (rho * W)
+        a, b = kappa_m + (m - 1) * kappa_o, m * kappa_o
+        sk, sl = (comb(m, j) * a**j + comb(m, j - 1) * b * a ** (j - 1) if j else 1.0
+                  for j in (p.k, p.l))
+        out = sk / sl * (r / rho) ** exponent
+        return float(out[0]) if scalar else out
 
     return forcing

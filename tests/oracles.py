@@ -11,6 +11,11 @@ through `symfun.sigma_batch`, `symfun.log_quotient_grad_batch`,
 `symfun.gamma_margins` and `radial_geometry.geometry_batch`, which these
 oracles call or are checked against.
 
+It also holds the manufactured forcing computed the way the package first
+computed it, by sending the profile's exact frame jets through the solver's
+own `geometry_batch` and `sigma_batch`, which the closed-form
+`manufactured.manufactured_forcing` is checked against.
+
 It also holds each grid's jet operator built the way the grids first built it,
 by scipy sparse algebra (stencil matrices, diagonal products and a vstack),
 which the grids' index-arithmetic builds are checked against entry by entry.
@@ -26,7 +31,7 @@ import numpy as np
 import scipy.sparse
 
 from hessquot.errors import ConeViolation, DegenerateJet, HessquotError
-from hessquot.radial_geometry import _check_jet
+from hessquot.radial_geometry import _check_jet, geometry_batch
 from hessquot.symfun import QuotientParams, gamma_margins, log_quotient_grad_batch, sigma_batch
 
 
@@ -281,6 +286,38 @@ def sphere_closed_form(r: float, n: int) -> PointGeometry:
         kappa=kappa,
         eta_spectrum=np.full(n, (n - 1) / r),
     )
+
+
+def _zonal_jets(theta, cos_t, sin_t, profile):
+    """Exact frame jets (6, N) of a zonal field at colatitudes theta, given
+    their cos and sin, by frame row as sphere_grid.jet_arrays returns them,
+    for every n: rho, rho', 0, rho'', 0 and the orbit term cot(theta) rho',
+    replaced by its limit rho'' within a small window of the poles."""
+    rho, d1, d2 = profile.jets(theta)
+    near_pole = np.abs(sin_t) < 1e-9
+    safe_sin = np.where(near_pole, 1.0, sin_t)
+    orbit = np.where(near_pole, d2, cos_t * d1 / safe_sin)
+    zero = np.zeros_like(rho)
+    return np.stack([rho, d1, zero, d2, zero, orbit])
+
+
+def manufactured_forcing_via_geometry(p: QuotientParams, profile, extra_decay: int):
+    """manufactured.manufactured_forcing by the solver's own route: exact
+    frame jets, then geometry_batch and sigma_batch.  Returns (N,) values for
+    (N, d) points."""
+    exponent = -float(p.gap + extra_decay)
+
+    def forcing(X, nu):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        axial = X[:, 0]
+        off_axis = np.sqrt(np.einsum("ij,ij->i", X[:, 1:], X[:, 1:]))
+        r = np.hypot(axial, off_axis)
+        theta = np.arctan2(off_axis, axial)
+        jets = _zonal_jets(theta, axial / r, off_axis / r, profile)
+        sig = sigma_batch(geometry_batch(jets, p.n).eta, p.k)
+        return sig[:, p.k] / sig[:, p.l] * (r / jets[0]) ** exponent
+
+    return forcing
 
 
 def _stencil(columns, weights: dict, count: int):
