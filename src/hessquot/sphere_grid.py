@@ -28,7 +28,11 @@ Each grid also hands the Newton corrector its solver of J_u = J diag(rho)
 (see log_solver): on the axisymmetric grid J_u's sparse LU, exact; on the
 2-D grid GMRES on the matrix-free J_u, preconditioned with the phi-Fourier
 factor of its ring average (see _RingKrylov), so that an s2 Newton step is
-exact only to the Krylov tolerance _KRYLOV_RTOL.
+exact only to the Krylov tolerance _KRYLOV_RTOL.  That factor is numpy's
+own (see _TridiagonalLU); scipy.sparse is imported only where a CSR matrix
+is built and scipy.sparse.linalg only for the axisymmetric LU, so a process
+that solves on the 2-D grid never loads the latter, and one that builds no
+operator loads no scipy.
 
 The 2-D grid also halves: coarsened() is the grid of half the rows and half
 the columns, and prolong interpolates a field from it to 4th order, so the
@@ -47,8 +51,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import SizeMismatch, TooCoarse
 
@@ -125,6 +127,8 @@ class _StencilGrid:
         the fill of log_solver's LU, is the union of the D_r patterns at every
         state.
         """
+        import scipy.sparse
+
         op, n = self.jet_operator, self.node_count
         counts = np.diff(op.indptr)
         values = np.repeat(partials.reshape(-1), counts) * op.data
@@ -141,6 +145,8 @@ class _StencilGrid:
         J_u's sparse LU.  J's pattern is structurally symmetric (central
         stencils, symmetric pole closures), and scaling its columns keeps it,
         so the columns are ordered by minimum degree on J_u^T + J_u."""
+        import scipy.sparse.linalg
+
         J = J.tocsc()
         J.data *= np.repeat(rho, np.diff(J.indptr))
         return scipy.sparse.linalg.splu(J, permc_spec="MMD_AT_PLUS_A")
@@ -246,6 +252,8 @@ class AxisymGrid(_StencilGrid):
             cols[:2], vals[:2] = [0, 1], [-2.0 * h2, 2.0 * h2]
             cols[-2:], vals[-2:] = [N - 2, N - 1], [2.0 * h2, -2.0 * h2]
             fill(cols[2:-2], vals[2:-2], offsets, weights)
+        import scipy.sparse
+
         return scipy.sparse.csr_matrix((data, indices, indptr), shape=(6 * N, N))
 
     def coarsened(self):
@@ -367,6 +375,8 @@ class SphereGrid2D(_StencilGrid):
         stencil(4, 4, *p, inv_st * -(cot * w_p), descending=True)
         stencil(5, 0, *t, cot * w_t)
         stencil(5, 2, [0, 0, 0], [-1, 0, 1], st**-2 * [dp**-2, -2.0 * dp**-2, dp**-2])
+        import scipy.sparse
+
         return scipy.sparse.csr_matrix((data, indices, indptr), shape=(6 * N, N))
 
     def jacobian(self, partials):
@@ -456,11 +466,12 @@ class _RingKrylov:
     block-diagonal in the rfft modes of phi, one tridiagonal theta system per
     mode, as in the fast Poisson solvers on the sphere (Swarztrauber 1974).
     Its entries are the ring symbols (SphereGrid2D._ring_symbols) weighted by
-    the ring-mean partials and rho.  splu factors all blocks once; the factor
-    and the product serve every later solve, chord steps included.  For a
-    field and partials constant on every ring M is J_u, and GMRES ends after
-    one iteration.  The held solver references no bound method of its own,
-    so it is freed without the cycle collector.
+    the ring-mean partials and rho.  _TridiagonalLU factors all blocks at
+    once, an (n_theta, n_modes) batch that the rfft of a field's rings feeds
+    directly; the factor and the product serve every later solve, chord
+    steps included.  For a field and partials constant on every ring M is
+    J_u, and GMRES ends after one iteration.  The held solver references no
+    bound method of its own, so it is freed without the cycle collector.
     """
 
     def __init__(self, J, rho, n_theta, n_phi, symbols):
@@ -470,24 +481,15 @@ class _RingKrylov:
         ring_rho = np.pad(rho.reshape(n_theta, n_phi).mean(axis=1), 1)
         ring_weights = np.einsum("ri,rikc->ikc", partials, weights) * np.stack(
             [ring_rho[:-2], ring_rho[1:-1], ring_rho[2:]], axis=1)[:, :, None]
-        blocks = (ring_weights.reshape(-1, phases.shape[0]) @ phases).reshape(
-            n_theta, 3, -1).transpose(2, 0, 1)
-        size = blocks.shape[0] * n_theta
-        rows, offsets = np.repeat(np.arange(size), 3), np.tile([-1, 0, 1], size)
-        target = rows % n_theta + offsets
-        inside = (target >= 0) & (target < n_theta)
-        cols = rows + offsets
-        self.factor = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(
-            (blocks.reshape(-1)[inside], (rows[inside], cols[inside])), shape=(size, size)),
-            permc_spec="NATURAL")
+        bands = (ring_weights.reshape(-1, phases.shape[0]) @ phases).reshape(n_theta, 3, -1)
+        self.factor = _TridiagonalLU(bands.transpose(1, 0, 2))
         self.iterations = 0
 
     def precondition(self, r):
         """M^{-1} r: rfft in phi, the mode blocks' factor, irfft."""
         n_theta, n_phi = self.shape
-        modes = np.fft.rfft(r.reshape(n_theta, n_phi), axis=1).T.reshape(-1)
-        z = self.factor.solve(modes).reshape(-1, n_theta).T
-        return np.fft.irfft(z, n=n_phi, axis=1).reshape(-1)
+        modes = self.factor.solve(np.fft.rfft(r.reshape(n_theta, n_phi), axis=1))
+        return np.fft.irfft(modes, n=n_phi, axis=1).reshape(-1)
 
     def apply(self, w):
         """J_u w."""
@@ -496,6 +498,69 @@ class _RingKrylov:
     def solve(self, b):
         x, self.iterations = _gmres(self.apply, self.precondition, b)
         return x
+
+
+def _abs1(z):
+    """|Re z| + |Im z|, the modulus by which zgttrf (and SuperLU) rank pivots."""
+    return np.abs(z.real) + np.abs(z.imag)
+
+
+class _TridiagonalLU:
+    """The LU factors of a batch of m tridiagonal n x n systems, with the row
+    partial pivoting of LAPACK's ?gttrf (Anderson et al., LAPACK Users'
+    Guide): at column i, rows i and i + 1 trade places where the entry below
+    the pivot is the larger by _abs1, and the row that moves up brings its
+    A[i, i+2] fill as a second superdiagonal.
+
+    bands is (3, n, m), system j in column j: bands[0, i] = A[i, i-1],
+    bands[1, i] = A[i, i] and bands[2, i] = A[i, i+1]; bands[0, 0] and
+    bands[2, n-1] are not read.  The factor and each solve are one Python
+    loop over the n rows, vectorized over the systems.  An exactly zero pivot
+    raises RuntimeError, as splu does, and never a floating-point warning.
+    """
+
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def __init__(self, bands):
+        lower, diag, upper = (np.array(band, dtype=complex) for band in bands)
+        n = diag.shape[0]
+        upper[-1] = 0.0
+        below = _abs1(lower)
+        # per row i: the systems that swap rows i and i + 1, and their fill
+        self.swaps = np.zeros((n - 1,) + diag.shape[1:], dtype=bool)
+        self.fill = np.zeros_like(upper[1:])
+        for i in range(n - 1):
+            swap = self.swaps[i] = below[i + 1] > _abs1(diag[i])
+            pivot = np.where(swap, lower[i + 1], diag[i])
+            lower[i + 1] = np.where(swap, diag[i], lower[i + 1]) / pivot
+            kept = np.where(swap, diag[i + 1], upper[i])
+            diag[i + 1] = np.where(swap, upper[i], diag[i + 1]) - lower[i + 1] * kept
+            diag[i], upper[i] = pivot, kept
+            self.fill[i] = np.where(swap, upper[i + 1], 0.0)
+            upper[i + 1] = np.where(swap, -lower[i + 1] * upper[i + 1], upper[i + 1])
+        if not diag.all():
+            raise RuntimeError("Factor is exactly singular")
+        # U is kept scaled by its pivots: solve divides the forward result by
+        # them in one product, and each back row subtracts (U_ij / U_ii) x_j
+        self.inverse = 1.0 / diag
+        self.multipliers, self.upper = lower[1:], upper * self.inverse
+        self.fill *= self.inverse[:-1]
+
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def solve(self, b):
+        """A^{-1} b for b (n, m), column j solved with system j."""
+        n = len(self.inverse)
+        x = np.zeros((n + 1, b.shape[1]), dtype=complex)
+        x[:n] = b
+        rows = list(x)
+        for i, (swap, multiplier) in enumerate(zip(self.swaps, self.multipliers)):
+            top, bottom = rows[i], rows[i + 1]
+            top[...], bottom[...] = np.where(swap, bottom, top), np.where(swap, top, bottom)
+            bottom -= multiplier * top
+        x[:n] *= self.inverse
+        for i in range(n - 2, -1, -1):
+            rows[i] -= self.upper[i] * rows[i + 1]
+            rows[i] -= self.fill[i] * rows[i + 2]
+        return x[:n]
 
 
 def _gmres(apply, precondition, b):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib.util
+import json
 import os
 import pathlib
 import re
@@ -460,6 +461,46 @@ class TestValidateCommand:
             capture_output=True, text=True, timeout=120)
         assert done.returncode == EXIT_OK, done.stderr
         assert "radial_monotone: PASS" in done.stdout
+
+
+# run each command of a JSON list through cli.main in one process, printing
+# after each the scipy modules then loaded
+IMPORT_PROBE = """
+import json, sys
+from hessquot.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.sparse")))
+print(json.dumps(loaded))
+"""
+
+
+class TestFreshProcessImports:
+    """A CLI command imports only the scipy it uses: validate of an n = 2
+    config and export none, an s2 solve scipy.sparse for the jet operator but
+    not scipy.sparse.linalg, and an axisymmetric solve that path's splu."""
+
+    @staticmethod
+    def loaded_after(commands):
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+            env=dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src")),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_scipy_modules_per_command(self, tmp_path):
+        s2, axisym = tmp_path / "s2.ini", tmp_path / "axisym.ini"
+        s2.write_text(GAUSS_S2_32x64.replace("32x64", "16x32").format(outdir=tmp_path / "s2"))
+        axisym.write_text(RADIAL_SOLVE.format(outdir=tmp_path / "axisym").replace(
+            "f = 12 * rho^(-3)", "f = 12 * rho^(-3) * (1 + 0.2 * x1 / rho)"))
+        assert main(["solve", str(s2)]) == EXIT_OK
+        rho_csv = str(tmp_path / "s2" / "rho.csv")
+        assert self.loaded_after([["validate", str(s2)], ["export", str(s2), rho_csv]]) == [[], []]
+        after_s2, after_axisym = self.loaded_after([["solve", str(s2)], ["solve", str(axisym)]])
+        assert "scipy.sparse" in after_s2 and "scipy.sparse.linalg" not in after_s2
+        assert "scipy.sparse.linalg" in after_axisym
 
 
 def edge_use_counts(faces):

@@ -61,6 +61,27 @@ def assembled(rho, grid, target, t):
     return grid.linearize(at_field(continuation_solver._frame_partials, rho, grid, target, t))
 
 
+def count_factorizations(monkeypatch):
+    """Patch both factorizations a Newton step can make; returns the list of
+    (kind, rows) they append to: ("splu", N) for the sparse LU of J_u on the
+    axisymmetric grid and ("modes", n_theta * modes) for the 2-D grid's
+    batched LU of its phi-mode blocks."""
+    calls = []
+    splu, mode_lu = scipy.sparse.linalg.splu, sphere_grid._TridiagonalLU
+
+    def counted_splu(A, *args, **kwargs):
+        calls.append(("splu", A.shape[0]))
+        return splu(A, *args, **kwargs)
+
+    def counted_modes(bands):
+        calls.append(("modes", bands.shape[1] * bands.shape[2]))
+        return mode_lu(bands)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    monkeypatch.setattr(sphere_grid, "_TridiagonalLU", counted_modes)
+    return calls
+
+
 def refuse_t1(monkeypatch, every=False):
     """Patch newton_solve to refuse the first corrector attempt at t = 1, or
     every one; returns the (t, refused) attempts as they are made."""
@@ -440,14 +461,7 @@ class TestNewton:
         # log step from the unit sphere lands on it up to the error of the
         # linear solve and of J's forward-differenced f partials (about 3e-8
         # relative on both grids), where a step in rho would miss by O(0.1)
-        factorizations = []
-        splu = scipy.sparse.linalg.splu
-
-        def counting(*args, **kwargs):
-            factorizations.append(1)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        factorizations = count_factorizations(monkeypatch)
         if mode == "axisym":
             grid, p, f = build_axisym_grid(65), QuotientParams(3, 2, 0), "18 * rho^(-3)"
         else:
@@ -570,6 +584,19 @@ class TestRingKrylov:
             assert held() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan], ids=["zero", "nan"])
+    def test_singular_mode_blocks_raise_no_convergence(self, monkeypatch, fill):
+        # zero partials make every mode block exactly singular, which the
+        # factor refuses; NaN ones make a NaN preconditioned vector, on which
+        # GMRES breaks down: both end the corrector, and neither warns
+        grid = build_s2_grid(16, 32)
+        target = make_homotopy(parse_f(GAUSS_F), QuotientParams(2, 2, 0), 0.5, 2.0)
+        monkeypatch.setattr(continuation_solver, "assemble_jacobian",
+                            lambda it, grid, *args: grid.jacobian(
+                                np.full((6, grid.node_count), fill)))
+        with pytest.raises(NoConvergence, match="singular Newton system"):
+            newton_solve(np.ones(grid.node_count), 1.0, target, grid)
 
     @pytest.mark.parametrize("shape, iters", [((16, 32), [0, 5]), ((32, 64), [0, 5, 2]),
                                               ((48, 96), [0, 5, 1])])
@@ -707,21 +734,14 @@ class TestContinuation:
 
     def test_lu_is_reused_across_iterations(self, monkeypatch):
         # on s2 the factor is the one of the phi-mode blocks, tridiagonal in
-        # theta, in the natural order; J_u itself is never factored
-        calls = []
-
-        def counted_splu(A, *args, **kwargs):
-            calls.append((A.shape[0], kwargs.get("permc_spec")))
-            return splu(A, *args, **kwargs)
-
-        splu = scipy.sparse.linalg.splu
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+        # theta; J_u itself is never factored
+        calls = count_factorizations(monkeypatch)
         p = QuotientParams(2, 2, 0)
         target = make_homotopy(parse_f("rho^(-3) * (1 + 0.15 * x1 / rho)"), p, 0.5, 2.0)
         sol = continuation_solve(target, build_s2_grid(16, 32), SolverConfig(newton_tol=1e-8))
         assert sol.trace[-1].t == 1.0
         assert 0 < len(calls) < sum(s.newton_iters for s in sol.trace)
-        assert set(calls) == {(16 * (32 // 2 + 1), "NATURAL")}
+        assert set(calls) == {("modes", 16 * (32 // 2 + 1))}
 
     def test_stall_reports_partial_trace(self, monkeypatch):
         p = QuotientParams(3, 2, 0)
@@ -830,14 +850,7 @@ class TestWorkCounts:
                              [("anisotropic", 1, 7), ("gauss_s2", 1, 5), ("radial", 0, 0)],
                              ids=["anisotropic", "gauss_s2", "radial"])
     def test_shipped_config_counts(self, monkeypatch, name, max_factorizations, max_iters):
-        factorizations = []
-        splu = scipy.sparse.linalg.splu
-
-        def counting(*args, **kwargs):
-            factorizations.append(1)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        factorizations = count_factorizations(monkeypatch)
         cfg = cli.load_config(str(self.CONFIGS / f"{name}.ini"))
         p = QuotientParams(cfg.problem.n, cfg.problem.k, cfg.problem.l)
         target = make_homotopy(parse_f(cfg.problem.f), p, cfg.problem.r1, cfg.problem.r2)
@@ -929,21 +942,14 @@ class TestGridSequencing:
         target = self.gauss_target()
         grid = build_s2_grid(*shape)
         reference = self.full_path(monkeypatch, target, grid)
-        sizes = []
-
-        def sized_splu(A, *args, **kwargs):
-            sizes.append(A.shape[0])
-            return splu(A, *args, **kwargs)
-
-        splu = scipy.sparse.linalg.splu
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", sized_splu)
+        calls = count_factorizations(monkeypatch)
         sol = continuation_solve(target, grid, SolverConfig(newton_tol=self.TOL),
                                  validated=True)
         assert np.abs(sol.rho - reference.rho).max() <= 10 * self.TOL
         assert np.abs(residual_vector(sol.rho, grid, target, 1.0)).max() <= self.TOL
         # the target grid's factor is its phi-mode blocks': n_phi/2 + 1 of n_theta rows
-        assert 1 <= sizes.count(grid.n_theta * (grid.n_phi // 2 + 1)) <= 2
-        assert grid.node_count not in sizes
+        assert 1 <= calls.count(("modes", grid.n_theta * (grid.n_phi // 2 + 1))) <= 2
+        assert not [kind for kind, _ in calls if kind == "splu"]
         last = sol.trace[-1]
         assert (last.t, last.nodes) == (1.0, grid.node_count)
         assert {s.nodes for s in sol.trace[:-1]} == {grid.node_count // 4}

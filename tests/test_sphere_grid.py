@@ -1,12 +1,13 @@
 """Grid construction and jet accuracy against analytic differentiation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hessquot.errors import SizeMismatch, TooCoarse
-from hessquot.sphere_grid import build_axisym_grid, build_s2_grid, jet_arrays
+from hessquot.sphere_grid import _TridiagonalLU, build_axisym_grid, build_s2_grid, jet_arrays
 from oracles import axisym_jet_operator, s2_jet_operator
 
 
@@ -377,3 +378,60 @@ class TestFieldNorms:
         # with n = 2 the weights sum to the 2-sphere area
         w = build_axisym_grid(129).quadrature_weights(2)
         assert math.sqrt(w.sum()) == pytest.approx(math.sqrt(4.0 * math.pi), rel=1e-3)
+
+
+class TestTridiagonalLU:
+    """The batched factor of the 2-D grid's phi-mode blocks against a dense
+    solve of each block."""
+
+    MODES = 8
+
+    @staticmethod
+    def bands(n, seed):
+        """Random complex tridiagonals, none diagonally dominant: the first
+        half lean on the superdiagonal and never swap rows; the second half
+        lean below the diagonal in rows 4-8 only, and swap there."""
+        rng = np.random.default_rng(seed)
+        shape = (3, n, TestTridiagonalLU.MODES)
+        bands = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        half = TestTridiagonalLU.MODES // 2
+        bands[0] *= 0.05
+        bands[1] += 2.0 * np.sign(bands[1].real)
+        bands[2] *= 4.0
+        bands[0, 4:9, half:] *= 200.0
+        return bands
+
+    @staticmethod
+    def dense(bands, j):
+        return (np.diag(bands[1, :, j]) + np.diag(bands[0, 1:, j], -1)
+                + np.diag(bands[2, :-1, j], 1))
+
+    @pytest.mark.parametrize("n", [16, 17, 48])
+    def test_matches_dense_solves(self, n):
+        bands = self.bands(n, seed=n)
+        for j in range(self.MODES):
+            rows = np.abs(self.dense(bands, j))
+            assert (2.0 * rows.diagonal() < rows.sum(axis=1)).any()
+        lu = _TridiagonalLU(bands)
+        half = self.MODES // 2
+        assert not lu.swaps[:, :half].any() and lu.swaps[:, half:].any(axis=0).all()
+        rng = np.random.default_rng(n + 1)
+        b = rng.normal(size=(n, self.MODES)) + 1j * rng.normal(size=(n, self.MODES))
+        x = lu.solve(b)
+        for j in range(self.MODES):
+            expected = np.linalg.solve(self.dense(bands, j), b[:, j])
+            assert np.abs(x[:, j] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("column", [0, 7, 15])
+    def test_exactly_singular_block_raises_without_warning(self, column):
+        # block 5 has a zero column, so its pivot there is exactly 0
+        bands = self.bands(16, seed=3)
+        bands[1, column, 5] = 0.0
+        if column > 0:
+            bands[2, column - 1, 5] = 0.0
+        if column < 15:
+            bands[0, column + 1, 5] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="exactly singular"):
+                _TridiagonalLU(bands)
