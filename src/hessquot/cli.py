@@ -229,17 +229,26 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _csv_rows(rows) -> str:
-    """One line per row of a 2-D array, each number as _fmt writes it."""
+def _csv_rows(rows, angles: int = 0) -> str:
+    """One line per row of a 2-D array, each number as _fmt writes it.  Of
+    the first `angles` columns, each one that repeats values (a 2-D grid's
+    theta and phi) has each distinct value, by its bits, formatted once."""
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    return (line * rows.shape[0]) % tuple(rows.ravel().tolist())
+    cells, specs = rows.astype(object), ["%.17g"] * rows.shape[1]
+    for c in range(angles):
+        keys, inverse = np.unique(rows[:, c].view(np.int64), return_inverse=True)
+        if keys.size < len(rows):
+            texts = np.array([_fmt(x) for x in keys.view(float).tolist()], dtype=object)
+            cells[:, c], specs[c] = texts[inverse], "%s"
+    line = ",".join(specs) + "\n"
+    return (line * rows.shape[0]) % tuple(cells.ravel().tolist())
 
 
 def _write_rho_csv(path, rho, grid):
     header = ",".join(grid.columns + ("rho",)) + "\n"
+    rows = _csv_rows(np.column_stack([grid.angles(), rho]), angles=len(grid.columns))
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(header + _csv_rows(np.column_stack([grid.angles(), rho])))
+        handle.write(header + rows)
 
 
 # trace.csv columns: fields of each SolveStep, then fields of its bounds snapshot,

@@ -2,37 +2,38 @@
 
 Two grids are provided: a 1-D colatitude grid on [0, pi] for axisymmetric
 fields in any dimension, and a full latitude-longitude grid on the 2-sphere.
-Each grid builds its 2nd-order central-difference stencils once, as one
-(6N, N) CSR jet operator, a block per frame row (empty for grad_2 and hess_12
-on the axisymmetric grid), whose rows already carry the frame's node-wise
-coefficients, so the frame jets of a field, rho and its covariant gradient and
-Hessian in two frame directions, are a single product `jet_operator @ rho`,
-one (6, N) array indexed by frame row (see jet_arrays).  The stencil weights
-are the only place the discretization lives.  Jets are linear in rho, so the
-same operator also serves the solver's Jacobian (see linearize).  The
+Each grid builds its 2nd-order central-difference stencils once, a block per
+frame row (empty for grad_2 and hess_12 on the axisymmetric grid), whose
+entries already carry the frame's node-wise coefficients, so the frame jets
+of a field, rho and its covariant gradient and Hessian in two frame
+directions, are one (6, N) array indexed by frame row (see jet_arrays): the
+product of the (6N, N) jet operator with the field.  The stencil weights are
+the only place the discretization lives.  Jets are linear in rho, so the
+same stencils also serve the solver's Jacobian (see linearize).  The
 axisymmetric grid includes the poles and closes stencils by even reflection
 (rho(-theta) = rho(theta)); the 2-D grid offsets nodes half a spacing off the
 poles and closes stencils with the antipodal rule (crossing a pole lands at
 phi + pi).
 
-Each grid writes its operator's CSR arrays directly, by index arithmetic on
-the stencil offsets and the node-wise coefficients, with the entries of each
-row in the order its jet_operator docstring states.  That order is kept
-because the results depend on it to the last bit: the product sums each row
-in it (the jets of a constant field are exactly 0), and linearize's duplicate
+Each row's entries are in the order its grid's docstring states, and the
+results depend on it to the last bit: a row's product sums its entries in it
+(the jets of a constant field are exactly 0), and linearize's duplicate
 sums, and with them J and every output, follow it.  It is the order of the
 sparse-algebra build (stencil matrices, diagonal products and a vstack) that
-tests/oracles.py keeps as the reference.
+tests/oracles.py keeps as the reference.  The axisymmetric grid writes its
+operator's CSR arrays by index arithmetic; the 2-D grid keeps each row's
+stencil as offsets and ring weights, makes its jets from them without scipy,
+bit for bit the CSR product (see SphereGrid2D.frame_jets), and builds its
+CSR only when asked for it.
 
 Each grid also hands the Newton corrector its solver of J_u = J diag(rho)
 (see log_solver): on the axisymmetric grid J_u's sparse LU, exact; on the
 2-D grid GMRES on the matrix-free J_u, preconditioned with the phi-Fourier
 factor of its ring average (see _RingKrylov), so that an s2 Newton step is
 exact only to the Krylov tolerance _KRYLOV_RTOL.  That factor is numpy's
-own (see _TridiagonalLU); scipy.sparse is imported only where a CSR matrix
+own (see _TridiagonalLU).  scipy.sparse is imported only where a CSR matrix
 is built and scipy.sparse.linalg only for the axisymmetric LU, so a process
-that solves on the 2-D grid never loads the latter, and one that builds no
-operator loads no scipy.
+that solves on the 2-D grid imports no scipy.
 
 The 2-D grid also halves: coarsened() is the grid of half the rows and half
 the columns, and prolong interpolates a field from it to 4th order, so the
@@ -49,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,10 +107,13 @@ class _StencilGrid:
     (N, N) CSR block D_r per frame row r, in row order, with D_0 the identity
     and an empty block for a row that is 0 for every field) and
     `check_dimension(n)`, which raises ValueError unless the grid discretizes
-    S^n.  For output it provides `columns` and `angles()`,
-    the CSV coordinate names and the (N, len(columns)) node coordinates, and
-    `surface_rings(rho)`, the surface points X = rho x as (R, M, 3) rings from
-    north to south plus the (2, 3) north and south pole points.
+    S^n.  `frame_jets(w)` makes the jets of a field, by default the product
+    with jet_operator; the 2-D grid makes them by stencil slices, bit for bit
+    that product, and imports no scipy.  For output it provides `columns` and
+    `angles()`, the CSV coordinate names and the (N, len(columns)) node
+    coordinates, and `surface_rings(rho)`, the surface points X = rho x as
+    (R, M, 3) rings from north to south plus the (2, 3) north and south pole
+    points.
     `coarsened()` is the next coarser grid of a sequenced solve, or None, and
     `newton_tol` the default Newton tolerance, which its round-off floor allows.
     For the Newton corrector, `jacobian(partials)` is J = sum_r
@@ -116,6 +121,10 @@ class _StencilGrid:
     J diag(rho), with solve(b); by default linearize's CSR matrix and its LU.
     A grid compares and hashes by identity, so it can key a dict.
     """
+
+    def frame_jets(self, w):
+        """The (6, N) frame jets of a field w (N,): jet_operator @ w."""
+        return (self.jet_operator @ w).reshape(6, -1)
 
     def linearize(self, partials):
         """CSR matrix of w -> sum_r partials[r] j_r(w), for node-wise partials
@@ -319,9 +328,10 @@ class SphereGrid2D(_StencilGrid):
         return np.repeat(np.sin(self.theta) * self.dtheta * self.dphi, self.n_phi)
 
     @cached_property
-    def jet_operator(self):
+    def _stencils(self):
         """Frame rows rho and, from the partials r_t, r_p, r_tt, r_tp, r_pp
-        (periodic in phi, crossing the poles by the antipodal rule), the rest.
+        (periodic in phi, crossing the poles by the antipodal rule), the rest,
+        one _Stencil per frame row.
 
         In the frame e_1 = d/dtheta, e_2 = (1/sin t) d/dphi the gradient and
         covariant Hessian of a scalar are
@@ -335,53 +345,122 @@ class SphereGrid2D(_StencilGrid):
         ascending, then the three r_pp entries ascending.
         """
         nt, nphi, dt, dp = self.n_theta, self.n_phi, self.dtheta, self.dphi
-        N = self.node_count
-        sizes = (1, 2, 2, 3, 6, 5)
-        indptr, indices, data, blocks = _operator_arrays(sizes, N)
-        nodes = np.arange(N, dtype=np.int32)
         # only rows on the first or last ring or column cross a pole or wrap in
         # phi; every other row is its node plus the offsets, which each call
         # lists in that row's entry order, so only the edge rows are sorted
-        i, j = np.divmod(nodes, nphi)
-        edge = np.flatnonzero((i == 0) | (i == nt - 1) | (j == 0) | (j == nphi - 1))
-        ei, ej = i[edge, None], j[edge, None]
+        i, j = np.divmod(self._edge, nphi)
+        ei, ej = i[:, None], j[:, None]
 
-        def stencil(b, start, di, dj, weights, descending=False):
-            """Fill entries start.. of each row of block b with the columns of
-            the offsets (di, dj) and their weights, one set per ring, then sort
-            the edge rows' entries by column, descending if asked."""
-            cols, vals = (a.reshape(N, sizes[b])[:, start:start + len(di)] for a in blocks[b])
-            weights = np.broadcast_to(weights, (nt, 1, len(di)))
-            for a in range(len(di)):
-                cols[:, a] = nodes + (di[a] * nphi + dj[a])
-                vals[:, a].reshape(nt, nphi)[...] = weights[..., a]
+        def stencil(di, dj, weights, descending=False):
+            """The offsets (di, dj) with their weights, one set per ring, and
+            the edge rows' columns sorted, descending if asked."""
+            weights = np.broadcast_to(weights, (nt, len(di)))
             ii, jj = ei + di, ej + dj
             jj = np.where((ii < 0) | (ii >= nt), jj + nphi // 2, jj) % nphi
             edge_cols = np.clip(ii, 0, nt - 1) * nphi + jj
             order = np.argsort(-edge_cols if descending else edge_cols, axis=1)
-            cols[edge] = np.take_along_axis(edge_cols, order, 1)
-            vals[edge] = np.take_along_axis(vals[edge], order, 1)
+            return _Stencil(np.array(di), np.array(dj), weights,
+                            np.take_along_axis(edge_cols, order, 1),
+                            np.take_along_axis(weights[i], order, 1))
 
-        st = np.sin(self.theta)[:, None, None]
-        cot, inv_st = np.cos(self.theta)[:, None, None] / st, 1.0 / st
+        def joined(first, second):
+            return _Stencil(*(np.concatenate(part, axis=-1) for part in zip(first, second)))
+
+        st = np.sin(self.theta)[:, None]
+        cot, inv_st = np.cos(self.theta)[:, None] / st, 1.0 / st
         c = 0.25 / (dt * dp)
         w_t, w_p = np.array([-0.5 / dt, 0.5 / dt]), np.array([0.5 / dp, -0.5 / dp])
         t, p = ([-1, 1], [0, 0]), ([0, 0], [1, -1])
-        stencil(0, 0, [0], [0], 1.0)
-        stencil(1, 0, *t, w_t)
-        stencil(2, 0, *p, inv_st * w_p, descending=True)
-        stencil(3, 0, [-1, 0, 1], [0, 0, 0], [dt**-2, -2.0 * dt**-2, dt**-2])
-        stencil(4, 0, [-1, -1, 1, 1], [-1, 1, -1, 1], inv_st * [c, -c, -c, c])
-        stencil(4, 4, *p, inv_st * -(cot * w_p), descending=True)
-        stencil(5, 0, *t, cot * w_t)
-        stencil(5, 2, [0, 0, 0], [-1, 0, 1], st**-2 * [dp**-2, -2.0 * dp**-2, dp**-2])
+        return (stencil([0], [0], 1.0),
+                stencil(*t, w_t),
+                stencil(*p, inv_st * w_p, descending=True),
+                stencil([-1, 0, 1], [0, 0, 0], [dt**-2, -2.0 * dt**-2, dt**-2]),
+                joined(stencil([-1, -1, 1, 1], [-1, 1, -1, 1], inv_st * [c, -c, -c, c]),
+                       stencil(*p, inv_st * -(cot * w_p), descending=True)),
+                joined(stencil(*t, cot * w_t),
+                       stencil([0, 0, 0], [-1, 0, 1],
+                               st**-2 * [dp**-2, -2.0 * dp**-2, dp**-2])))
+
+    @cached_property
+    def _edge(self):
+        """The nodes on the first or last ring or column, ascending."""
+        i, j = np.divmod(np.arange(self.node_count), self.n_phi)
+        return np.flatnonzero((i == 0) | (i == self.n_theta - 1) | (j == 0)
+                              | (j == self.n_phi - 1))
+
+    @cached_property
+    def _terms(self):
+        """The stencils' entries, stacked entry position by entry position:
+        per position a, the frame rows with an a-th entry, consecutive (0-5,
+        1-5, 3-5, 4-5, 4-5 and 4), as a slice; and per entry, its ring and
+        column offsets plus 1, its weights on rings 1..n_theta-2, (., 1), and
+        its edge columns and weights, (E,)."""
+        positions, entries = [], []
+        for a in range(max(len(s.di) for s in self._stencils)):
+            rows = [r for r, s in enumerate(self._stencils) if len(s.di) > a]
+            positions.append(slice(rows[0], rows[-1] + 1))
+            entries += [(s.di[a] + 1, s.dj[a] + 1, s.weights[1:-1, a, None], s.edge_cols[:, a],
+                         s.edge_weights[:, a]) for s in self._stencils[positions[-1]]]
+        return (positions,) + tuple(np.array(part) for part in zip(*entries))
+
+    def frame_jets(self, w):
+        """The (6, N) frame jets of a field w (N,), bit for bit the product of
+        jet_operator: each row sums its weighted entries in their stored
+        order, from 0.0 as scipy's csr_matvec does.  The rows of rings
+        1..n_theta-2 take their entries as shifted slices of the field in
+        flat index, which wrap wrongly only at the first and last column;
+        those rows and the pole rings are edge rows, recomputed by a gather of
+        their own columns."""
+        nt, nphi, N = self.n_theta, self.n_phi, self.node_count
+        positions, di, dj, weights, edge_cols, edge_weights = self._terms
+        padded = np.zeros(N + 2)
+        padded[1:-1] = w
+        # shifted[di + 1, dj + 1] is w shifted by di rings and dj columns on
+        # the flat rings 1..nt-2; an entry's terms are one copy of it
+        step = padded.itemsize
+        shifted = np.ndarray((3, 3, N - 2 * nphi), buffer=padded,
+                             strides=(nphi * step, step, step))
+        terms = shifted[di, dj].reshape(len(di), nt - 2, nphi)
+        terms *= weights
+        edge_terms = edge_weights * w[edge_cols]
+        jets, edge = np.zeros((6, N)), np.zeros((6, edge_cols.shape[1]))
+        inner, start = jets[:, nphi:-nphi], 0
+        for rows in positions:
+            stop = start + rows.stop - rows.start
+            inner[rows] += terms[start:stop].reshape(stop - start, -1)
+            edge[rows] += edge_terms[start:stop]
+            start = stop
+        jets[:, self._edge] = edge
+        return jets
+
+    @cached_property
+    def jet_operator(self):
+        """The stencils as a (6N, N) CSR matrix, each row's entries in their
+        stored order (see _stencils), built on first use: frame_jets is its
+        product, and a solve reads neither it nor scipy."""
         import scipy.sparse
 
-        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(6 * N, N))
+        N, nphi = self.node_count, self.n_phi
+        nodes = np.arange(N, dtype=np.int32)[:, None]
+        indices, data = [], []
+        for s in self._stencils:
+            cols = nodes + (s.di * nphi + s.dj).astype(np.int32)
+            vals = np.repeat(s.weights, nphi, axis=0)
+            cols[self._edge], vals[self._edge] = s.edge_cols, s.edge_weights
+            indices.append(cols.reshape(-1))
+            data.append(vals.reshape(-1))
+        indptr = np.zeros(6 * N + 1, dtype=np.int32)
+        np.cumsum(np.repeat([len(s.di) for s in self._stencils], N), out=indptr[1:])
+        return scipy.sparse.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                                       shape=(6 * N, N))
+
+    @property
+    def gradient_rows(self) -> tuple:
+        return tuple(r for r in (1, 2) if len(self._stencils[r].di))
 
     def jacobian(self, partials):
-        """The Jacobian, matrix-free: each product is one of the jet operator."""
-        return _FrameJacobian(self.jet_operator, partials)
+        """The Jacobian, matrix-free: each product is one of frame_jets."""
+        return _FrameJacobian(self, partials)
 
     def log_solver(self, J, rho):
         """The held solver of J_u = J diag(rho): GMRES preconditioned with the
@@ -390,23 +469,26 @@ class SphereGrid2D(_StencilGrid):
 
     @cached_property
     def _ring_symbols(self):
-        """The jet operator's blocks in the rfft modes of phi, as (weights,
-        phases): weights[r, i, k, c] sums the entries of block r's row at node
-        (i, 0) in column (i + k - 1, cols[c]), the few columns that ring rows
-        reach, and phases[c, m] = exp(2 pi i m cols[c]/n_phi).  A row's weights
-        depend only on its ring, and a pole crossing lands on the same ring at
+        """The stencils in the rfft modes of phi, as (weights, phases):
+        weights[r, i, k, c] sums the entries of frame row r at node (i, 0) in
+        column (i + k - 1, cols[c]), the few columns that ring rows reach, and
+        phases[c, m] = exp(2 pi i m cols[c]/n_phi).  A row's weights depend
+        only on its ring, and a pole crossing lands on the same ring at
         phi + pi, which adds the factor (-1)^m; so block r maps mode m of ring
         i + k - 1 to mode m of ring i with the symbol weights[r, i, k] @
         phases[:, m]."""
-        nt, nphi, N = self.n_theta, self.n_phi, self.node_count
-        rows = (np.arange(6)[:, None] * N + np.arange(nt) * nphi).reshape(-1)
-        ring = self.jet_operator[rows].tocoo()
-        target, col = np.divmod(ring.col, nphi)
+        nt, nphi = self.n_theta, self.n_phi
+        # the nodes (i, 0) are edge nodes: one row of the edge tables per ring
+        first = self._edge % nphi == 0
+        target, col = np.divmod(np.hstack([s.edge_cols[first] for s in self._stencils]), nphi)
+        row = np.repeat(np.arange(6), [len(s.di) for s in self._stencils])
+        ring = np.arange(nt)[:, None]
         cols, at = np.unique(col, return_inverse=True)
-        weights = np.zeros((6 * nt * 3, cols.size))
-        np.add.at(weights, (3 * ring.row + target - ring.row % nt + 1, at), ring.data)
+        weights = np.zeros((6, nt, 3, cols.size))
+        np.add.at(weights, (row, ring, target - ring + 1, at.reshape(col.shape)),
+                  np.hstack([s.edge_weights[first] for s in self._stencils]))
         turns = np.outer(cols, np.arange(nphi // 2 + 1)) % nphi
-        return weights.reshape(6, nt, 3, -1), np.exp(2j * math.pi / nphi * turns)
+        return weights, np.exp(2j * math.pi / nphi * turns)
 
     def coarsened(self):
         """The grid of n_theta/2 rows and n_phi/2 columns that prolong
@@ -446,14 +528,25 @@ class SphereGrid2D(_StencilGrid):
 
 class _FrameJacobian:
     """J = sum_r diag(partials[r]) D_r applied without assembling it, as
-    J @ w = sum_r partials[r] (D_r w), one product of the (6N, N) operator."""
+    J @ w = sum_r partials[r] (D_r w), from the grid's frame jets of w."""
 
-    def __init__(self, operator, partials):
-        self.operator, self.partials = operator, partials
+    def __init__(self, grid, partials):
+        self.grid, self.partials = grid, partials
 
     def __matmul__(self, w):
-        jets = (self.operator @ w).reshape(self.partials.shape)
-        return np.einsum("rn,rn->n", self.partials, jets)
+        return np.einsum("rn,rn->n", self.partials, self.grid.frame_jets(w))
+
+
+class _Stencil(NamedTuple):
+    """A frame row of the 2-D grid, entries in stored order: ring and column
+    offsets (k,), weights (n_theta, k) by ring, and the columns and weights
+    (E, k) of the edge rows (SphereGrid2D._edge), which may differ."""
+
+    di: np.ndarray
+    dj: np.ndarray
+    weights: np.ndarray
+    edge_cols: np.ndarray
+    edge_weights: np.ndarray
 
 
 class _RingKrylov:
@@ -624,5 +717,4 @@ def jet_arrays(field_values, grid, n: int):
     """Frame jets (6, N) of a nodal field on S^n, indexed by frame row, on
     either grid: the grid's jet operator applied to it."""
     grid.check_dimension(n)
-    rho = _check_field(field_values, grid.node_count)
-    return (grid.jet_operator @ rho).reshape(6, rho.size)
+    return grid.frame_jets(_check_field(field_values, grid.node_count))

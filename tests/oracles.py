@@ -17,8 +17,11 @@ own `geometry_batch` and `sigma_batch`, which the closed-form
 `manufactured.manufactured_forcing` is checked against.
 
 It also holds each grid's jet operator built the way the grids first built it,
-by scipy sparse algebra (stencil matrices, diagonal products and a vstack),
-which the grids' index-arithmetic builds are checked against entry by entry.
+by scipy sparse algebra (stencil matrices, diagonal products and a vstack).
+The grids' builds are checked against it entry by entry, and the 2-sphere
+grid's stencil-slice jets against its product bit for bit.  The 2-sphere
+grid's phi-mode ring symbols are checked against those read from its ring
+rows.
 """
 
 from __future__ import annotations
@@ -391,3 +394,18 @@ def s2_jet_operator(grid):
     rows = (_identity(grid.node_count), r_t, inv_st @ r_p, r_tt, inv_st @ (r_tp - cot @ r_p),
             scipy.sparse.diags(st**-2) @ r_pp + cot @ r_t)
     return scipy.sparse.vstack(rows, format="csr")
+
+
+def s2_ring_symbols(grid):
+    """SphereGrid2D._ring_symbols read from the ring rows, at the nodes
+    (i, 0), of s2_jet_operator(grid), as the grid once read them from its
+    own CSR operator."""
+    nt, nphi, N = grid.n_theta, grid.n_phi, grid.node_count
+    rows = (np.arange(6)[:, None] * N + np.arange(nt) * nphi).reshape(-1)
+    ring = s2_jet_operator(grid)[rows].tocoo()
+    target, col = np.divmod(ring.col, nphi)
+    cols, at = np.unique(col, return_inverse=True)
+    weights = np.zeros((6 * nt * 3, cols.size))
+    np.add.at(weights, (3 * ring.row + target - ring.row % nt + 1, at), ring.data)
+    turns = np.outer(cols, np.arange(nphi // 2 + 1)) % nphi
+    return weights.reshape(6, nt, 3, -1), np.exp(2j * math.pi / nphi * turns)

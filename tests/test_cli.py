@@ -471,15 +471,15 @@ from hessquot.cli import main
 loaded = []
 for argv in json.loads(sys.argv[1]):
     assert main(argv) == 0, argv
-    loaded.append(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.sparse")))
+    loaded.append(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 print(json.dumps(loaded))
 """
 
 
 class TestFreshProcessImports:
     """A CLI command imports only the scipy it uses: validate of an n = 2
-    config and export none, an s2 solve scipy.sparse for the jet operator but
-    not scipy.sparse.linalg, and an axisymmetric solve that path's splu."""
+    config, export and an s2 solve none, and an axisymmetric solve that
+    path's splu."""
 
     @staticmethod
     def loaded_after(commands):
@@ -499,7 +499,7 @@ class TestFreshProcessImports:
         rho_csv = str(tmp_path / "s2" / "rho.csv")
         assert self.loaded_after([["validate", str(s2)], ["export", str(s2), rho_csv]]) == [[], []]
         after_s2, after_axisym = self.loaded_after([["solve", str(s2)], ["solve", str(axisym)]])
-        assert "scipy.sparse" in after_s2 and "scipy.sparse.linalg" not in after_s2
+        assert after_s2 == []
         assert "scipy.sparse.linalg" in after_axisym
 
 
@@ -636,6 +636,15 @@ class TestExport:
         assert np.array_equal(data[:, 0], np.repeat(grid.theta, grid.n_phi))
         assert np.array_equal(data[:, 1], np.tile(grid.phi, grid.n_theta))
         assert np.array_equal(data[:, 2], field)
+
+    @pytest.mark.parametrize("angles", [0, 1, 2])
+    def test_csv_rows_print_each_number_as_its_own_format(self, angles):
+        # angle texts are formatted once per distinct value, keyed by bits:
+        # 0.0 and -0.0 compare equal but print apart, and so do the NaNs'
+        rows = np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, -0.0], [0.0, np.inf, np.nan],
+                         [0.1, -0.0, 2.0 / 3.0], [np.nan, -np.inf, 1e-300]])
+        expected = "".join(",".join("%.17g" % x for x in row) + "\n" for row in rows.tolist())
+        assert cli._csv_rows(rows, angles) == expected
 
 
 # the test oracles live in tests/oracles.py; the package holds the solver

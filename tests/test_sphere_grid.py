@@ -8,7 +8,7 @@ import pytest
 
 from hessquot.errors import SizeMismatch, TooCoarse
 from hessquot.sphere_grid import _TridiagonalLU, build_axisym_grid, build_s2_grid, jet_arrays
-from oracles import axisym_jet_operator, s2_jet_operator
+from oracles import axisym_jet_operator, s2_jet_operator, s2_ring_symbols
 
 
 def s2_angles(grid):
@@ -84,6 +84,30 @@ class TestOperatorReference:
             assert np.array_equal(got, expected)
         jets = jet_arrays(np.full(grid.node_count, 1.3), grid, 2)
         assert np.all(jets[0] == 1.3) and np.all(jets[1:] == 0.0)
+
+    # odd n_theta, and n_phi = 2 (mod 4), where the pole crossing n_phi/2 is odd
+    S2_SHAPES = [(16, 32), (17, 32), (16, 34), (24, 48), (48, 96), (33, 66)]
+
+    @pytest.mark.parametrize("shape", S2_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_s2_jets_are_the_csr_product_bit_for_bit(self, shape):
+        # each row sums its entries in stored order from 0.0, so -0.0 entries
+        # show a sum started from its first term, and the rows that cross a
+        # pole or wrap in phi a sum in offset order
+        grid = build_s2_grid(*shape)
+        op = s2_jet_operator(grid)
+        rng = np.random.default_rng(23)
+        for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
+            w = scale * rng.standard_normal(grid.node_count)
+            w[rng.random(grid.node_count) < 0.2] = 0.0
+            w[rng.random(grid.node_count) < 0.2] = -0.0
+            got, expected = jet_arrays(w, grid, 2), (op @ w).reshape(6, -1)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("shape", S2_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
+    def test_s2_ring_symbols_match_the_csr_ring_rows(self, shape):
+        grid = build_s2_grid(*shape)
+        for got, expected in zip(grid._ring_symbols, s2_ring_symbols(grid)):
+            assert got.shape == expected.shape and np.array_equal(got, expected)
 
     # J's duplicate sums follow each row's entry order, so the grid's own
     # operator is held to the order its jet_operator docstring states
