@@ -9,15 +9,15 @@ which is zero exactly when the quotient matches the prescription and makes the
 Newton iteration scale-invariant; both sides are positive on admissible states
 so the logs are total.  The residual depends on rho only through the nodal
 frame jets (rho, gradient and covariant Hessian in a two-direction frame, one
-(6, N) array indexed by frame row), which are one sparse jet operator of the
-grid applied to rho, so the Jacobian is the pointwise partials over the frame
-jets, the same (6, N) array, weighting the rows of that same operator.  The
-partials of the curvature term are closed forms, the first variation of the
-spectrum (radial_geometry.geometry_first_variation) at the geometry the
-residual evaluated; log f_t sees the jets only through rho and its gradient,
-and its partials are forward differences along those frame rows.  The grid
-decides J's form (see sphere_grid): a sparse matrix on the axisymmetric grid,
-a matrix-free product of the jet operator on the 2-D grid.
+(6, N) array indexed by frame row), which are the grid's linear stencils
+applied to rho, so the Jacobian is the pointwise partials over the frame
+jets, the same (6, N) array, weighting those same stencils.  The partials of
+the curvature term are closed forms, the first variation of the spectrum
+(radial_geometry.geometry_first_variation) at the geometry the residual
+evaluated; log f_t sees the jets only through rho and its gradient, and its
+partials are forward differences along those frame rows.  J is never
+assembled: on both grids it is the matrix-free product of the partials with
+the frame jets (see sphere_grid).
 
 The corrector is a local iteration of full steps in the log-radius
 u = log rho: J_u = J diag(rho), and a step du moves rho to rho exp(du).  A
@@ -28,11 +28,12 @@ solver of J_u, which the grid builds (its log_solver), across Newton
 iterations and continuation steps (chord, or Shamanskii, steps) and builds a
 new one only when a full step with the held one fails to cut the residual sup
 by _CHORD_CONTRACTION, unless the trial already meets the tolerance; see
-newton_solve.  On the axisymmetric grid it is J_u's sparse LU, so a step is
-exact to round-off.  On the 2-D grid it is GMRES on the matrix-free J_u,
-preconditioned with the phi-Fourier factor of J_u's ring average, so a step
-is exact only to the Krylov tolerance (sphere_grid._KRYLOV_RTOL); an s2
-solution then depends on that tolerance in its digits below newton_tol.
+newton_solve.  On the axisymmetric grid it is the LU of J_u's three bands,
+so a step is exact to round-off.  On the 2-D grid it is GMRES on the
+matrix-free J_u, preconditioned with the phi-Fourier factor of J_u's ring
+average, so a step is exact only to the Krylov tolerance
+(sphere_grid._KRYLOV_RTOL); an s2 solution then depends on that tolerance in
+its digits below newton_tol.
 
 The path starts from the exactly-known state rho = 1 at t = 0 and follows an
 adaptive step in t to the target problem at t = 1, as a predictor-corrector
@@ -238,14 +239,13 @@ def _frame_partials(it: _Iterate, grid, target: HomotopyTarget, t: float):
 
 def assemble_jacobian(it: _Iterate, grid, target: HomotopyTarget, t: float):
     """d(residual)/d(rho) = sum_r diag(dR/dj_r) D_r at the iterate `it`
-    (see _residual_and_margin), each frame row j_r being D_r rho, a row block
-    of the grid's jet operator (D_0 the identity).  The partials over the
-    frame jets (see _frame_partials) read the iterate's jets, geometry, sigma
-    and f_t, so J evaluates f only at the bumped jets and makes no jets,
-    geometry or sigma of its own.  grid.jacobian makes J from them: the CSR
-    matrix of the operator's weighted rows (linearize), or on the 2-D grid
-    the matrix-free product; the iterate, and its geometry with it, stays
-    alive meanwhile.
+    (see _residual_and_margin), each frame row j_r being D_r rho, the grid's
+    stencil of that row (D_0 the identity).  The partials over the frame
+    jets (see _frame_partials) read the iterate's jets, geometry, sigma and
+    f_t, so J evaluates f only at the bumped jets and makes no jets, geometry
+    or sigma of its own.  grid.jacobian makes J from them, the matrix-free
+    product, which grid.log_solver reads; the iterate, and its geometry with
+    it, stays alive meanwhile.
     """
     return grid.jacobian(_frame_partials(it, grid, target, t))
 
@@ -259,9 +259,9 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
     the Jacobian over u, solved by the held solver (exactly by an LU, to the
     Krylov tolerance by the 2-D grid's GMRES), and the trial is rho exp(du);
     an exp that overflows makes an inf rho, which the evaluation refuses.
-    `lu` is the held solver of some earlier J_u, anything with solve(b) such
-    as a SuperLU, or None.  While one is held, each step first tries the
-    chord step with it and keeps the trial when it is admissible and its
+    `lu` is the held solver of some earlier J_u, anything with solve(b), or
+    None.  While one is held, each step first tries the chord step with it
+    and keeps the trial when it is admissible and its
     residual sup is at most _CHORD_CONTRACTION times the current one.
     Otherwise the held solver is dropped, J is assembled from the evaluated
     iterate, and grid.log_solver(J, rho) builds the solver of J_u, which
@@ -309,7 +309,7 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
             it = None  # free the geometry, sigma and f_t: only rho, res and sup are read
             try:
                 lu = grid.log_solver(J, rho)
-                J = None  # an LU holds its own copy
+                J = None  # the solver holds what it reads of J
                 du = lu.solve(-res)
                 if not np.all(np.isfinite(du)):
                     raise RuntimeError("non-finite Newton step")

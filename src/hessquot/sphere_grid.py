@@ -2,38 +2,46 @@
 
 Two grids are provided: a 1-D colatitude grid on [0, pi] for axisymmetric
 fields in any dimension, and a full latitude-longitude grid on the 2-sphere.
-Each grid builds its 2nd-order central-difference stencils once, a block per
-frame row (empty for grad_2 and hess_12 on the axisymmetric grid), whose
-entries already carry the frame's node-wise coefficients, so the frame jets
-of a field, rho and its covariant gradient and Hessian in two frame
-directions, are one (6, N) array indexed by frame row (see jet_arrays): the
-product of the (6N, N) jet operator with the field.  The stencil weights are
-the only place the discretization lives.  Jets are linear in rho, so the
-same stencils also serve the solver's Jacobian (see linearize).  The
-axisymmetric grid includes the poles and closes stencils by even reflection
-(rho(-theta) = rho(theta)); the 2-D grid offsets nodes half a spacing off the
-poles and closes stencils with the antipodal rule (crossing a pole lands at
-phi + pi).
+Each grid builds its 2nd-order central-difference stencils once, one per
+frame row, whose weights already carry the frame's node-wise coefficients.
+The frame jets of a field, rho and its covariant gradient and Hessian in two
+frame directions, are one (6, N) array indexed by frame row (see
+jet_arrays): 0 rho, 1 grad_1, 2 grad_2, 3 hess_11, 4 hess_12 (which is also
+hess_21) and 5 hess_22.  A grid makes them by shifted slices of the field
+(frame_jets), in numpy alone.  The stencil weights are the only place the
+discretization lives.  Jets are linear in rho, so the same stencils also
+serve the solver's Jacobian, J = sum_r diag(partials[r]) D_r with D_r the
+stencil of frame row r, which both grids apply without assembling it (see
+_FrameJacobian).  The axisymmetric grid includes the poles and closes
+stencils by even reflection (rho(-theta) = rho(theta)); the 2-D grid offsets
+nodes half a spacing off the poles and closes stencils with the antipodal
+rule (crossing a pole lands at phi + pi).
 
-Each row's entries are in the order its grid's docstring states, and the
-results depend on it to the last bit: a row's product sums its entries in it
-(the jets of a constant field are exactly 0), and linearize's duplicate
-sums, and with them J and every output, follow it.  It is the order of the
-sparse-algebra build (stencil matrices, diagonal products and a vstack) that
-tests/oracles.py keeps as the reference.  The axisymmetric grid writes its
-operator's CSR arrays by index arithmetic; the 2-D grid keeps each row's
-stencil as offsets and ring weights, makes its jets from them without scipy,
-bit for bit the CSR product (see SphereGrid2D.frame_jets), and builds its
-CSR only when asked for it.
+Each row's entries are summed in the order its grid's docstring states,
+from 0.0, and the results depend on it to the last bit (the jets of a
+constant field are exactly 0).  It is the order in which scipy's CSR
+product sums a row of the sparse-algebra build (stencil matrices, diagonal
+products and a vstack) that tests/oracles.py keeps as the reference, so the
+jets are that product bit for bit.
 
 Each grid also hands the Newton corrector its solver of J_u = J diag(rho)
-(see log_solver): on the axisymmetric grid J_u's sparse LU, exact; on the
-2-D grid GMRES on the matrix-free J_u, preconditioned with the phi-Fourier
-factor of its ring average (see _RingKrylov), so that an s2 Newton step is
-exact only to the Krylov tolerance _KRYLOV_RTOL.  That factor is numpy's
-own (see _TridiagonalLU).  scipy.sparse is imported only where a CSR matrix
-is built and scipy.sparse.linalg only for the axisymmetric LU, so a process
-that solves on the 2-D grid imports no scipy.
+(see log_solver).  On the axisymmetric grid J_u is tridiagonal: its three
+bands, read from the partials and the stencil weights, are factored by
+LAPACK's dgttrf (through scipy.linalg.lapack), so a step is exact.  On the
+2-D grid it is GMRES on the matrix-free J_u, preconditioned with the
+phi-Fourier factor of its ring average (see _RingKrylov), so that an s2
+Newton step is exact only to the Krylov tolerance _KRYLOV_RTOL.  That factor
+is numpy's own (see _TridiagonalLU), so a process that solves on the 2-D
+grid imports no scipy.
+
+A grid also provides `node_count`; `check_dimension(n)`, which raises
+ValueError unless it discretizes S^n; `gradient_rows`, the gradient rows
+that are not 0 for every field; for output `columns` and `angles()`, the CSV
+coordinate names and the (N, len(columns)) node coordinates, and
+`surface_rings(rho)`, the surface points X = rho x as (R, M, 3) rings from
+north to south plus the (2, 3) north and south pole points; and
+`newton_tol`, the default Newton tolerance, which its round-off floor
+allows.  A grid compares and hashes by identity, so it can key a dict.
 
 The 2-D grid also halves: coarsened() is the grid of half the rows and half
 the columns, and prolong interpolates a field from it to 4th order, so the
@@ -82,94 +90,8 @@ def _check_field(field_values, count: int) -> np.ndarray:
     return f
 
 
-def _operator_arrays(sizes, count: int):
-    """Unfilled CSR arrays of a (6 count, count) jet operator whose block b
-    holds sizes[b] entries in each row (one number, or one per row): indptr,
-    indices, data, and each block's (indices, data) slices, for the grid to
-    fill row by row."""
-    per_row = np.empty((6, count), dtype=np.int32)
-    for row, size in zip(per_row, sizes):
-        row[:] = size
-    indptr = np.zeros(6 * count + 1, dtype=np.int32)
-    np.cumsum(per_row, out=indptr[1:])
-    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
-    ends = indptr[::count]
-    return indptr, indices, data, [(indices[lo:hi], data[lo:hi])
-                                   for lo, hi in zip(ends[:-1], ends[1:])]
-
-
-class _StencilGrid:
-    """Frame jets and their linearization from a grid's stacked jet operator.
-
-    Frame jets are one (6, N) array indexed by frame row: 0 rho, 1 grad_1,
-    2 grad_2, 3 hess_11, 4 hess_12 (which is also hess_21) and 5 hess_22.
-    A grid provides `node_count`, `jet_operator` (the (6N, N) stack of one
-    (N, N) CSR block D_r per frame row r, in row order, with D_0 the identity
-    and an empty block for a row that is 0 for every field) and
-    `check_dimension(n)`, which raises ValueError unless the grid discretizes
-    S^n.  `frame_jets(w)` makes the jets of a field, by default the product
-    with jet_operator; the 2-D grid makes them by stencil slices, bit for bit
-    that product, and imports no scipy.  For output it provides `columns` and
-    `angles()`, the CSV coordinate names and the (N, len(columns)) node
-    coordinates, and `surface_rings(rho)`, the surface points X = rho x as
-    (R, M, 3) rings from north to south plus the (2, 3) north and south pole
-    points.
-    `coarsened()` is the next coarser grid of a sequenced solve, or None, and
-    `newton_tol` the default Newton tolerance, which its round-off floor allows.
-    For the Newton corrector, `jacobian(partials)` is J = sum_r
-    diag(partials[r]) D_r and `log_solver(J, rho)` the held solver of
-    J diag(rho), with solve(b); by default linearize's CSR matrix and its LU.
-    A grid compares and hashes by identity, so it can key a dict.
-    """
-
-    def frame_jets(self, w):
-        """The (6, N) frame jets of a field w (N,): jet_operator @ w."""
-        return (self.jet_operator @ w).reshape(6, -1)
-
-    def linearize(self, partials):
-        """CSR matrix of w -> sum_r partials[r] j_r(w), for node-wise partials
-        (6, N) over the frame rows: diag(partials[r]) D_r summed over the
-        rows.  hess_12 and hess_21 are one row, so partials[4] is the partial
-        over both together.
-
-        scipy's duplicate sum keeps explicit zeros, so J's pattern, and with it
-        the fill of log_solver's LU, is the union of the D_r patterns at every
-        state.
-        """
-        import scipy.sparse
-
-        op, n = self.jet_operator, self.node_count
-        counts = np.diff(op.indptr)
-        values = np.repeat(partials.reshape(-1), counts) * op.data
-        rows = np.repeat(np.arange(6 * n) % n, counts)
-        return scipy.sparse.csr_matrix((values, (rows, op.indices)), shape=(n, n))
-
-    def jacobian(self, partials):
-        """J = sum_r diag(partials[r]) D_r for log_solver: linearize's CSR."""
-        return self.linearize(partials)
-
-    @staticmethod
-    def log_solver(J, rho):
-        """The held solver of J_u = J diag(rho), the Jacobian over u = log rho:
-        J_u's sparse LU.  J's pattern is structurally symmetric (central
-        stencils, symmetric pole closures), and scaling its columns keeps it,
-        so the columns are ordered by minimum degree on J_u^T + J_u."""
-        import scipy.sparse.linalg
-
-        J = J.tocsc()
-        J.data *= np.repeat(rho, np.diff(J.indptr))
-        return scipy.sparse.linalg.splu(J, permc_spec="MMD_AT_PLUS_A")
-
-    @property
-    def gradient_rows(self) -> tuple:
-        """The gradient rows (1 grad_1, 2 grad_2) whose operator block is not
-        empty; the others are 0 for every field."""
-        block_sizes = np.diff(self.jet_operator.indptr[::self.node_count])
-        return tuple(r for r in (1, 2) if block_sizes[r])
-
-
 @dataclass(eq=False)
-class AxisymGrid(_StencilGrid):
+class AxisymGrid:
     """Uniform colatitude nodes theta_m = m pi/(N-1), m = 0..N-1, poles included;
     newton_tol 1e-10 is above the residual's round-off floor (~ h^-2) up to N = 1025."""
 
@@ -179,6 +101,8 @@ class AxisymGrid(_StencilGrid):
     _frame_cache: dict = field(default_factory=dict, init=False, repr=False)
     columns = ("theta",)
     newton_tol = 1e-10
+    # grad_2 is 0 for every zonal field
+    gradient_rows = (1,)
 
     def angles(self) -> np.ndarray:
         return self.theta[:, None]
@@ -224,46 +148,70 @@ class AxisymGrid(_StencilGrid):
         return w
 
     @cached_property
-    def jet_operator(self):
-        """Frame rows rho, grad_1 = d/dtheta, hess_11 = d^2/dtheta^2 and
-        hess_22, the orbit term cot(theta) d/dtheta, whose pole rows take its
-        limit d^2/dtheta^2, under even reflection.
+    def _weights(self):
+        """The stencils of frame rows 1 grad_1 = d/dtheta, 3 hess_11 =
+        d^2/dtheta^2 and 5 hess_22, the orbit term cot(theta) d/dtheta, whose
+        pole rows take its limit d^2/dtheta^2, under even reflection, as
+        (lower, diag, upper) bands, each (3, N) over those rows: node m weighs
+        column m - 1, m and m + 1.  Rows 2 and 4 are 0 for every field.
 
         Frame: e_1 is the meridian direction and e_2 stands for each of the
         n - 1 orbit directions, where the gradient vanishes and the covariant
         Hessian is the orbit term with no cross terms, so the rows do not
         depend on n.
 
-        Each row's entries are in ascending column order.  At a pole the two
-        reflected neighbours cancel in d/dtheta, so its rows there are empty,
-        and add up to one entry in d^2/dtheta^2, also the orbit term's limit.
+        At a pole the two reflected neighbours cancel in d/dtheta, so its row
+        there is 0, and add up to one weight in d^2/dtheta^2, also the orbit
+        term's limit.  Only d^2/dtheta^2 has a weight on the node itself;
+        lower[:, 0] and upper[:, -1] are 0.
         """
         N, dt = self.node_count, self.spacing
         h1, h2 = 0.5 / dt, dt**-2
-        inner = np.arange(1, N - 1)[:, None]
-        cot = 1.0 / np.tan(self.theta[1:-1, None])
+        cot = 1.0 / np.tan(self.theta[1:-1])
+        weights = np.zeros((3, 3, N))
+        inner = weights[:, :, 1:-1]
+        inner[:, 0] = [[-h1], [0.0], [h1]]
+        inner[:, 1] = [[h2], [-2.0 * h2], [h2]]
+        inner[:, 2] = cot * [[-h1], [0.0], [h1]]
+        weights[1:, 1:, 0] = [[-2.0 * h2], [2.0 * h2]]
+        weights[:2, 1:, -1] = [[2.0 * h2], [-2.0 * h2]]
+        return weights
 
-        def sizes(pole, interior):
-            return np.concatenate([[pole], np.full(N - 2, interior), [pole]])
+    @np.errstate(over="ignore", invalid="ignore")
+    def frame_jets(self, w):
+        """The (6, N) frame jets of a field w (N,).  Each row sums its
+        weighted entries in ascending column order from 0.0, as scipy's
+        csr_matvec sums a row of tests/oracles.py's reference operator, so
+        the jets are its product bit for bit: the interior nodes by shifted
+        slices of the field, the poles written out.  A non-finite field makes
+        non-finite jets, without a floating-point warning."""
+        lower, diag, upper = self._weights
+        jets = np.zeros((6, self.node_count))
+        jets[0] += w
+        for r, row in enumerate(jets[1::2]):
+            inner = row[1:-1]
+            inner += lower[r, 1:-1] * w[:-2]
+            if r == 1:  # only d^2/dtheta^2 weighs the node itself
+                inner += diag[r, 1:-1] * w[1:-1]
+            inner += upper[r, 1:-1] * w[2:]
+        # rows 3 and 5 have the same pole weights
+        poles = jets[3::2]
+        poles[:, 0] = (0.0 + diag[1, 0] * w[0]) + upper[1, 0] * w[1]
+        poles[:, -1] = (0.0 + lower[1, -1] * w[-2]) + diag[1, -1] * w[-1]
+        return jets
 
-        indptr, indices, data, blocks = _operator_arrays(
-            (1, sizes(0, 2), 0, sizes(2, 3), 0, 2), N)
-        (cols, vals), d1, _, d2, _, orbit = blocks
-        cols[:], vals[:] = np.arange(N), 1.0
+    def jacobian(self, partials):
+        """The Jacobian, matrix-free: each product is one of frame_jets."""
+        return _FrameJacobian(self, partials)
 
-        def fill(cols, vals, offsets, weights):
-            cols.reshape(N - 2, -1)[:] = inner + offsets
-            vals.reshape(N - 2, -1)[:] = weights
-
-        fill(*d1, [-1, 1], [-h1, h1])
-        for (cols, vals), offsets, weights in ((d2, [-1, 0, 1], [h2, -2.0 * h2, h2]),
-                                               (orbit, [-1, 1], cot * [-h1, h1])):
-            cols[:2], vals[:2] = [0, 1], [-2.0 * h2, 2.0 * h2]
-            cols[-2:], vals[-2:] = [N - 2, N - 1], [2.0 * h2, -2.0 * h2]
-            fill(cols[2:-2], vals[2:-2], offsets, weights)
-        import scipy.sparse
-
-        return scipy.sparse.csr_matrix((data, indices, indptr), shape=(6 * N, N))
+    def log_solver(self, J, rho):
+        """The held solver of J_u = J diag(rho), the Jacobian over u = log rho,
+        which is tridiagonal: its bands are the partials over frame rows 1, 3
+        and 5 weighting their stencil bands, plus the partials over rho on
+        the diagonal, with column m scaled by rho[m]."""
+        lower, diag, upper = np.einsum("rm,brm->bm", J.partials[1::2], self._weights)
+        diag += J.partials[0]
+        return _BandLU(lower[1:] * rho[:-1], diag * rho, upper[:-1] * rho[1:])
 
     def coarsened(self):
         """None: the axisymmetric grid is not halved (see the module docstring)."""
@@ -271,7 +219,7 @@ class AxisymGrid(_StencilGrid):
 
 
 @dataclass(eq=False)
-class SphereGrid2D(_StencilGrid):
+class SphereGrid2D:
     """Pole-offset latitude-longitude grid: theta_i = (i + 1/2) pi / n_theta;
     newton_tol is 1e-8: the round-off floor, ~ h^-4 at the pole rows (hess_22 weighs r_pp
     by 1/sin^2 theta), is above 1e-10 from 64x128 on and below 1e-8 up to 128x256."""
@@ -403,14 +351,17 @@ class SphereGrid2D(_StencilGrid):
                          s.edge_weights[:, a]) for s in self._stencils[positions[-1]]]
         return (positions,) + tuple(np.array(part) for part in zip(*entries))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def frame_jets(self, w):
-        """The (6, N) frame jets of a field w (N,), bit for bit the product of
-        jet_operator: each row sums its weighted entries in their stored
-        order, from 0.0 as scipy's csr_matvec does.  The rows of rings
+        """The (6, N) frame jets of a field w (N,).  Each row sums its
+        weighted entries in their stored order from 0.0, as scipy's
+        csr_matvec sums a row of tests/oracles.py's reference operator, so
+        the jets are its product bit for bit.  The rows of rings
         1..n_theta-2 take their entries as shifted slices of the field in
         flat index, which wrap wrongly only at the first and last column;
         those rows and the pole rings are edge rows, recomputed by a gather of
-        their own columns."""
+        their own columns.  A non-finite field makes non-finite jets, without
+        a floating-point warning."""
         nt, nphi, N = self.n_theta, self.n_phi, self.node_count
         positions, di, dj, weights, edge_cols, edge_weights = self._terms
         padded = np.zeros(N + 2)
@@ -432,27 +383,6 @@ class SphereGrid2D(_StencilGrid):
             start = stop
         jets[:, self._edge] = edge
         return jets
-
-    @cached_property
-    def jet_operator(self):
-        """The stencils as a (6N, N) CSR matrix, each row's entries in their
-        stored order (see _stencils), built on first use: frame_jets is its
-        product, and a solve reads neither it nor scipy."""
-        import scipy.sparse
-
-        N, nphi = self.node_count, self.n_phi
-        nodes = np.arange(N, dtype=np.int32)[:, None]
-        indices, data = [], []
-        for s in self._stencils:
-            cols = nodes + (s.di * nphi + s.dj).astype(np.int32)
-            vals = np.repeat(s.weights, nphi, axis=0)
-            cols[self._edge], vals[self._edge] = s.edge_cols, s.edge_weights
-            indices.append(cols.reshape(-1))
-            data.append(vals.reshape(-1))
-        indptr = np.zeros(6 * N + 1, dtype=np.int32)
-        np.cumsum(np.repeat([len(s.di) for s in self._stencils], N), out=indptr[1:])
-        return scipy.sparse.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
-                                       shape=(6 * N, N))
 
     @property
     def gradient_rows(self) -> tuple:
@@ -594,8 +524,26 @@ class _RingKrylov:
 
 
 def _abs1(z):
-    """|Re z| + |Im z|, the modulus by which zgttrf (and SuperLU) rank pivots."""
+    """|Re z| + |Im z|, the modulus by which zgttrf ranks pivots."""
     return np.abs(z.real) + np.abs(z.imag)
+
+
+class _BandLU:
+    """The held solver of a tridiagonal system, from its bands lower (n-1,),
+    diag (n,) and upper (n-1,): LAPACK's dgttrf factors them, with row
+    partial pivoting, and each solve is one dgttrs.  An exactly zero pivot
+    raises RuntimeError."""
+
+    def __init__(self, lower, diag, upper):
+        from scipy.linalg import lapack
+
+        *self.factors, info = lapack.dgttrf(lower, diag, upper)
+        if info > 0:
+            raise RuntimeError("Factor is exactly singular")
+        self.dgttrs = lapack.dgttrs
+
+    def solve(self, b):
+        return self.dgttrs(*self.factors, b)[0]
 
 
 class _TridiagonalLU:
@@ -609,7 +557,7 @@ class _TridiagonalLU:
     bands[1, i] = A[i, i] and bands[2, i] = A[i, i+1]; bands[0, 0] and
     bands[2, n-1] are not read.  The factor and each solve are one Python
     loop over the n rows, vectorized over the systems.  An exactly zero pivot
-    raises RuntimeError, as splu does, and never a floating-point warning.
+    raises RuntimeError, as _BandLU does, and never a floating-point warning.
     """
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -715,6 +663,6 @@ def build_s2_grid(n_theta: int, n_phi: int) -> SphereGrid2D:
 
 def jet_arrays(field_values, grid, n: int):
     """Frame jets (6, N) of a nodal field on S^n, indexed by frame row, on
-    either grid: the grid's jet operator applied to it."""
+    either grid: the grid's stencils applied to it."""
     grid.check_dimension(n)
     return grid.frame_jets(_check_field(field_values, grid.node_count))

@@ -17,11 +17,11 @@ own `geometry_batch` and `sigma_batch`, which the closed-form
 `manufactured.manufactured_forcing` is checked against.
 
 It also holds each grid's jet operator built the way the grids first built it,
-by scipy sparse algebra (stencil matrices, diagonal products and a vstack).
-The grids' builds are checked against it entry by entry, and the 2-sphere
-grid's stencil-slice jets against its product bit for bit.  The 2-sphere
-grid's phi-mode ring symbols are checked against those read from its ring
-rows.
+by scipy sparse algebra (stencil matrices, diagonal products and a vstack),
+and the CSR Jacobian linearize builds from it.  The grids' stencil-slice jets
+are checked against its product bit for bit, their matrix-free Jacobians and
+Newton solvers against that CSR Jacobian, and the 2-sphere grid's phi-mode
+ring symbols against those read from its ring rows.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import scipy.sparse
 
 from hessquot.errors import ConeViolation, DegenerateJet, HessquotError
 from hessquot.radial_geometry import _check_jet, geometry_batch
+from hessquot.sphere_grid import SphereGrid2D
 from hessquot.symfun import QuotientParams, gamma_margins, log_quotient_grad_batch, sigma_batch
 
 
@@ -394,6 +395,18 @@ def s2_jet_operator(grid):
     rows = (_identity(grid.node_count), r_t, inv_st @ r_p, r_tt, inv_st @ (r_tp - cot @ r_p),
             scipy.sparse.diags(st**-2) @ r_pp + cot @ r_t)
     return scipy.sparse.vstack(rows, format="csr")
+
+
+def jet_operator(grid):
+    """The (6N, N) jet operator of either grid by sparse algebra."""
+    return s2_jet_operator(grid) if isinstance(grid, SphereGrid2D) else axisym_jet_operator(grid)
+
+
+def linearize(grid, partials):
+    """J = sum_r diag(partials[r]) D_r as an (N, N) CSR matrix, for node-wise
+    partials (6, N) over the frame rows, D_r the row blocks of jet_operator."""
+    weights = scipy.sparse.hstack([scipy.sparse.diags(row) for row in partials])
+    return (weights @ jet_operator(grid)).tocsr()
 
 
 def s2_ring_symbols(grid):

@@ -69,10 +69,11 @@ formats = csv,obj
 """
 
 
-# the s2 Newton step factors its phi-mode blocks without splu, so no
-# continuation_solver.splu span opens on s2
+# neither grid's Newton step calls splu (the axisymmetric one factors J_u's
+# bands by LAPACK, the s2 one its phi-mode blocks in numpy), so no
+# continuation_solver.splu span opens
 @pytest.mark.parametrize("text, idle", [
-    (ANISOTROPIC_33, {"continuation_solver.linsys"}),
+    (ANISOTROPIC_33, {"continuation_solver.linsys", "continuation_solver.splu"}),
     (GAUSS_S2_32x64, {"continuation_solver.linsys", "continuation_solver.splu"}),
 ], ids=["axisym", "s2"])
 def test_every_traced_layer_fires(tmp_path, text, idle):

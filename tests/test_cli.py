@@ -479,7 +479,7 @@ print(json.dumps(loaded))
 class TestFreshProcessImports:
     """A CLI command imports only the scipy it uses: validate of an n = 2
     config, export and an s2 solve none, and an axisymmetric solve that
-    path's splu."""
+    path's LAPACK band factor, scipy.linalg, and no scipy.sparse."""
 
     @staticmethod
     def loaded_after(commands):
@@ -500,7 +500,8 @@ class TestFreshProcessImports:
         assert self.loaded_after([["validate", str(s2)], ["export", str(s2), rho_csv]]) == [[], []]
         after_s2, after_axisym = self.loaded_after([["solve", str(s2)], ["solve", str(axisym)]])
         assert after_s2 == []
-        assert "scipy.sparse.linalg" in after_axisym
+        assert "scipy.linalg.lapack" in after_axisym
+        assert not [m for m in after_axisym if m.startswith("scipy.sparse")]
 
 
 def edge_use_counts(faces):

@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zgttrf
 
 from hessquot.errors import SizeMismatch, TooCoarse
 from hessquot.sphere_grid import _TridiagonalLU, build_axisym_grid, build_s2_grid, jet_arrays
-from oracles import axisym_jet_operator, s2_jet_operator, s2_ring_symbols
+from oracles import axisym_jet_operator, jet_operator, linearize, s2_jet_operator, s2_ring_symbols
 
 
 def s2_angles(grid):
@@ -58,50 +59,37 @@ class TestBuildGrids:
         assert {grid: "a", twin: "b"}[grid] == "a"
 
 
-def sorted_entries(op):
-    """(row, column, value bits) of every stored entry, sorted by row and column."""
-    rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
-    order = np.lexsort((op.indices, rows))
-    return rows[order], op.indices[order], op.data[order].view(np.int64)
-
-
 class TestOperatorReference:
-    """The jet operators, written by index arithmetic, hold the same entries,
-    bit for bit, as the sparse-algebra build in tests/oracles.py."""
-
-    @pytest.mark.parametrize("shape", [(16,), (17,), (33,), (1025,), (50_000,), (16, 32),
-                                       (17, 32), (16, 34), (24, 48), (48, 96), (33, 66)],
-                             ids=lambda shape: "x".join(map(str, shape)))
-    def test_entries_match_the_reference(self, shape):
-        if len(shape) == 1:
-            grid = build_axisym_grid(*shape)
-            op, ref = grid.jet_operator, axisym_jet_operator(grid)
-        else:
-            grid = build_s2_grid(*shape)
-            op, ref = grid.jet_operator, s2_jet_operator(grid)
-        assert op.shape == ref.shape
-        for got, expected in zip(sorted_entries(op), sorted_entries(ref)):
-            assert np.array_equal(got, expected)
-        jets = jet_arrays(np.full(grid.node_count, 1.3), grid, 2)
-        assert np.all(jets[0] == 1.3) and np.all(jets[1:] == 0.0)
+    """The grids' stencil-slice jets against the product of the sparse-algebra
+    jet operators in tests/oracles.py, bit for bit."""
 
     # odd n_theta, and n_phi = 2 (mod 4), where the pole crossing n_phi/2 is odd
     S2_SHAPES = [(16, 32), (17, 32), (16, 34), (24, 48), (48, 96), (33, 66)]
 
-    @pytest.mark.parametrize("shape", S2_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
-    def test_s2_jets_are_the_csr_product_bit_for_bit(self, shape):
+    @pytest.mark.parametrize("shape", [(16,), (33,), (129,), (1025,)] + S2_SHAPES,
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_jets_are_the_csr_product_bit_for_bit(self, shape):
         # each row sums its entries in stored order from 0.0, so -0.0 entries
-        # show a sum started from its first term, and the rows that cross a
-        # pole or wrap in phi a sum in offset order
-        grid = build_s2_grid(*shape)
-        op = s2_jet_operator(grid)
+        # show a sum started from its first term, and on s2 the rows that
+        # cross a pole or wrap in phi a sum in offset order
+        grid = build_axisym_grid(*shape) if len(shape) == 1 else build_s2_grid(*shape)
+        N, op = grid.node_count, jet_operator(grid)
         rng = np.random.default_rng(23)
+        fields = []
         for scale in (1e-300, 1e-8, 1.0, 1e8, 1e300):
-            w = scale * rng.standard_normal(grid.node_count)
-            w[rng.random(grid.node_count) < 0.2] = 0.0
-            w[rng.random(grid.node_count) < 0.2] = -0.0
+            w = scale * rng.standard_normal(N)
+            w[rng.random(N) < 0.2] = 0.0
+            w[rng.random(N) < 0.2] = -0.0
+            fields.append(w)
+        # signed zeros alone: a row whose terms are all -0.0 sums to 0.0 from
+        # 0.0, and the alternating fields make such rows at both axisym poles
+        fields += [np.resize([0.0, -0.0], N), np.resize([-0.0, 0.0], N),
+                   np.where(rng.random(N) < 0.5, 0.0, -0.0)]
+        for w in fields:
             got, expected = jet_arrays(w, grid, 2), (op @ w).reshape(6, -1)
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        jets = jet_arrays(np.full(grid.node_count, 1.3), grid, 2)
+        assert np.all(jets[0] == 1.3) and np.all(jets[1:] == 0.0)
 
     @pytest.mark.parametrize("shape", S2_SHAPES, ids=lambda shape: "x".join(map(str, shape)))
     def test_s2_ring_symbols_match_the_csr_ring_rows(self, shape):
@@ -109,11 +97,11 @@ class TestOperatorReference:
         for got, expected in zip(grid._ring_symbols, s2_ring_symbols(grid)):
             assert got.shape == expected.shape and np.array_equal(got, expected)
 
-    # J's duplicate sums follow each row's entry order, so the grid's own
-    # operator is held to the order its jet_operator docstring states
+    # the jets sum each row in the reference's stored order, which the grids'
+    # docstrings state
     @pytest.mark.parametrize("N", [16, 17])
     def test_axisym_rows_are_ascending(self, N):
-        op = build_axisym_grid(N).jet_operator
+        op = axisym_jet_operator(build_axisym_grid(N))
         rows = np.repeat(np.arange(op.shape[0]), np.diff(op.indptr))
         assert np.all(np.diff(op.indices)[rows[1:] == rows[:-1]] > 0)
 
@@ -122,7 +110,7 @@ class TestOperatorReference:
         # per block, runs of (entries, +1 ascending or -1 descending column)
         runs = ([(1, 1)], [(2, 1)], [(2, -1)], [(3, 1)], [(4, 1), (2, -1)], [(2, 1), (3, 1)])
         grid = build_s2_grid(*shape)
-        op, N = grid.jet_operator, grid.node_count
+        op, N = s2_jet_operator(grid), grid.node_count
         for b, block_runs in enumerate(runs):
             cols = op.indices[op.indptr[b * N]:op.indptr[(b + 1) * N]].reshape(N, -1)
             assert cols.shape[1] == sum(k for k, _ in block_runs)
@@ -345,49 +333,39 @@ class TestGridInterface:
                              [("axisym", (2, 4), (1,)), ("s2", (), (1, 2))], ids=["axisym", "s2"])
     def test_operator_has_one_block_per_frame_row(self, mode, empty, gradient_rows):
         # both grids make all six frame rows; a row that is 0 for every field
-        # (grad_2 and hess_12 of a zonal field) is an empty CSR block
+        # (grad_2 and hess_12 of a zonal field) is an empty block of the
+        # reference operator
         grid, _ = self.grid_and_wrong_n(mode)
         N = grid.node_count
-        op = grid.jet_operator
-        assert op.format == "csr" and op.shape == (6 * N, N)
+        op = jet_operator(grid)
+        assert op.shape == (6 * N, N)
         block_sizes = np.diff(op.indptr[::N])
         assert tuple(r for r in range(6) if block_sizes[r] == 0) == empty
         assert grid.gradient_rows == gradient_rows
 
     @pytest.mark.parametrize("mode", ["axisym", "s2"])
-    def test_linearize_pairs_partials_with_jets(self, mode):
+    def test_jacobian_pairs_partials_with_jets(self, mode):
         grid, _ = self.grid_and_wrong_n(mode)
         N = grid.node_count
         rng = np.random.default_rng(13)
         partials = rng.normal(size=(6, N))
         w = rng.normal(size=N)
-        expected = np.einsum("rn,rn->n", partials, jet_arrays(w, grid, 2))
-        got = grid.linearize(partials) @ w
+        expected = linearize(grid, partials) @ w
+        got = grid.jacobian(partials) @ w
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    def test_linearize_on_a_grid_past_int32_keys(self):
-        # N * N >= 2**31, where the Jacobian pattern's row * N + col keys no
-        # longer fit the operator's int32 indices
-        N = 50_000
-        grid = build_axisym_grid(N)
-        rng = np.random.default_rng(19)
-        partials = rng.normal(size=(6, N))
-        w = rng.normal(size=N)
-        expected = np.einsum("rn,rn->n", partials, jet_arrays(w, grid, 2))
-        got = grid.linearize(partials) @ w
-        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
-
-    def test_axisym_linearize_skips_the_rows_it_does_not_make(self):
+    def test_axisym_jacobian_skips_the_rows_it_does_not_make(self):
         # grad_2 and hess_12 are 0 for every zonal field, so their partials
-        # must not enter the Jacobian
+        # must enter neither J nor the solver of J_u
         grid = build_axisym_grid(33)
         rng = np.random.default_rng(17)
         partials = rng.normal(size=(6, grid.node_count))
         other = partials.copy()
         other[[2, 4]] = rng.normal(size=(2, grid.node_count))
-        a, b = grid.linearize(partials), grid.linearize(other)
-        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.data, b.data)
+        rho, w = rng.uniform(0.5, 2.0, size=(2, grid.node_count))
+        a, b = grid.jacobian(partials), grid.jacobian(other)
+        assert np.array_equal(a @ w, b @ w)
+        assert np.array_equal(grid.log_solver(a, rho).solve(w), grid.log_solver(b, rho).solve(w))
 
 
 class TestFieldNorms:
@@ -445,6 +423,17 @@ class TestTridiagonalLU:
         for j in range(self.MODES):
             expected = np.linalg.solve(self.dense(bands, j), b[:, j])
             assert np.abs(x[:, j] - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n", [16, 17, 48])
+    def test_swaps_are_zgttrfs_row_interchanges(self, n):
+        bands = self.bands(n, seed=n + 2)
+        lu = _TridiagonalLU(bands)
+        assert lu.swaps[:, self.MODES // 2:].any(axis=0).all()
+        for j in range(self.MODES):
+            *_, ipiv, info = zgttrf(bands[0, 1:, j], bands[1, :, j], bands[2, :-1, j])
+            assert info == 0
+            # 1-based: ipiv[i] is i + 2 where rows i and i + 1 trade places
+            assert np.array_equal(lu.swaps[:, j], ipiv[:-1] == np.arange(2, n + 1))
 
     @pytest.mark.parametrize("column", [0, 7, 15])
     def test_exactly_singular_block_raises_without_warning(self, column):
