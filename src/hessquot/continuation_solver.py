@@ -69,8 +69,11 @@ from .errors import (
     NoConvergence,
     NonpositiveF,
 )
-from .estimates_monitor import BoundsSnapshot, check_c0, check_positivity, snapshot_bounds
-from .fspec import HomotopyTarget, eval_homotopy
+# the solver calls snapshot_from; snapshot_bounds stays bound, idle, as a
+# name perfbench/tracing.py wraps
+from .estimates_monitor import (BoundsSnapshot, check_c0, check_positivity, snapshot_bounds,
+                                snapshot_from)
+from .fspec import HomotopyTarget, eval_homotopy, reads_normal
 from .radial_geometry import GeometryBatch, geometry_batch, geometry_first_variation, local_normal
 from .sphere_grid import jet_arrays
 from .symfun import log_quotient_grad_batch, sigma_batch
@@ -165,10 +168,12 @@ def _f_values(jets, grid, target: HomotopyTarget, t: float):
 @dataclass
 class _Iterate:
     """One evaluated field: its (6, N) frame jets (jets[0] is rho), their
-    geometry, sigma_0..sigma_k of eta, f_t, the residual and its sup."""
+    geometry, sigma_0..sigma_k of eta, the least cone margin over the nodes,
+    f_t, the residual and its sup."""
     jets: np.ndarray
     geo: GeometryBatch
     sig: np.ndarray
+    margin: float
     f: np.ndarray
     res: np.ndarray
     sup: float
@@ -198,7 +203,8 @@ def _pointwise_residual(jets, grid, target: HomotopyTarget, t: float) -> _Iterat
         )
     fvals = _f_values(jets, grid, target, t)
     res = np.log(sig[:, p.k]) - np.log(sig[:, p.l]) - np.log(fvals)
-    return _Iterate(jets, geo, sig, fvals, res, float(np.abs(res).max()))
+    return _Iterate(jets, geo, sig, float(margins[worst]), fvals, res,
+                    float(np.abs(res).max()))
 
 
 def _residual_and_margin(rho, grid, target: HomotopyTarget, t: float) -> _Iterate:
@@ -215,10 +221,12 @@ def residual_vector(rho, grid, target: HomotopyTarget, t: float):
 def _log_f_partials(it: _Iterate, grid, target: HomotopyTarget, t: float):
     """Partials (3, N) of log f_t over frame rows 0-2, rho and grad: forward
     differences from the iterate's f_t, step sqrt(eps) max(1, |j_r|), along
-    rho and each gradient row with a non-empty block; the other row's is 0."""
+    rho and, when f reads nu (see fspec.reads_normal), each gradient row with
+    a non-empty block; the other rows' are 0, for X = rho x reads no gradient."""
     jets, log_f = it.jets, np.log(it.f)
     partials = np.zeros((3, jets.shape[1]))
-    for r in (0,) + grid.gradient_rows:
+    rows = (0,) + grid.gradient_rows if reads_normal(target.base) else (0,)
+    for r in rows:
         bumped = jets.copy()
         bumped[r] += _JET_STEP * np.maximum(1.0, np.abs(jets[r]))
         partials[r] = (np.log(_f_values(bumped, grid, target, t)) - log_f) / (
@@ -276,7 +284,7 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
     raises that error.  The iteration stops on the true residual sup <=
     newton_tol, or raises NoConvergence after _MAX_NEWTON steps.  Returns
     (field, iterations, factorizations, residual sup, solver of J_u held at
-    the end).
+    the end, iterate of the field).
     """
     tol = _newton_tol(cfg, grid)
     it = _residual_and_margin(rho0, grid, target, t)
@@ -325,7 +333,7 @@ def newton_solve(rho0, t: float, target: HomotopyTarget, grid, cfg: SolverConfig
         it = outcome
         rho, res, sup = it.jets[0], it.res, it.sup
         iters += 1
-    return rho, iters, factorizations, sup, lu
+    return rho, iters, factorizations, sup, lu, it
 
 
 def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace):
@@ -345,10 +353,11 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
     took, so no refused t_try is retried from the same state; dt grows after
     a corrector that factored at most once; chord steps raise the iteration
     count without costing a Jacobian, so the factorizations measure the
-    work.  Every accepted state goes through accept(grid, t, iters,
-    residual sup, rho); a stall raises ContinuationStalled with the last
-    accepted state, and the last corrector failure as its cause.  Returns rho
-    at t = 1.
+    work.  Every accepted state goes through accept(t, iters, iterate), with
+    the iterate its corrector ended on (the evaluation at rho = 1 for t = 0),
+    which is dropped right after; a stall raises ContinuationStalled with the
+    last accepted state, and the last corrector failure as its cause.
+    Returns rho at t = 1.
     """
     rho = np.ones(grid.node_count)
     # The solver carried from one corrector to the next.  It is handed over
@@ -356,7 +365,7 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
     # it builds anew: at most one held solver is alive at a time.
     carried = {}
 
-    accept(grid, 0.0, 0, _residual_and_margin(rho, grid, target, 0.0).sup, rho)
+    accept(0.0, 0, _residual_and_margin(rho, grid, target, 0.0))
 
     path_cfg = SolverConfig(newton_tol=math.sqrt(_newton_tol(cfg, grid)))
     t = 0.0
@@ -365,7 +374,7 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
         t_try = min(t + dt, 1.0)
         rho0 = rho if t == 0.0 else rho + (t_try - t) / (t - t_prev) * (rho - rho_prev)
         try:
-            rho_new, iters, factorizations, res_sup, carried["lu"] = newton_solve(
+            rho_new, iters, factorizations, _, carried["lu"], it = newton_solve(
                 rho0, t_try, target, grid, cfg if t_try == 1.0 else path_cfg,
                 carried.pop("lu", None))
         except (NoConvergence, *_INADMISSIBLE) as exc:
@@ -377,7 +386,8 @@ def _follow_path(target: HomotopyTarget, grid, cfg: SolverConfig, accept, trace)
                     SolutionField(rho, trace)) from exc
             continue
         t_prev, rho_prev, t, rho = t, rho, t_try, rho_new
-        accept(grid, t, iters, res_sup, rho)
+        accept(t, iters, it)
+        it = None
         if factorizations <= 1:
             dt *= _DT_GROWTH
     return rho
@@ -398,24 +408,27 @@ def continuation_solve(
     solution starts the fine corrector inside its quadratic basin.  Should
     anything fail before the target grid's t = 1 state is accepted, the path
     is followed again on the target grid: the rows accepted so far stay in
-    the trace, and no coarse field escapes in an exception.  `validated`
-    asserts that the assumption checks passed, which turns the
-    radial-containment and positivity monitors, checked on every accepted
-    state, into hard invariants: a violation aborts with MonitorViolation.
+    the trace, and no coarse field escapes in an exception.  Each accepted
+    state's trace row holds the bounds snapshot of the iterate its corrector
+    ended on, read from that iterate's jets, geometry and cone margin, so
+    no state is evaluated twice.  `validated` asserts that the assumption
+    checks passed, which turns the radial-containment and positivity
+    monitors, checked on every accepted state, into hard invariants: a
+    violation aborts with MonitorViolation.
     """
     trace = []
 
-    def accept(on_grid, t, iters, res_sup, rho_now):
-        snap = snapshot_bounds(rho_now, on_grid, target.p)
-        trace.append(SolveStep(t=t, newton_iters=iters, residual_sup=res_sup, bounds=snap,
-                               nodes=on_grid.node_count))
+    def accept(t, iters, it):
+        snap = snapshot_from(it.jets, it.geo, it.margin)
+        trace.append(SolveStep(t=t, newton_iters=iters, residual_sup=it.sup, bounds=snap,
+                               nodes=it.res.size))
         if validated:
             radial = check_c0(snap, target.r1, target.r2)
             positive = check_positivity(snap)
             if not (radial.passed and positive.passed):
                 raise MonitorViolation(
                     f"bounds monitor failed at t={t}: radial margins {radial.margins}, "
-                    f"positivity {positive.margins}", SolutionField(rho_now, trace))
+                    f"positivity {positive.margins}", SolutionField(it.jets[0], trace))
 
     ladder = [grid]
     while (coarser := ladder[-1].coarsened()) is not None:
@@ -424,9 +437,10 @@ def continuation_solve(
         try:
             rho = _follow_path(target, ladder[-1], cfg, accept, trace)
             for finer in reversed(ladder[:-1]):
-                rho, iters, _, res_sup, _ = newton_solve(
+                rho, iters, _, _, _, it = newton_solve(
                     finer.prolong(rho), 1.0, target, finer, cfg, lu=None)
-                accept(finer, 1.0, iters, res_sup, rho)
+                accept(1.0, iters, it)
+                it = None
             return SolutionField(rho, trace)
         except (ContinuationStalled, MonitorViolation, NoConvergence, *_INADMISSIBLE):
             pass  # follow the path on the target grid instead

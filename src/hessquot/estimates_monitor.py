@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial_geometry import geometry_batch
+from .radial_geometry import GeometryBatch, geometry_batch
 from .sphere_grid import jet_arrays
 from .symfun import QuotientParams, gamma_margins
 
-__all__ = ["BoundsSnapshot", "CheckResult", "snapshot_bounds", "check_c0", "check_positivity"]
+__all__ = ["BoundsSnapshot", "CheckResult", "snapshot_from", "snapshot_bounds", "check_c0",
+           "check_positivity"]
 
 
 @dataclass
@@ -37,20 +38,26 @@ class CheckResult:
     margins: dict
 
 
-def snapshot_bounds(rho, grid, p: QuotientParams) -> BoundsSnapshot:
-    """Scan all nodes of a field state and collect the monitored extrema."""
-    jets = jet_arrays(rho, grid, p.n)
-    geo = geometry_batch(jets, p.n)
-    margins = gamma_margins(geo.eta, p.k)
+def snapshot_from(jets, geo: GeometryBatch, cone_margin_min: float) -> BoundsSnapshot:
+    """The monitored extrema over all nodes of a field state, from its (6, N)
+    frame jets, their geometry and its least cone margin (of sigma_1..sigma_k
+    of eta)."""
     return BoundsSnapshot(
         rho_min=float(jets[0].min()),
         rho_max=float(jets[0].max()),
         u_min=float(geo.u.min()),
         grad_sup=float(geo.grad_norm.max()),
         kappa_sup=float(np.abs(geo.kappa).max()),
-        cone_margin_min=float(margins.min()),
+        cone_margin_min=cone_margin_min,
         eta_min=float(geo.eta.min()),
     )
+
+
+def snapshot_bounds(rho, grid, p: QuotientParams) -> BoundsSnapshot:
+    """Scan all nodes of a field state and collect the monitored extrema."""
+    jets = jet_arrays(rho, grid, p.n)
+    geo = geometry_batch(jets, p.n)
+    return snapshot_from(jets, geo, float(gamma_margins(geo.eta, p.k).min()))
 
 
 def check_c0(s: BoundsSnapshot, r1: float, r2: float) -> CheckResult:

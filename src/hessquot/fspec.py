@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "Expr",
     "parse_f",
     "to_source",
+    "reads_normal",
     "eval_f",
     "HomotopyTarget",
     "check_annulus",
@@ -237,6 +239,19 @@ def to_source(node: Expr) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def reads_normal(base) -> bool:
+    """Whether f may depend on nu: True for a callable that is not an Expr,
+    and for an Expr only if its tree names some nu_i."""
+    if isinstance(base, Var):
+        return base.kind == "nu"
+    if isinstance(base, (Neg, Call)):
+        return reads_normal(base.arg)
+    if isinstance(base, Bin):
+        return reads_normal(base.left) or reads_normal(base.right)
+    # a Num reads nothing; any other callable may read nu
+    return not isinstance(base, Num)
+
+
 def _check_domain(ok: np.ndarray, message: str, node: Expr):
     if not ok.all():
         raise EvalError(message, to_source(node))
@@ -366,8 +381,58 @@ def eval_homotopy(target: HomotopyTarget, t: float, X, nu):
     return float(out) if np.ndim(out) == 0 else out
 
 
+# Moshier's Cephes ndtri: a rational function of (y - 1/2)^2 for
+# exp(-2) < y < 1 - exp(-2), else of 1/z, z = sqrt(-2 log y), while z < 8, which
+# covers quasi_uniform_directions' clipped domain (z <= 7.43), so the z >= 8
+# table is left out; each denominator's leading 1 is written out
+_EXP_M2, _S2PI = 0.13533528323661269189, 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+
+
+def _polevl(x, coefs):
+    """Horner's rule, leading coefficient first, as Cephes' polevl."""
+    out = coefs[0]
+    for c in coefs[1:]:
+        out = out * x + c
+    return out
+
+
+def _ndtri(y):
+    """The standard normal quantile of y in [1e-12, 1 - 1e-12], Cephes' ndtri
+    operation by operation, so scipy.special.ndtri's value bit for bit; its
+    tail logs are libm's, which numpy's vectorized log may miss by an ulp."""
+    def libm_log(a):
+        return np.array([math.log(v) for v in a.tolist()])
+
+    y = np.asarray(y, dtype=float)
+    upper = y > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y, y)
+    central = y > _EXP_M2
+    out = np.empty_like(y)
+    c = y[central] - 0.5
+    c2 = c * c
+    out[central] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0))) * _S2PI
+    z = np.sqrt(-2.0 * libm_log(y[~central]))
+    w = 1.0 / z
+    x = (z - libm_log(z) / z) - w * _polevl(w, _NDTRI_P1) / _polevl(w, _NDTRI_Q1)
+    out[~central] = np.where(upper[~central], x, -x)
+    return out
+
+
+@lru_cache(maxsize=32)
 def quasi_uniform_directions(count: int, dim: int) -> np.ndarray:
-    """Deterministic quasi-uniform unit vectors in R^dim.
+    """Deterministic quasi-uniform unit vectors in R^dim, one read-only table
+    per (count, dim).
 
     dim = 3 uses the Fibonacci lattice; other dimensions map a Kronecker
     low-discrepancy sequence through the normal quantile and normalize.
@@ -378,18 +443,19 @@ def quasi_uniform_directions(count: int, dim: int) -> np.ndarray:
         z = 1.0 - 2.0 * i / count
         r = np.sqrt(np.clip(1.0 - z * z, 0.0, 1.0))
         phi = 2.0 * math.pi * i / golden
-        return np.stack([z, r * np.cos(phi), r * np.sin(phi)], axis=-1)
-    from scipy.special import ndtri
-
-    # generalized golden-ratio Kronecker sequence
-    g = 2.0
-    for _ in range(32):
-        g = (1.0 + g) ** (1.0 / (dim + 1.0))
-    alphas = np.array([(1.0 / g) ** (j + 1) for j in range(dim)])
-    i = np.arange(1, count + 1)[:, None]
-    u = np.mod(0.5 + i * alphas[None, :], 1.0)
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+        dirs = np.stack([z, r * np.cos(phi), r * np.sin(phi)], axis=-1)
+    else:
+        # generalized golden-ratio Kronecker sequence
+        g = 2.0
+        for _ in range(32):
+            g = (1.0 + g) ** (1.0 / (dim + 1.0))
+        alphas = np.array([(1.0 / g) ** (j + 1) for j in range(dim)])
+        i = np.arange(1, count + 1)[:, None]
+        u = np.mod(0.5 + i * alphas[None, :], 1.0)
+        z = _ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+        dirs = z / np.linalg.norm(z, axis=1, keepdims=True)
+    dirs.flags.writeable = False
+    return dirs
 
 
 @dataclass
@@ -436,8 +502,9 @@ def _worst(margins: np.ndarray, points: np.ndarray, tol: float) -> AssumptionChe
 def validate_assumptions(base, p: QuotientParams, r1: float, r2: float) -> AssumptionReport:
     """Check the three conditions on f at samples, each up to a rounding bound:
     the bounds at VALIDATE_SAMPLES directions on |X| = r2 and r1, monotonicity
-    on 64 directions x 8 normals over 17 radii from r1 to r2, where the margin is
-    the least -Delta(rho^(k-l) f)/Delta rho between neighbouring radii.  Both
+    on 64 directions x 8 normals (1 if f reads none, see reads_normal) over 17
+    radii from r1 to r2, where the margin is the least
+    -Delta(rho^(k-l) f)/Delta rho between neighbouring radii.  Both
     direction sets also hold the polar axis +-e1, a node of every axisym grid,
     which no quasi-uniform direction lands on; a NaN margin fails its check."""
     check_annulus(r1, r2)
@@ -455,10 +522,12 @@ def validate_assumptions(base, p: QuotientParams, r1: float, r2: float) -> Assum
     inner = _worst(f_inner - level, r1 * dirs, tol=1e-12 * max(1.0, abs(level)))
 
     # g = rho^(k-l) f on a ladder of radii from r1 to r2 along each (direction,
-    # normal) pair, direction-major; a segment's margin is -dg/drho across it
+    # normal) pair, direction-major; a segment's margin is -dg/drho across it.
+    # An f that reads no normal gives every normal the same g, and argmin
+    # takes the first, so its ladder keeps only the first normal
     xdirs = np.vstack([quasi_uniform_directions(64, dim), poles])
-    n_dir, n_nu, n_rho = len(xdirs), 8, 17
-    nus = quasi_uniform_directions(n_nu, dim)
+    n_dir, n_nu, n_rho = len(xdirs), 8 if reads_normal(base) else 1, 17
+    nus = quasi_uniform_directions(8, dim)[:n_nu]
     rhos = np.linspace(r1, r2, n_rho)
     # written in place, from the first normal and the first direction, so
     # that no repeated or tiled copy of the ladder is made

@@ -93,7 +93,9 @@ def _check_field(field_values, count: int) -> np.ndarray:
 @dataclass(eq=False)
 class AxisymGrid:
     """Uniform colatitude nodes theta_m = m pi/(N-1), m = 0..N-1, poles included;
-    newton_tol 1e-10 is above the residual's round-off floor (~ h^-2) up to N = 1025."""
+    newton_tol 1e-10 is above the residual's round-off floor (~ h^-2) below
+    N = 1025 and at that floor at N = 1025, where a t = 1 corrector may stall
+    near 1.2e-10 and pay one more Jacobian."""
 
     node_count: int
     theta: np.ndarray

@@ -71,12 +71,15 @@ formats = csv,obj
 
 # neither grid's Newton step calls splu (the axisymmetric one factors J_u's
 # bands by LAPACK, the s2 one its phi-mode blocks in numpy), so no
-# continuation_solver.splu span opens
-@pytest.mark.parametrize("text, idle", [
-    (ANISOTROPIC_33, {"continuation_solver.linsys", "continuation_solver.splu"}),
-    (GAUSS_S2_32x64, {"continuation_solver.linsys", "continuation_solver.splu"}),
-], ids=["axisym", "s2"])
-def test_every_traced_layer_fires(tmp_path, text, idle):
+# continuation_solver.splu span opens; each accepted state's bounds come from
+# its corrector's last iterate, so the solver calls neither snapshot_bounds
+# nor the gamma_margins inside it
+IDLE = {"continuation_solver.linsys", "continuation_solver.splu",
+        "estimates_monitor.snapshot_bounds", "symfun.gamma_margins"}
+
+
+@pytest.mark.parametrize("text", [ANISOTROPIC_33, GAUSS_S2_32x64], ids=["axisym", "s2"])
+def test_every_traced_layer_fires(tmp_path, text):
     from hessquot.cli import EXIT_OK, main
 
     tracing = load_tracing()
@@ -91,4 +94,4 @@ def test_every_traced_layer_fires(tmp_path, text, idle):
     opened = {span[2] for span in tracer.spans}
     timed = {name for names in tracing.SELF_TIMES.values() for name in names}
     # a binding that exists but is no longer called on its path reads 0 too
-    assert timed - opened == idle
+    assert timed - opened == IDLE

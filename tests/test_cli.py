@@ -477,9 +477,9 @@ print(json.dumps(loaded))
 
 
 class TestFreshProcessImports:
-    """A CLI command imports only the scipy it uses: validate of an n = 2
-    config, export and an s2 solve none, and an axisymmetric solve that
-    path's LAPACK band factor, scipy.linalg, and no scipy.sparse."""
+    """A CLI command imports only the scipy it uses: validate, export and an
+    s2 solve none, and an axisymmetric solve that path's LAPACK band factor,
+    scipy.linalg, and neither scipy.sparse nor scipy.special."""
 
     @staticmethod
     def loaded_after(commands):
@@ -502,6 +502,16 @@ class TestFreshProcessImports:
         assert after_s2 == []
         assert "scipy.linalg.lapack" in after_axisym
         assert not [m for m in after_axisym if m.startswith("scipy.sparse")]
+
+    def test_axisym_validate_and_solve_load_no_scipy_special(self, tmp_path):
+        # validation maps its directions through numpy's port of Cephes' ndtri
+        axisym = tmp_path / "axisym.ini"
+        axisym.write_text(RADIAL_SOLVE.format(outdir=tmp_path / "axisym").replace(
+            "f = 12 * rho^(-3)", "f = 12 * rho^(-3) * (1 + 0.2 * x1 / rho)"))
+        assert self.loaded_after([["validate", str(CONFIGS / "anisotropic.ini")]]) == [[]]
+        (after_solve,) = self.loaded_after([["solve", str(axisym)]])
+        assert "scipy.linalg" in after_solve
+        assert not [m for m in after_solve if m.startswith("scipy.special")]
 
 
 def edge_use_counts(faces):

@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from hessquot import cli, continuation_solver, sphere_grid
+from hessquot import cli, continuation_solver, estimates_monitor, sphere_grid
 from hessquot.errors import (
     ConeViolation,
     ContinuationStalled,
@@ -28,7 +28,13 @@ from hessquot.continuation_solver import (
     residual_vector,
 )
 from hessquot.estimates_monitor import check_c0, check_positivity, snapshot_bounds
-from hessquot.fspec import make_homotopy, parse_f, reference_level, validate_assumptions
+from hessquot.fspec import (
+    make_homotopy,
+    parse_f,
+    reads_normal,
+    reference_level,
+    validate_assumptions,
+)
 from hessquot.manufactured import cosine_profile, manufactured_forcing
 from hessquot.sphere_grid import (
     SphereGrid2D,
@@ -870,36 +876,49 @@ class TestWorkCounts:
         assert len(factorizations) <= max_factorizations
         assert sum(step.newton_iters for step in sol.trace) <= max_iters
 
-    @pytest.mark.parametrize("mode", ["axisym", "s2"])
-    def test_one_evaluation_per_iterate(self, monkeypatch, mode):
+    @pytest.mark.parametrize("mode, f", [
+        ("axisym", "12 * rho^(-3) * (1 + 0.2 * x1 / rho)"),
+        ("axisym", "12 * rho^(-3) * (1 + 0.2 * x1 / rho + 0.1 * nu1)"),
+        ("s2", GAUSS_F),
+        ("s2", "rho^(-3) * (1 + 0.15 * x1 / rho + 0.1 * nu2)"),
+    ], ids=["axisym", "axisym-nu", "s2", "s2-nu"])
+    def test_one_evaluation_per_iterate(self, monkeypatch, mode, f):
         # J reads the jets, geometry, sigma and f_t its iterate was evaluated
-        # with: no geometry of its own, and f only at the bumped jets
+        # with: no geometry of its own, and f only at the bumped jets, whose
+        # gradient rows only an f that reads nu needs; each accepted state's
+        # bounds come from its corrector's last iterate, with no geometry
         calls = {}
 
-        def count(name):
-            fn = getattr(continuation_solver, name)
-            calls[name] = 0
+        def count(module, name):
+            fn = getattr(module, name)
+            key = f"{module.__name__}.{name}"
+            calls[key] = 0
 
             def counted(*args, **kwargs):
-                calls[name] += 1
+                calls[key] += 1
                 return fn(*args, **kwargs)
 
-            monkeypatch.setattr(continuation_solver, name, counted)
+            monkeypatch.setattr(module, name, counted)
 
         for name in ("geometry_batch", "eval_homotopy", "_residual_and_margin",
                      "assemble_jacobian"):
-            count(name)
+            count(continuation_solver, name)
+        count(estimates_monitor, "geometry_batch")
         if mode == "axisym":
             grid, p = build_axisym_grid(65), QuotientParams(3, 2, 0)
-            f = "12 * rho^(-3) * (1 + 0.2 * x1 / rho)"
         else:
-            grid, p, f = build_s2_grid(32, 64), QuotientParams(2, 2, 0), GAUSS_F
-        sol = continuation_solve(make_homotopy(parse_f(f), p, 0.5, 2.0), grid)
-        assert sol.trace[-1].t == 1.0 and calls["assemble_jacobian"] > 0
-        evals = calls["_residual_and_margin"]
-        assert calls["geometry_batch"] == evals
-        assert calls["eval_homotopy"] == (
-            evals + calls["assemble_jacobian"] * (1 + len(grid.gradient_rows)))
+            grid, p = build_s2_grid(32, 64), QuotientParams(2, 2, 0)
+        base = parse_f(f)
+        sol = continuation_solve(make_homotopy(base, p, 0.5, 2.0), grid)
+        solver = "hessquot.continuation_solver."
+        jacobians = calls[solver + "assemble_jacobian"]
+        assert sol.trace[-1].t == 1.0 and jacobians > 0
+        evals = calls[solver + "_residual_and_margin"]
+        assert calls[solver + "geometry_batch"] == evals
+        assert calls["hessquot.estimates_monitor.geometry_batch"] == 0
+        bumped = 1 + len(grid.gradient_rows) if reads_normal(base) else 1
+        assert reads_normal(base) == ("nu" in f)
+        assert calls[solver + "eval_homotopy"] == evals + jacobians * bumped
 
 
 class TestGridSequencing:

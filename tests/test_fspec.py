@@ -1,9 +1,13 @@
 """Expression grammar, homotopy construction, and assumption validation."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from hessquot.errors import BadAnnulus, EvalError, ParseError, UnknownIdentifier
 from hessquot.fspec import (
@@ -15,14 +19,18 @@ from hessquot.fspec import (
     eval_f,
     eval_homotopy,
     make_homotopy,
+    _EXP_M2,
+    _ndtri,
     parse_f,
     quasi_uniform_directions,
+    reads_normal,
     reference_level,
     to_source,
     validate_assumptions,
 )
 from hessquot.manufactured import cosine_profile, manufactured_forcing
 from hessquot.symfun import QuotientParams
+from test_existence import AXISYM_G, S2_G, prescriptions
 
 
 class TestParser:
@@ -274,6 +282,93 @@ class TestHomotopy:
             eval_homotopy(target, 1.5, np.array([1.0, 0, 0, 0]), np.array([1.0, 0, 0, 0]))
 
 
+class TestReadsNormal:
+    @pytest.mark.parametrize("tree, reads", [
+        (Num(2.0), False),
+        (Var("rho", 0), False),
+        (Var("x", 2), False),
+        (Var("nu", 1), True),
+        (Neg(Var("nu", 3)), True),
+        (Neg(Var("x", 3)), False),
+        (Call("exp", Var("nu", 2)), True),
+        (Call("exp", Var("x", 2)), False),
+        (Bin("*", Var("nu", 1), Num(2.0)), True),
+        (Bin("*", Num(2.0), Var("nu", 1)), True),
+        (Bin("+", Var("x", 1), Var("rho", 0)), False),
+    ])
+    def test_expression_trees(self, tree, reads):
+        assert reads_normal(tree) is reads
+
+    def test_parsed_prescriptions(self):
+        assert not reads_normal(parse_f("12 * rho^(-3) * (1 + 0.2 * x1 / rho)"))
+        assert reads_normal(parse_f("12 * rho^(-3) * (1 + 0.2 * sin(2 * nu4))"))
+
+    def test_a_callable_may_read_nu(self):
+        assert reads_normal(lambda X, nu: 12.0 * np.linalg.norm(X, axis=-1) ** -3)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def eight_normal_report(base, p, r1, r2):
+    """validate_assumptions' checks with the radial ladder at all 8 normals
+    for every prescription, laid out by repeat and tile: 66 directions (+-e1
+    last) x 8 normals x 17 radii, direction-major."""
+    dim, m = p.n + 1, p.gap
+    poles = np.array([[1.0], [-1.0]]) * np.eye(dim)[0]
+
+    def worst(margins, points, tol):
+        i = np.unravel_index(np.argmin(margins), margins.shape)
+        return bool(margins[i] >= -tol), float(margins[i]), points[i]
+
+    dirs = np.vstack([quasi_uniform_directions(400, dim), poles])
+    level = p.binomial_ratio * ((p.n - 1) / r2) ** m
+    outer = worst(level - np.asarray(base(r2 * dirs, dirs), dtype=float), r2 * dirs,
+                  1e-12 * max(1.0, abs(level)))
+    level = p.binomial_ratio * ((p.n - 1) / r1) ** m
+    inner = worst(np.asarray(base(r1 * dirs, dirs), dtype=float) - level, r1 * dirs,
+                  1e-12 * max(1.0, abs(level)))
+
+    xdirs = np.vstack([quasi_uniform_directions(64, dim), poles])
+    nus = quasi_uniform_directions(8, dim)
+    rhos = np.linspace(r1, r2, 17)
+    points = np.tile(rhos, len(xdirs) * 8)[:, None] * np.repeat(xdirs, 8 * 17, axis=0)
+    nu = np.tile(np.repeat(nus, 17, axis=0), (len(xdirs), 1))
+    g = np.asarray(base(points, nu), dtype=float).reshape(-1, 17) * rhos ** m
+    d_rho = np.diff(rhos)
+    tol = 1e-12 * np.abs(g[np.isfinite(g)]).max(initial=1.0) / d_rho.min()
+    monotone = worst(-np.diff(g, axis=1) / d_rho, points.reshape(-1, 17, dim), tol)
+    return outer, inner, monotone
+
+
+def report_bits(report):
+    return [(c.passed, np.float64(c.worst_margin).tobytes(), c.worst_point.tobytes())
+            for c in (report.outer_bound, report.inner_bound, report.radial_monotone)]
+
+
+class TestOneNormalLadder:
+    """An f that reads no normal is checked on one normal of the radial
+    ladder; its report is the 8-normal ladder's bit for bit."""
+
+    @pytest.mark.parametrize("nkl, g_terms, seed, count", [
+        ((3, 2, 0), AXISYM_G, 1, 40),
+        ((4, 3, 1), AXISYM_G, 2, 40),
+        ((6, 4, 2), AXISYM_G, 3, 40),
+        ((2, 2, 0), S2_G, 4, 40),
+        ((2, 2, 0), S2_G, 5, 12),
+    ], ids=["axisym65-320", "axisym65-431", "axisym65-642", "s2-16x32", "s2-64x128-ladder"])
+    def test_existence_family_reports(self, nkl, g_terms, seed, count):
+        p = QuotientParams(*nkl)
+        for source in prescriptions(p, g_terms, seed, count):
+            # each draw as drawn, with its c nu1 term, and without it
+            free = re.sub(r" [+-]\d\.\d{4} \* nu1\)$", ")", source)
+            assert "nu" not in free
+            for text, reads in ((source, True), (free, False)):
+                base = parse_f(text, p.n + 1)
+                assert reads_normal(base) is reads
+                expected = [(passed, np.float64(margin).tobytes(), point.tobytes())
+                            for passed, margin, point in eight_normal_report(base, p, 0.5, 2.0)]
+                assert report_bits(validate_assumptions(base, p, 0.5, 2.0)) == expected, text
+
+
 class TestValidateAssumptions:
     def test_decaying_prescription_passes(self):
         p = QuotientParams(3, 2, 0)
@@ -364,6 +459,48 @@ class TestValidateAssumptions:
         report = validate_assumptions(base, QuotientParams(3, 2, 0), 0.5, 2.0)
         assert report.all_passed
         assert calls == [402, 402, 66 * 8 * 17]
+
+
+class TestNdtri:
+    """fspec._ndtri is Cephes' ndtri on [1e-12, 1 - 1e-12], scipy.special's
+    quantile bit for bit, so the directions are those scipy's gave."""
+
+    @staticmethod
+    def kronecker(count, dim):
+        """The clipped Kronecker points quasi_uniform_directions maps."""
+        g = 2.0
+        for _ in range(32):
+            g = (1.0 + g) ** (1.0 / (dim + 1.0))
+        alphas = np.array([(1.0 / g) ** (j + 1) for j in range(dim)])
+        i = np.arange(1, count + 1)[:, None]
+        return np.clip(np.mod(0.5 + i * alphas[None, :], 1.0), 1e-12, 1.0 - 1e-12)
+
+    @pytest.mark.parametrize("dim", [2] + list(range(4, 14)))
+    def test_every_direction_input(self, dim):
+        for count in (1, 8, 64, 400):
+            u = self.kronecker(count, dim)
+            z = ndtri(u)
+            assert _ndtri(u).tobytes() == z.tobytes()
+            expected = z / np.linalg.norm(z, axis=1, keepdims=True)
+            assert quasi_uniform_directions(count, dim).tobytes() == expected.tobytes()
+
+    def test_seeded_draws_with_both_tails(self):
+        rng = np.random.default_rng(36)
+        tail = np.exp(rng.uniform(math.log(1e-12), math.log(0.2), 40_000))
+        edges = [1e-12, 1.0 - 1e-12, 0.5, _EXP_M2, 1.0 - _EXP_M2]
+        edges += [np.nextafter(e, d) for e in edges for d in (0.0, 1.0)]
+        y = np.clip(np.concatenate([rng.uniform(1e-12, 1.0 - 1e-12, 40_000), tail,
+                                    1.0 - tail, edges]), 1e-12, 1.0 - 1e-12)
+        assert y.size >= 100_000
+        assert (y < _EXP_M2).sum() > 30_000 and (y > 1.0 - _EXP_M2).sum() > 30_000
+        assert _ndtri(y).tobytes() == ndtri(y).tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_cached_table_is_read_only(self, dim):
+        dirs = quasi_uniform_directions(64, dim)
+        assert quasi_uniform_directions(64, dim) is dirs
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 0.0
 
 
 class TestDirections:
